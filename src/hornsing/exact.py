@@ -553,6 +553,34 @@ def strip_monomials(p: MPoly):
 # ---- exact linear algebra ---------------------------------------------------
 
 
+def rref(rows):
+    """Reduced row echelon form of a rational matrix (list of row lists).
+
+    Returns (rows, pivots): the nonzero rows of the reduced form as Fraction
+    lists, ordered by pivot column, and the pivot column of each row.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
 def nullspace(matrix):
     """Right-nullspace basis of a rational matrix (list of row lists).
 
@@ -561,71 +589,33 @@ def nullspace(matrix):
     """
     if not matrix:
         return []
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(matrix[0])
+    rows, pivots = rref(matrix)
+    pivset = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
 
 def solve_linear(matrix, rhs):
-    """One exact solution of matrix * x = rhs, or None if inconsistent."""
-    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    """One exact solution of matrix * x = rhs, or None if inconsistent.
+
+    Free unknowns are set to zero.
+    """
     ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None
+    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][ncols]
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[ncols]
     return x
 
 

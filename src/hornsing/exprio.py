@@ -209,11 +209,19 @@ def _tokenize(text):
     return toks
 
 
+# Nesting levels (parentheses, call arguments, unary minus) the parser
+# accepts.  A parenthesis level costs five stack frames here and more in the
+# recursive walks over the tree, so this stays well inside Python's default
+# recursion limit of 1000.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, toks, declared):
         self.toks = toks
         self.pos = 0
         self.scope = [set(declared)]
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -233,6 +241,16 @@ class _Parser:
             )
         return tok
 
+    def descend(self):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            tok = self.peek()
+            raise ExprSyntaxError(
+                "expression nested deeper than %d levels" % _MAX_DEPTH,
+                tok[2],
+                tok[3],
+            )
+
     def known(self, name):
         return any(name in s for s in self.scope)
 
@@ -244,11 +262,13 @@ class _Parser:
         return node
 
     def expr(self):
+        self.descend()
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        self.depth -= 1
         return node
 
     def term(self):
@@ -262,7 +282,10 @@ class _Parser:
     def unary(self):
         if self.peek()[0] == "-":
             self.take()
-            return Neg(self.unary())
+            self.descend()
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):

@@ -1,7 +1,9 @@
 """Fit, normalize and analyze univariate linear ODEs on truncated series."""
 
 import math
+import operator
 from fractions import Fraction
+from itertools import islice
 
 from .exact import (
     MPoly,
@@ -196,6 +198,10 @@ class _BadPrime(Exception):
     pass
 
 
+# Primes any one retry loop draws before it gives up.
+_MAX_PRIMES = 60
+
+
 def _prime_stream():
     yield 2**61 - 1
     n = 2**61 + 1
@@ -215,22 +221,20 @@ def _mod_frac(c, p):
     return num * pow(den, p - 2, p) % p
 
 
-def _first_free_block(rows, ncols, block, p):
-    """Index of the first column block containing a pivot-free column.
+def _mod_echelon(rows, ncols, p):
+    """Forward elimination mod p in place, yielding each pivot-free column.
 
-    Forward elimination left to right; None means full column rank, so no
-    annihilator exists in any of the nested column prefixes.  Destroys rows.
+    Pivot rows are normalized to 1 and moved up in column order, so once the
+    generator is exhausted rows[:rank] is an echelon form whose pivot columns
+    are exactly the columns not yielded.
     """
     rank = 0
     nrows = len(rows)
     for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(rank, nrows) if rows[i][c]), None)
         if piv is None:
-            return c // block
+            yield c
+            continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = pow(rows[rank][c], p - 2, p)
         prow = [x * inv % p for x in rows[rank][c:]]
@@ -241,40 +245,35 @@ def _first_free_block(rows, ncols, block, p):
                 ri = rows[i]
                 rows[i] = ri[:c] + [(a - f * b) % p for a, b in zip(ri[c:], prow)]
         rank += 1
-        if rank == nrows and c + 1 < ncols:
-            return (c + 1) // block
-    return None
 
 
-def _mod_rref(rows, p):
-    """Full row reduction mod p; returns the pivot column list.  Destroys rows."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [(a - f * b) % p for a, b in zip(ri, prow)]
-        pivots.append(c)
-        rank += 1
-        if rank == len(rows):
-            break
-    return pivots
+def _first_free_block(rows, ncols, block, p):
+    """Index of the first column block containing a pivot-free column.
+
+    None means full column rank, so no annihilator exists in any of the
+    nested column prefixes.  Destroys rows.
+    """
+    free = next(_mod_echelon(rows, ncols, p), None)
+    return None if free is None else free // block
+
+
+def _mod_null_vector(rows, ncols, p):
+    """Pivot columns and canonical null vector mod p, or None at full rank.
+
+    The vector has a 1 at the first free column and 0 at the other free
+    columns.  Destroys rows.
+    """
+    free = list(_mod_echelon(rows, ncols, p))
+    if not free:
+        return None
+    # Columns before the first free one are the pivots of rows[0..f-1].
+    f = free[0]
+    vec = [0] * ncols
+    vec[f] = 1
+    for i in range(f - 1, -1, -1):
+        row = rows[i]
+        vec[i] = -sum(row[j] * vec[j] for j in range(i + 1, f + 1)) % p
+    return tuple(sorted(set(range(ncols)).difference(free))), vec
 
 
 def _crt(r1, m1, r2, m2):
@@ -301,36 +300,39 @@ def _rat_recon(u, modulus):
     return Fraction(num, den)
 
 
-def _null_vector_exact(fr_rows, ncols, max_primes=60):
+def _primitive(vec):
+    """Integer multiple of a nonzero rational vector with content 1 and a
+    positive first nonzero entry."""
+    den = math.lcm(*(c.denominator for c in vec))
+    ints = [int(c * den) for c in vec]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return [v // g for v in ints]
+
+
+def _null_vector_exact(fr_rows, ncols):
     """Canonical exact null vector of a rational matrix, or None if full rank.
 
     Works modulo a stream of 61-bit primes with CRT lifting and rational
     reconstruction; every candidate is verified exactly against the rational
     rows before being accepted, and a full-rank answer from any good prime is
-    already a proof of nonexistence over the rationals.
+    already a proof of nonexistence over the rationals.  After _MAX_PRIMES
+    primes the exact nullspace decides.
     """
     structure = None
     residues = None
     modulus = None
-    used = 0
-    for p in _prime_stream():
-        if used >= max_primes:
-            break
+    for p in islice(_prime_stream(), _MAX_PRIMES):
         try:
             rows = [[_mod_frac(x, p) for x in row] for row in fr_rows]
         except _BadPrime:
             continue
-        used += 1
-        pivots = _mod_rref(rows, p)
-        if len(pivots) == ncols:
+        found = _mod_null_vector(rows, ncols, p)
+        if found is None:
             return None
-        pivset = set(pivots)
-        free = next(c for c in range(ncols) if c not in pivset)
-        vec = [0] * ncols
-        vec[free] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-rows[i][free]) % p
-        key = (len(pivots), tuple(pivots))
+        pivots, vec = found
+        key = (len(pivots), pivots)
         if structure is None or key[0] > structure[0]:
             structure, residues, modulus = key, vec, p
         elif key != structure:
@@ -341,17 +343,7 @@ def _null_vector_exact(fr_rows, ncols, max_primes=60):
         cand = [_rat_recon(u, modulus) for u in residues]
         if any(c is None for c in cand):
             continue
-        den = 1
-        for c in cand:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in cand]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
+        ints = _primitive(cand)
         if all(
             sum(r * v for r, v in zip(row, ints) if v) == 0 for row in fr_rows
         ):
@@ -359,60 +351,25 @@ def _null_vector_exact(fr_rows, ncols, max_primes=60):
     basis = nullspace(fr_rows)
     if not basis:
         return None
-    vec = basis[0]
-    den = 1
-    for c in vec:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+    return [Fraction(v) for v in _primitive(basis[0])]
 
 
 # ---------------------------------------------------------------------------
 # Guessing
 
 
-def _theta_rows_mod(coeffs_mod, nrows, max_order, max_degree, p, theta_major):
+def _theta_rows(weights, nrows, order, degree):
     """Coefficient-matching rows for sum_a t^a Q_a(theta) annihilating a series.
 
-    Column (a, i) carries (n-a)^i * c_{n-a}; theta_major groups columns into
-    blocks of fixed theta power i, otherwise into blocks of fixed shift a.
+    weights[k][i] is k^i * c_k in the field at hand.  Column a*(order+1) + i of
+    row n carries weights[n-a][i] (0 for n < a): blocks of fixed shift a.
     """
-    powers = [[1] * (max_order + 1) for _ in range(nrows)]
-    for k in range(nrows):
-        for i in range(1, max_order + 1):
-            powers[k][i] = powers[k][i - 1] * k % p
-    rows = []
-    for n in range(nrows):
-        row = []
-        if theta_major:
-            for i in range(max_order + 1):
-                for a in range(max_degree + 1):
-                    k = n - a
-                    row.append(coeffs_mod[k] * powers[k][i] % p if k >= 0 else 0)
-        else:
-            for a in range(max_degree + 1):
-                for i in range(max_order + 1):
-                    k = n - a
-                    row.append(coeffs_mod[k] * powers[k][i] % p if k >= 0 else 0)
-        rows.append(row)
-    return rows
-
-
-def _theta_rows_exact(coeffs, nrows, order, degree):
+    zero = [0] * (order + 1)
     rows = []
     for n in range(nrows):
         row = []
         for a in range(degree + 1):
-            k = n - a
-            for i in range(order + 1):
-                row.append(coeffs[k] * k**i if k >= 0 else Fraction(0))
+            row += weights[n - a][: order + 1] if n >= a else zero
         rows.append(row)
     return rows
 
@@ -436,26 +393,39 @@ def guess_ode(s, max_order, max_degree, var="t"):
             % (s.order, need, max_order, max_degree)
         )
     nrows = s.order + 1
-    for p in _prime_stream():
+    ncols = (max_order + 1) * (max_degree + 1)
+    # Theta-major columns, in blocks of fixed theta power i.
+    theta_major = [
+        a * (max_order + 1) + i
+        for i in range(max_order + 1)
+        for a in range(max_degree + 1)
+    ]
+    for p in islice(_prime_stream(), _MAX_PRIMES):
         try:
             cm = [_mod_frac(c, p) for c in s.coeffs]
         except _BadPrime:
             continue
-        rows = _theta_rows_mod(cm, nrows, max_order, max_degree, p, True)
-        r_star = _first_free_block(
-            rows, (max_order + 1) * (max_degree + 1), max_degree + 1, p
-        )
+        weights = [
+            [c * pow(k, i, p) % p for i in range(max_order + 1)]
+            for k, c in enumerate(cm)
+        ]
+        rows = _theta_rows(weights, nrows, max_order, max_degree)
+        rows = [[row[j] for j in theta_major] for row in rows]
+        r_star = _first_free_block(rows, ncols, max_degree + 1, p)
         if r_star is None:
             raise NotFound(
                 "no operator within order %d and degree %d" % (max_order, max_degree)
             )
-        rows = _theta_rows_mod(cm, nrows, r_star, max_degree, p, False)
+        rows = _theta_rows(weights, nrows, r_star, max_degree)
         d_star = _first_free_block(
             rows, (r_star + 1) * (max_degree + 1), r_star + 1, p
         )
         if d_star is None:
             continue
-        fr_rows = _theta_rows_exact(s.coeffs, nrows, r_star, d_star)
+        exact = [
+            [c * k**i for i in range(r_star + 1)] for k, c in enumerate(s.coeffs)
+        ]
+        fr_rows = _theta_rows(exact, nrows, r_star, d_star)
         vec = _null_vector_exact(fr_rows, (r_star + 1) * (d_star + 1))
         if vec is None:
             continue
@@ -473,7 +443,7 @@ def guess_ode(s, max_order, max_degree, var="t"):
         ode = UniODE.from_theta(ThetaOp((var,), terms))
         margin = nrows - (r_star + 1) * (d_star + 1)
         return GuessReport(ode, margin)
-    raise RuntimeError("prime stream exhausted")
+    raise RuntimeError("no usable prime among the first %d" % _MAX_PRIMES)
 
 
 def annihilates_series(ode, s):
@@ -516,6 +486,43 @@ def singular_points(ode):
     )
 
 
+def _shifted_coeffs(ode, t0):
+    """Coefficient lists of p_0(t0 + s)..p_r(t0 + s), lowest degree first."""
+    out = []
+    for p in ode.coeffs:
+        q = p.shift(ode.var, t0)
+        if q.is_zero():
+            out.append([Fraction(0)])
+        else:
+            out.append([c.constant_value() for c in q.as_univar(ode.var)])
+    return out
+
+
+def _recurrence_basis(shifted, head_val, N, div):
+    """Coefficients a_0..a_N of the solutions with unit initial segments.
+
+    shifted holds the coefficient lists of the operator at the expansion
+    point, head_val = p_r there is nonzero, and div is the field's division.
+    """
+    r = len(shifted) - 1
+    basis = []
+    for unit in range(r):
+        a = [0] * (N + 1)
+        a[unit] = 1
+        for n in range(N + 1 - r):
+            acc = 0
+            for j, qj in enumerate(shifted):
+                for i, ci in enumerate(qj):
+                    if not ci or (j == r and i == 0):
+                        continue
+                    k = n - i + j
+                    if 0 <= k < n + r:
+                        acc += ci * math.perm(k, j) * a[k]
+            a[n + r] = div(-acc, head_val * math.perm(n + r, r))
+        basis.append(a)
+    return basis
+
+
 def local_basis(ode, t0, N):
     """Fundamental system at an ordinary point, as series in s = t - t0.
 
@@ -526,30 +533,8 @@ def local_basis(ode, t0, N):
     head_val = ode.head.evaluate({ode.var: t0})
     if head_val == 0:
         raise SingularPoint("head polynomial vanishes at %s" % t0)
-    r = ode.order
-    shifted = []
-    for p in ode.coeffs:
-        q = p.shift(ode.var, t0)
-        if q.is_zero():
-            shifted.append([Fraction(0)])
-        else:
-            shifted.append([c.constant_value() for c in q.as_univar(ode.var)])
-    basis = []
-    for unit in range(r):
-        a = [Fraction(1) if k == unit else Fraction(0) for k in range(r)]
-        a += [Fraction(0)] * (N + 1 - r)
-        for n in range(N + 1 - r):
-            acc = Fraction(0)
-            for j, qj in enumerate(shifted):
-                for i, ci in enumerate(qj):
-                    if not ci or (j == r and i == 0):
-                        continue
-                    k = n - i + j
-                    if 0 <= k < n + r:
-                        acc += ci * math.perm(k, j) * a[k]
-            a[n + r] = -acc / (head_val * math.perm(n + r, r))
-        basis.append(UniSeries(N, a))
-    return basis
+    basis = _recurrence_basis(_shifted_coeffs(ode, t0), head_val, N, operator.truediv)
+    return [UniSeries(N, a) for a in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -563,42 +548,6 @@ def _base_point(ode):
         if ode.head.evaluate({ode.var: t0}) != 0:
             return t0
         q = 10 if q == 7 else q + 1
-
-
-def _mod_basis(shifted, head_val, r, N, p):
-    """Local solution basis at the shifted origin, reduced mod p."""
-    qmod = [[_mod_frac(c, p) for c in qj] for qj in shifted]
-    hv = _mod_frac(head_val, p)
-    if hv == 0:
-        raise _BadPrime("head value divisible by modulus")
-    fact = [1] * (N + 1)
-    for k in range(1, N + 1):
-        fact[k] = fact[k - 1] * k % p
-    invfact = [1] * (N + 1)
-    invfact[N] = pow(fact[N], p - 2, p)
-    for k in range(N, 0, -1):
-        invfact[k - 1] = invfact[k] * k % p
-
-    def perm_mod(m, j):
-        if j > m:
-            return 0
-        return fact[m] * invfact[m - j] % p
-
-    basis = []
-    for unit in range(r):
-        a = [1 if k == unit else 0 for k in range(r)] + [0] * (N + 1 - r)
-        for n in range(N + 1 - r):
-            acc = 0
-            for j, qj in enumerate(qmod):
-                for i, ci in enumerate(qj):
-                    if not ci or (j == r and i == 0):
-                        continue
-                    k = n - i + j
-                    if 0 <= k < n + r:
-                        acc += ci * perm_mod(k, j) * a[k]
-            a[n + r] = -acc * pow(hv * perm_mod(n + r, r) % p, p - 2, p) % p
-        basis.append(a)
-    return basis
 
 
 def _conv_prefix(a, b, length, p):
@@ -643,15 +592,13 @@ def _square_order_once(ode, L, p, pairs):
     r = ode.order
     cap = r * (r - 1) // 2 if pairs else r * (r + 1) // 2
     t0 = _base_point(ode)
-    shifted = []
-    for q in ode.coeffs:
-        qs = q.shift(ode.var, t0)
-        if qs.is_zero():
-            shifted.append([Fraction(0)])
-        else:
-            shifted.append([c.constant_value() for c in qs.as_univar(ode.var)])
-    head_val = ode.head.evaluate({ode.var: t0})
-    basis = _mod_basis(shifted, head_val, r, L, p)
+    shifted = [[_mod_frac(c, p) for c in qj] for qj in _shifted_coeffs(ode, t0)]
+    head_val = _mod_frac(ode.head.evaluate({ode.var: t0}), p)
+    if head_val == 0:
+        raise _BadPrime("head value divisible by modulus")
+    basis = _recurrence_basis(
+        shifted, head_val, L, lambda a, b: a * pow(b, p - 2, p) % p
+    )
     if pairs:
         ders = [
             [(m + 1) * y[m + 1] % p for m in range(L)] for y in basis
@@ -704,13 +651,14 @@ def _square_order(ode, N, pairs):
     stream = _prime_stream()
     results = []
     for L in (N, N + 10):
-        while True:
-            p = next(stream)
+        for p in islice(stream, _MAX_PRIMES):
             try:
                 results.append(_square_order_once(ode, L, p, pairs))
             except _BadPrime:
                 continue
             break
+        else:
+            raise RuntimeError("no usable prime among the first %d" % _MAX_PRIMES)
     if results[0] != results[1]:
         raise Unstable(
             "order %d at N=%d but %d at N=%d" % (results[0], N, results[1], N + 10)

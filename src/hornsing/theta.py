@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import MPoly
+from .exact import MPoly, rref
 from .exprio import format_operator_text, parse_operator_text
 from .series import BiSeries, InsufficientOrder, UniSeries
 
@@ -117,10 +117,6 @@ class LogSeries:
         if len(key) != width:
             raise ValueError("log index %r has the wrong arity" % (key,))
         return None
-
-    def analytic_part(self):
-        width = len(next(iter(self.parts))) if self.parts else 1
-        return self.parts.get((0,) * width)
 
     def log_support(self):
         return sorted(self.parts)
@@ -437,7 +433,7 @@ def log_basis(sys, order, max_log):
     rows = []
     for pid in free:
         rows.append([coeffs[key].get(pid, Fraction(0)) for key in columns])
-    rows = _rref(rows)
+    rows, _pivots = rref(rows)
 
     basis = []
     for row in rows:
@@ -456,29 +452,3 @@ def log_basis(sys, order, max_log):
                 built[li] = UniSeries(order, coeff_list)
         basis.append(LogSeries(order, built))
     return len(basis), basis
-
-
-def _rref(rows):
-    rows = [list(r) for r in rows if any(r)]
-    pivot_cols = []
-    out = []
-    for row in rows:
-        for prow, pcol in zip(out, pivot_cols):
-            if row[pcol]:
-                c = row[pcol]
-                row = [a - c * b for a, b in zip(row, prow)]
-        col = next((j for j, v in enumerate(row) if v), None)
-        if col is None:
-            continue
-        inv = row[col]
-        row = [v / inv for v in row]
-        out.append(row)
-        pivot_cols.append(col)
-    # Back-substitute to clear pivots above, then order by pivot column.
-    for i in range(len(out)):
-        for j in range(len(out)):
-            if i != j and out[j][pivot_cols[i]]:
-                c = out[j][pivot_cols[i]]
-                out[j] = [a - c * b for a, b in zip(out[j], out[i])]
-    paired = sorted(zip(pivot_cols, out))
-    return [row for _, row in paired]

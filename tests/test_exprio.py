@@ -71,6 +71,13 @@ def test_syntax_error_position():
     assert info.value.col == 1
 
 
+def test_deep_nesting_is_a_syntax_error():
+    for text in ("(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x"):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr(text, ("x",))
+    assert ev("(" * 50 + "-" * 40 + "x" + ")" * 50, x=2) == 2
+
+
 def test_precedence_and_associativity():
     assert ev("-x^2", x=3) == -9
     assert ev("2-3-4", x=0) == -5

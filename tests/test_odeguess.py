@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from hornsing import odeguess
 from hornsing.exact import MPoly, RatFun, ZeroInput, nullspace, poly_gcd
 from hornsing.exprio import expr_to_mpoly, expr_to_ratfun, parse_expr, parse_spec_text
 from hornsing.odeguess import (
@@ -444,3 +446,32 @@ def test_guess_random_rational_functions():
         rep = guess_ode(s, 1, 6)
         assert rep.checked_margin >= 10
         assert not any(rep.ode.apply(s).coeffs)
+
+
+def _guarded_stream(primes, limit=10**4):
+    """A prime stream cycling through `primes` that fails after `limit` draws."""
+
+    def stream():
+        for drawn, p in enumerate(itertools.cycle(primes)):
+            if drawn >= limit:
+                raise AssertionError("prime loop drew %d primes" % limit)
+            yield p
+
+    return stream
+
+
+def test_guess_ode_prime_retries_are_bounded(monkeypatch):
+    p = 2**61 - 1
+    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([p]))
+    s = UniSeries(40, [Fraction(1, p)] + [Fraction(1)] * 40)
+    with pytest.raises(RuntimeError):
+        guess_ode(s, 1, 2)
+
+
+def test_square_order_prime_retries_are_bounded(monkeypatch):
+    # The base point is t0 = 1/7, so p_0(t0 + s) = 1/7 + s cannot be
+    # reduced modulo 7.
+    ode = UniODE.from_text("ode-var: t\n0 : t\n2 : 1\n")
+    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([7]))
+    with pytest.raises(RuntimeError):
+        exterior_square_order(ode, 30)
