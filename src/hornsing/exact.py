@@ -723,21 +723,6 @@ def _eval_int(coeffs, x):
     return v
 
 
-def _deflate(coeffs, p, q):
-    """Divide by (q*x - p) when p/q is a root; coeffs are ints."""
-    n = len(coeffs) - 1
-    out = [0] * n
-    carry = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k], rem = divmod(carry, q)
-        if rem:
-            return None
-        carry = coeffs[k] + out[k] * p
-    if carry != 0:
-        return None
-    return out
-
-
 def _rational_roots(coeffs):
     """All rational roots with multiplicity of a primitive integer coefficient list."""
     roots = []
@@ -766,7 +751,7 @@ def _rational_roots(coeffs):
             return roots, coeffs, True
         mult = 0
         while True:
-            nxt = _deflate(coeffs, *found)
+            nxt = _poly_divmod_int(coeffs, [-found[0], found[1]])
             if nxt is None:
                 break
             coeffs = nxt

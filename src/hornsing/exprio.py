@@ -18,6 +18,7 @@ File formats are line oriented, with # comments and blank lines ignored:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -141,26 +142,23 @@ _ATOM_NAMES = ("fact", "binom", "poch", "sum")
 
 def free_vars(node):
     """Names referenced by node, with sum indices bound inside their body."""
-    if isinstance(node, Int):
-        return set()
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Neg):
-        return free_vars(node.arg)
-    if isinstance(node, Pow):
-        return free_vars(node.base)
-    if isinstance(node, Fact):
-        return free_vars(node.arg)
-    if isinstance(node, Binom):
-        return free_vars(node.top) | free_vars(node.bottom)
-    if isinstance(node, Poch):
-        return free_vars(node.base) | free_vars(node.count)
-    if isinstance(node, Sum):
-        inner = free_vars(node.body) - {node.index}
-        return free_vars(node.lower) | free_vars(node.upper) | inner
-    raise TypeError("not an Expr node: %r" % (node,))
+    names = set()
+    stack = [(node, frozenset())]
+    while stack:
+        node, bound = stack.pop()
+        if isinstance(node, Var):
+            if node.name not in bound:
+                names.add(node.name)
+        elif isinstance(node, Sum):
+            stack.append((node.body, bound | {node.index}))
+            stack += [(node.lower, bound), (node.upper, bound)]
+        elif isinstance(node, Expr):
+            # fields that are not Exprs hold literals: Int.value, Pow.exponent
+            kids = [c for c in node.__dict__.values() if isinstance(c, Expr)]
+            stack += [(kid, bound) for kid in kids]
+        else:
+            raise TypeError("not an Expr node: %r" % (node,))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +208,10 @@ def _tokenize(text):
 
 
 # Nesting levels (parentheses, call arguments, unary minus) the parser
-# accepts.  A parenthesis level costs five stack frames here and more in the
-# recursive walks over the tree, so this stays well inside Python's default
-# recursion limit of 1000.
+# accepts.  A level costs five stack frames here and at most three in _fold
+# and its leaf functions; chains of + - * / cost none, because the parser and
+# _fold loop over them.  So any accepted expression stays well inside
+# Python's default recursion limit of 1000.
 _MAX_DEPTH = 100
 
 
@@ -403,111 +402,101 @@ def _as_integer(value, what):
     return int(value)
 
 
+_BINARY = {
+    Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv
+}
+
+
+def _fold(node, leaf):
+    """Value of node: + - * / ^ and unary minus applied here, leaf(n) for the rest.
+
+    The left spine of a + - * / chain is walked by a loop, so a flat sum or
+    product of any length costs no stack; only parentheses, call arguments
+    and unary minus recurse, and the parser caps those at _MAX_DEPTH.
+    """
+    spine = []
+    while type(node) in _BINARY:
+        spine.append(node)
+        node = node.left
+    if isinstance(node, Neg):
+        acc = -_fold(node.arg, leaf)
+    elif isinstance(node, Pow):
+        acc = _fold(node.base, leaf) ** node.exponent
+    else:
+        acc = leaf(node)
+    for op in reversed(spine):
+        rhs = _fold(op.right, leaf)
+        if type(op) is Div and rhs == 0:
+            raise EvaluationError("division by zero")
+        acc = _BINARY[type(op)](acc, rhs)
+    return acc
+
+
 def eval_expr(node, env):
     """Exact value of node with env mapping every free name to a rational."""
-    if isinstance(node, Int):
-        return Fraction(node.value)
-    if isinstance(node, Var):
-        try:
-            return Fraction(env[node.name])
-        except KeyError:
-            raise EvaluationError("unbound variable %r" % node.name) from None
-    if isinstance(node, Add):
-        return eval_expr(node.left, env) + eval_expr(node.right, env)
-    if isinstance(node, Sub):
-        return eval_expr(node.left, env) - eval_expr(node.right, env)
-    if isinstance(node, Neg):
-        return -eval_expr(node.arg, env)
-    if isinstance(node, Mul):
-        return eval_expr(node.left, env) * eval_expr(node.right, env)
-    if isinstance(node, Div):
-        den = eval_expr(node.right, env)
-        if den == 0:
-            raise EvaluationError("division by zero")
-        return eval_expr(node.left, env) / den
-    if isinstance(node, Pow):
-        return eval_expr(node.base, env) ** node.exponent
-    if isinstance(node, Fact):
-        arg = _as_integer(eval_expr(node.arg, env), "factorial argument")
-        if arg < 0:
-            raise EvaluationError("factorial of a negative integer")
-        return Fraction(math.factorial(arg))
-    if isinstance(node, Binom):
-        top = eval_expr(node.top, env)
-        k = _as_integer(eval_expr(node.bottom, env), "binomial lower index")
-        if k < 0:
-            return Fraction(0)
-        num = Fraction(1)
-        for i in range(k):
-            num *= top - i
-        return num / math.factorial(k)
-    if isinstance(node, Poch):
-        base = eval_expr(node.base, env)
-        count = _as_integer(eval_expr(node.count, env), "pochhammer count")
-        if count < 0:
-            raise EvaluationError("pochhammer count is negative")
-        out = Fraction(1)
-        for i in range(count):
-            out *= base + i
-        return out
-    if isinstance(node, Sum):
-        lo = _as_integer(eval_expr(node.lower, env), "sum lower bound")
-        hi = _as_integer(eval_expr(node.upper, env), "sum upper bound")
-        total = Fraction(0)
-        inner = dict(env)
-        for i in range(lo, hi + 1):
-            inner[node.index] = Fraction(i)
-            total += eval_expr(node.body, inner)
-        return total
-    raise TypeError("not an Expr node: %r" % (node,))
+
+    def leaf(node):
+        if isinstance(node, Int):
+            return Fraction(node.value)
+        if isinstance(node, Var):
+            try:
+                return Fraction(env[node.name])
+            except KeyError:
+                raise EvaluationError("unbound variable %r" % node.name) from None
+        if isinstance(node, Fact):
+            arg = _as_integer(_fold(node.arg, leaf), "factorial argument")
+            if arg < 0:
+                raise EvaluationError("factorial of a negative integer")
+            return Fraction(math.factorial(arg))
+        if isinstance(node, Binom):
+            top = _fold(node.top, leaf)
+            k = _as_integer(_fold(node.bottom, leaf), "binomial lower index")
+            if k < 0:
+                return Fraction(0)
+            falling = math.prod((top - i for i in range(k)), start=Fraction(1))
+            return falling / math.factorial(k)
+        if isinstance(node, Poch):
+            base = _fold(node.base, leaf)
+            count = _as_integer(_fold(node.count, leaf), "pochhammer count")
+            if count < 0:
+                raise EvaluationError("pochhammer count is negative")
+            return math.prod((base + i for i in range(count)), start=Fraction(1))
+        if isinstance(node, Sum):
+            lo = _as_integer(_fold(node.lower, leaf), "sum lower bound")
+            hi = _as_integer(_fold(node.upper, leaf), "sum upper bound")
+            total = Fraction(0)
+            inner = dict(env)
+            for i in range(lo, hi + 1):
+                inner[node.index] = Fraction(i)
+                total += eval_expr(node.body, inner)
+            return total
+        raise TypeError("not an Expr node: %r" % (node,))
+
+    return _fold(node, leaf)
 
 
 def expr_to_ratfun(node, vars, consts=None):
     """Convert node to a rational function over vars.
 
-    consts maps extra names to fixed rationals.  Combinatorial atoms are
-    allowed only when their arguments involve none of vars; such subtrees
-    fold to constants.
+    consts maps extra names to fixed rationals.  Every leaf other than a
+    name in vars folds to a constant through eval_expr under consts, so
+    combinatorial atoms are allowed only when their arguments involve none
+    of vars.
     """
     consts = consts or {}
     vset = set(vars)
-    if isinstance(node, (Fact, Binom, Poch, Sum)):
+
+    def leaf(node):
+        if isinstance(node, Var) and node.name in vset:
+            return RatFun.from_poly(MPoly.variable(vars, node.name))
         if free_vars(node) & vset:
             raise EvaluationError(
                 "combinatorial atom with a symbolic argument is not a"
                 " rational function"
             )
         return RatFun.const(vars, eval_expr(node, consts))
-    if isinstance(node, Int):
-        return RatFun.const(vars, node.value)
-    if isinstance(node, Var):
-        if node.name in vset:
-            return RatFun.from_poly(MPoly.variable(vars, node.name))
-        if node.name in consts:
-            return RatFun.const(vars, consts[node.name])
-        raise EvaluationError("unbound variable %r" % node.name)
-    if isinstance(node, Add):
-        return expr_to_ratfun(node.left, vars, consts) + expr_to_ratfun(
-            node.right, vars, consts
-        )
-    if isinstance(node, Sub):
-        return expr_to_ratfun(node.left, vars, consts) - expr_to_ratfun(
-            node.right, vars, consts
-        )
-    if isinstance(node, Neg):
-        return -expr_to_ratfun(node.arg, vars, consts)
-    if isinstance(node, Mul):
-        return expr_to_ratfun(node.left, vars, consts) * expr_to_ratfun(
-            node.right, vars, consts
-        )
-    if isinstance(node, Div):
-        den = expr_to_ratfun(node.right, vars, consts)
-        if den.num.is_zero():
-            raise EvaluationError("division by zero")
-        return expr_to_ratfun(node.left, vars, consts) / den
-    if isinstance(node, Pow):
-        return expr_to_ratfun(node.base, vars, consts) ** node.exponent
-    raise TypeError("not an Expr node: %r" % (node,))
+
+    return _fold(node, leaf)
 
 
 def expr_to_mpoly(node, vars, consts=None):
@@ -601,6 +590,8 @@ def parse_series_text(text):
                 "line %d: duplicate term %s" % (lineno, " ".join(parts[:-1]))
             )
         entries[exps] = _parse_fraction(parts[-1], lineno)
+    if not entries:
+        raise ValidationError("series file has no entries")
     return names, entries
 
 

@@ -98,7 +98,13 @@ def _cos_pair(idx, mode):
 
 
 def nickelian_poly(idx, mode="exact"):
-    """Raw expansion (r+k)(kr+1) - k(rU + sign*V)^2, no normalization."""
+    """Raw expansion (r+k)(kr+1) - k(rU + sign*V)^2, no normalization.
+
+    mode "exact" needs rational cosines, "symbolic" keeps U and V as
+    variables, and "float" takes U and V as the exact Fractions of the
+    floating-point cosines.  "float" is the package's one inexact path: its
+    curve is near, not on, the true one.
+    """
     if mode == "symbolic":
         vars = ("k", "r", "U", "V")
         k = MPoly.variable(vars, "k")

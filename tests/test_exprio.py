@@ -19,6 +19,7 @@ from hornsing.exprio import (
     format_operator_text,
     format_series_text,
     format_spec_text,
+    free_vars,
     load_spec,
     parse_expr,
     parse_ode_text,
@@ -78,6 +79,20 @@ def test_deep_nesting_is_a_syntax_error():
     assert ev("(" * 50 + "-" * 40 + "x" + ")" * 50, x=2) == 2
 
 
+def test_long_flat_chains_do_not_recurse():
+    x = MPoly.variable(("x",), "x")
+    total = parse_expr("+".join(["x"] * 3000), ("x",))
+    diff = parse_expr("-".join(["x"] * 3000), ("x",))
+    assert expr_to_ratfun(total, ("x",)) == 3000 * x
+    assert expr_to_ratfun(diff, ("x",)) == -2998 * x
+    assert eval_expr(total, {"x": Fraction(2)}) == 6000
+    assert eval_expr(diff, {"x": Fraction(2)}) == -5996
+    assert free_vars(total) == free_vars(diff) == {"x"}
+    product = parse_expr("*".join(["x"] * 1500), ("x",))
+    assert expr_to_mpoly(product, ("x",)) == x**1500
+    assert ev("fact(" + "+".join(["1"] * 3000) + ")/fact(2999)", n=0) == 3000
+
+
 def test_precedence_and_associativity():
     assert ev("-x^2", x=3) == -9
     assert ev("2-3-4", x=0) == -5
@@ -116,6 +131,62 @@ def test_sum_bounds_must_be_affine():
     # Constant-folded bounds and affine bounds with rational slope are fine.
     parse_expr("sum(k,0,fact(3),1)", NM)
     parse_expr("sum(k,n,2*n+3*m+1,k)", NM)
+
+
+def test_expr_to_ratfun_atoms():
+    x = MPoly.variable(XY, "x")
+    for text in ("fact(x)", "binom(x,2)", "sum(k,0,x,k)", "poch(2,y)*y"):
+        with pytest.raises(EvaluationError):
+            expr_to_ratfun(parse_expr(text, XY), XY)
+    assert expr_to_ratfun(parse_expr("fact(3)*x", XY), XY) == 6 * x
+    consts = {"a": Fraction(5)}
+    r = expr_to_ratfun(parse_expr("binom(a,2)*x + a", ("a",) + XY), XY, consts)
+    assert r == 10 * x + 5
+
+
+def test_division_by_zero_subexpression():
+    for text in ("x/(y-y)", "1/(2*x-x-x)", "x*y/(3-1-2)"):
+        ast = parse_expr(text, XY)
+        with pytest.raises(EvaluationError):
+            expr_to_ratfun(ast, XY)
+        with pytest.raises(EvaluationError):
+            eval_expr(ast, {"x": Fraction(1), "y": Fraction(2)})
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(("x", "y", str(rng.randrange(0, 4))))
+    op = rng.choice("+-*/^~")
+    if op == "^":
+        return "(%s)^%d" % (_random_expr(rng, depth - 1), rng.randrange(0, 4))
+    if op == "~":
+        return "-(%s)" % _random_expr(rng, depth - 1)
+    left = _random_expr(rng, depth - 1)
+    return "(%s)%s(%s)" % (left, op, _random_expr(rng, depth - 1))
+
+
+def test_ratfun_agrees_with_eval_random():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(150):
+        ast = parse_expr(_random_expr(rng, 5), XY)
+        try:
+            r = expr_to_ratfun(ast, XY)
+        except EvaluationError:
+            r = None
+        for _ in range(4):
+            point = {
+                v: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for v in XY
+            }
+            try:
+                value = eval_expr(ast, point)
+            except EvaluationError:
+                continue
+            # A symbolic division by zero divides by zero at every point.
+            assert r is not None
+            assert r.evaluate(point) == value
+            checked += 1
+    assert checked > 300
 
 
 def test_expr_to_mpoly():
@@ -223,6 +294,8 @@ def test_series_file_errors():
         parse_series_text("vars: x\n-1 4\n")
     with pytest.raises(ValidationError):
         parse_series_text("vars: x\n1 1/0\n")
+    with pytest.raises(ValidationError, match="no entries"):
+        parse_series_text("vars: t\n# no coefficients\n")
 
 
 def test_operator_file_round_trip():

@@ -69,6 +69,14 @@ def test_check_compatibility():
     assert not check_compatibility(HyperSpec(rf_nm("(n+m+1)/(n+1)"), rf_nm("1")))
 
 
+def test_hyper_from_spec_long_ratio():
+    text = "[spec]\nname = long\nkind = ratio\nvars = n m\n"
+    text += "alpha1 = " + "+".join(["n"] * 3000) + "+1\nalpha2 = m+1\n"
+    spec = hyper_from_spec(parse_spec_text(text))
+    assert spec.alpha1 == rf_nm("3000*n+1")
+    assert spec.alpha2 == rf_nm("m+1")
+
+
 def test_expand_h2():
     b = expand_from_ratios(hyper_from_spec(H2), 2)
     assert b.coeff(0, 0) == 1
