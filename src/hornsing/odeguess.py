@@ -3,7 +3,7 @@
 import math
 import operator
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from .exact import (
     MPoly,
@@ -20,7 +20,15 @@ from .theta import ThetaOp, dform_from_theta, theta_from_dform
 
 
 class NotFound(Exception):
-    """No nonzero operator exists within the requested bounds."""
+    """No nonzero operator exists within the requested bounds.
+
+    max_order and max_degree are the bounds that were exhausted.
+    """
+
+    def __init__(self, message, max_order, max_degree):
+        super().__init__(message)
+        self.max_order = max_order
+        self.max_degree = max_degree
 
 
 class SingularPoint(Exception):
@@ -28,7 +36,16 @@ class SingularPoint(Exception):
 
 
 class Unstable(Exception):
-    """Square-order detection did not stabilize between N and N+10."""
+    """Square-order detection did not stabilize between N and N+10.
+
+    When the two windows disagree, windows is (N, N+10) and orders holds the
+    order found in each; otherwise both are None.
+    """
+
+    def __init__(self, message, windows=None, orders=None):
+        super().__init__(message)
+        self.windows = windows
+        self.orders = orders
 
 
 # ---------------------------------------------------------------------------
@@ -224,26 +241,56 @@ def _mod_frac(c, p):
 def _mod_echelon(rows, ncols, p):
     """Forward elimination mod p in place, yielding each pivot-free column.
 
-    Pivot rows are normalized to 1 and moved up in column order, so once the
+    The entries of rows are residues in [0, p).  Each row is packed into one
+    integer with column j in the w-bit slot starting at bit j*w, so a row
+    update is a single big-integer step row += (p - f) * pivot_row, and slots
+    are reduced mod p only where they are read: the pivot test, the factor f
+    and the pivot row, which is unpacked, normalized to 1 and repacked once
+    per pivot.  Every update adds a non-negative term below p^2 to a slot and
+    a row gets at most one update per pivot, so a slot stays below
+    p + ncols*p^2 < 2^w with w = (ncols+1).bit_length() + 2*p.bit_length()
+    (rounded up to whole bytes): no slot ever carries into the next one.
+
+    Pivot rows are normalized to 1 and moved up in column order, so rows[:rank]
+    holds each pivot row as a list as soon as it is found, and once the
     generator is exhausted rows[:rank] is an echelon form whose pivot columns
     are exactly the columns not yielded.
     """
+    nb = -(-((ncols + 1).bit_length() + 2 * p.bit_length()) // 8)
+    w = 8 * nb
+    mask = (1 << w) - 1
+    widths = repeat(nb)
+    order = repeat("little")
+    packed = [
+        int.from_bytes(b"".join(map(int.to_bytes, row, widths, order)), "little")
+        for row in rows
+    ]
     rank = 0
     nrows = len(rows)
     for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][c]), None)
-        if piv is None:
+        shift = c * w
+        for piv in range(rank, nrows):
+            v = (packed[piv] >> shift & mask) % p
+            if v:
+                break
+        else:
             yield c
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        prow = [x * inv % p for x in rows[rank][c:]]
-        rows[rank] = rows[rank][:c] + prow
+        packed[rank], packed[piv] = packed[piv], packed[rank]
+        inv = pow(v, p - 2, p)
+        raw = packed[rank].to_bytes(nb * ncols, "little")
+        prow = [
+            int.from_bytes(raw[j : j + nb], "little") * inv % p
+            for j in range(c * nb, nb * ncols, nb)
+        ]
+        rows[rank] = [0] * c + prow
+        pivot = int.from_bytes(
+            b"".join(map(int.to_bytes, prow, widths, order)), "little"
+        ) << shift
         for i in range(rank + 1, nrows):
-            f = rows[i][c]
+            f = (packed[i] >> shift & mask) % p
             if f:
-                ri = rows[i]
-                rows[i] = ri[:c] + [(a - f * b) % p for a, b in zip(ri[c:], prow)]
+                packed[i] += (p - f) * pivot
         rank += 1
 
 
@@ -414,7 +461,9 @@ def guess_ode(s, max_order, max_degree, var="t"):
         r_star = _first_free_block(rows, ncols, max_degree + 1, p)
         if r_star is None:
             raise NotFound(
-                "no operator within order %d and degree %d" % (max_order, max_degree)
+                "no operator within order %d and degree %d" % (max_order, max_degree),
+                max_order,
+                max_degree,
             )
         rows = _theta_rows(weights, nrows, r_star, max_degree)
         d_star = _first_free_block(
@@ -563,14 +612,25 @@ def _conv_prefix(a, b, length, p):
 
 
 def _dform_rows(target, length, cap, degree, p, fall, k_count):
-    """Rows matching sum_j p_j(s) f^(j) = 0 with deg p_j <= degree, order <= cap."""
+    """Rows matching sum_j p_j(s) f^(j) = 0 with deg p_j <= degree, order <= cap.
+
+    Column j*(degree+1) + i of row k carries fall[m][j] * target[m] with
+    m = k - i + j, or 0 for m < 0.
+    """
+    nrows = min(k_count, length - cap)
+    top = nrows + cap
+    # tables[j][top-1-m] = fall[m][j] * target[m], padded with degree zeros
+    # for m < 0, so the degree+1 entries of block j in row k are one slice.
+    tables = [
+        [fall[m][j] * target[m] % p for m in range(top - 1, -1, -1)] + [0] * degree
+        for j in range(cap + 1)
+    ]
     rows = []
-    for k in range(min(k_count, length - cap)):
+    for k in range(nrows):
         row = []
-        for j in range(cap + 1):
-            for i in range(degree + 1):
-                m = k - i + j
-                row.append(fall[m][j] * target[m] % p if 0 <= m < length else 0)
+        for j, table in enumerate(tables):
+            start = top - 1 - k - j
+            row += table[start : start + degree + 1]
         rows.append(row)
     return rows
 
@@ -661,7 +721,9 @@ def _square_order(ode, N, pairs):
             raise RuntimeError("no usable prime among the first %d" % _MAX_PRIMES)
     if results[0] != results[1]:
         raise Unstable(
-            "order %d at N=%d but %d at N=%d" % (results[0], N, results[1], N + 10)
+            "order %d at N=%d but %d at N=%d" % (results[0], N, results[1], N + 10),
+            (N, N + 10),
+            tuple(results),
         )
     return results[0]
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hornsing.exact import nullspace, rref, solve_linear
-from hornsing.odeguess import _mod_frac, _mod_null_vector
+from hornsing.odeguess import _mod_echelon, _mod_frac, _mod_null_vector
 
 P61 = 2**61 - 1
 
@@ -75,6 +75,91 @@ def test_mod_null_vector_is_canonical_nullspace_vector():
         assert vec == [_mod_frac(x, P61) for x in basis[0]]
         hits += 1
     assert hits > 30
+
+
+def _reference_echelon(rows, ncols, p):
+    """List-based elimination mod p: every row update reduces each entry."""
+    rank = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        piv = next((i for i in range(rank, nrows) if rows[i][c]), None)
+        if piv is None:
+            yield c
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        prow = [x * inv % p for x in rows[rank][c:]]
+        rows[rank] = rows[rank][:c] + prow
+        for i in range(rank + 1, nrows):
+            f = rows[i][c]
+            if f:
+                ri = rows[i]
+                rows[i] = ri[:c] + [(a - f * b) % p for a, b in zip(ri[c:], prow)]
+        rank += 1
+
+
+def _assert_echelon_matches_reference(m, ncols, p):
+    got_rows = [list(r) for r in m]
+    want_rows = [list(r) for r in m]
+    got = _mod_echelon(got_rows, ncols, p)
+    want = _reference_echelon(want_rows, ncols, p)
+    # At the first free column, where _first_free_block stops, the pivot rows
+    # found so far already agree.
+    first = next(got, None)
+    assert first == next(want, None)
+    if first is not None:
+        assert got_rows[:first] == want_rows[:first]
+    free = list(got)
+    assert free == list(want)
+    rank = ncols - len(free) - (first is not None)
+    assert got_rows[:rank] == want_rows[:rank]
+
+
+def _echelon_cases(rng, p):
+    """(rows, ncols): dense, sparse, duplicated rows, all-zero, no rows and a
+    single column."""
+    def rand(nrows, ncols, density):
+        return [
+            [rng.randrange(p) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+
+    for _ in range(15):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        yield rand(nrows, ncols, 1.0), ncols
+        yield rand(nrows, ncols, 0.2), ncols
+        base = rand(rng.randint(1, 4), ncols, 0.8)
+        dup = [list(rng.choice(base)) for _ in range(nrows)] + base
+        rng.shuffle(dup)
+        yield dup, ncols
+        yield [[0] * ncols for _ in range(nrows)], ncols
+        yield [], ncols
+        yield rand(nrows, 1, 0.5), 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2**31 - 1, P61])
+def test_mod_echelon_matches_list_reference(p):
+    rng = random.Random(p)
+    for m, ncols in _echelon_cases(rng, p):
+        _assert_echelon_matches_reference(m, ncols, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2**31 - 1, P61])
+def test_mod_echelon_worst_slot_growth(p):
+    # Pivot rows [0]*r + [1] + [p-1]*... are already normalized and need no
+    # update from each other, while the last row starts at 1 - c in column c.
+    # Since (p-1)^2 = 1 mod p, the last row reads f = 1 at every pivot, so it
+    # is updated each time with the largest multiplier p - f = p - 1 against
+    # entries p - 1: its packed slots grow as far as the kernel allows.  With
+    # n = 80 pivots the growth overflows a slot of 2*p.bit_length() bits for
+    # every p > 2, even when rounded up to whole bytes.
+    n = 80
+    m = [[0] * r + [1] + [p - 1] * (n - 1 - r) for r in range(n - 1)]
+    m.append([(1 - c) % p for c in range(n)])
+    _assert_echelon_matches_reference(m, n, p)
+    rows = [list(r) for r in m]
+    assert list(_mod_echelon(rows, n, p)) == []
+    assert rows[-1] == [0] * (n - 1) + [1]
 
 
 def test_solve_linear_inconsistent_system():

@@ -182,6 +182,13 @@ def test_guess_notfound_is_certified():
         guess_ode(noise, 2, 2)
 
 
+def test_guess_notfound_carries_bounds():
+    with pytest.raises(NotFound) as exc:
+        guess_ode(geometric(30), 2, 0)
+    assert str(exc.value) == "no operator within order 2 and degree 0"
+    assert (exc.value.max_order, exc.value.max_degree) == (2, 0)
+
+
 def test_guess_insufficient_order():
     with pytest.raises(InsufficientOrder):
         guess_ode(geometric(10), 2, 2)
@@ -408,6 +415,14 @@ def test_exterior_square_order_four_restriction():
 def test_exterior_square_unstable_window():
     with pytest.raises(Unstable):
         exterior_square_order(UniODE.from_text(C4_TEXT), 150)
+
+
+def test_square_order_window_disagreement_carries_orders():
+    with pytest.raises(Unstable) as exc:
+        symmetric_square_order(UniODE.from_text(C3_TEXT), 80)
+    assert str(exc.value) == "order 6 at N=80 but 5 at N=90"
+    assert exc.value.windows == (80, 90)
+    assert exc.value.orders == (6, 5)
 
 
 def test_symmetric_square_small_cases():
