@@ -147,18 +147,23 @@ class MatchReport:
     """Outcome of comparing two curves pulled back to common variables.
 
     kind is "equal" (identical cleared numerators), "proportional"
-    (left = constant * right), or "distinct" (common then holds the gcd of
-    the squarefree parts).
+    (left = constant * right), or "distinct".
     """
 
-    __slots__ = ("kind", "constant", "common", "left", "right")
+    __slots__ = ("kind", "constant", "left", "right")
 
-    def __init__(self, kind, constant, common, left, right):
+    def __init__(self, kind, constant, left, right):
         self.kind = kind
         self.constant = constant
-        self.common = common
         self.left = left
         self.right = right
+
+    @property
+    def common(self):
+        """The gcd of the squarefree parts of left and right."""
+        if self.kind == "distinct":
+            return poly_gcd(squarefree_primitive(self.left), squarefree_primitive(self.right))
+        return squarefree_primitive(self.left)
 
     def __repr__(self):
         if self.kind == "proportional":
@@ -185,13 +190,12 @@ def substitute_compare(c1, map1, c2, map2):
     if n1.vars != n2.vars:
         raise ValueError("substitutions target different variable sets")
     if n1 == n2:
-        return MatchReport("equal", Fraction(1), squarefree_primitive(n1), n1, n2)
+        return MatchReport("equal", Fraction(1), n1, n2)
     if set(n1.terms) == set(n2.terms):
         c = n1.leading_coeff() / n2.leading_coeff()
         if n1 == n2 * c:
-            return MatchReport("proportional", c, squarefree_primitive(n1), n1, n2)
-    g = poly_gcd(squarefree_primitive(n1), squarefree_primitive(n2))
-    return MatchReport("distinct", None, g, n1, n2)
+            return MatchReport("proportional", c, n1, n2)
+    return MatchReport("distinct", None, n1, n2)
 
 
 def _rational_roots(p, var):

@@ -216,26 +216,13 @@ class MPoly:
             sample = next(iter(mapping.values()), None)
             target_vars = sample.vars if sample is not None else self.vars
         target_vars = tuple(target_vars)
-        images = []
+        tables = []
         for v in self.vars:
-            if v in mapping:
-                img = mapping[v]
-                if img.vars != target_vars:
-                    raise ValueError("substitution image in wrong variables")
-                images.append(img)
-            else:
-                images.append(MPoly.variable(target_vars, v))
-        out = MPoly.zero(target_vars)
-        cache = [{0: MPoly.const(target_vars, 1)} for _ in images]
-        for e, c in self.terms.items():
-            term = MPoly.const(target_vars, c)
-            for i, k in enumerate(e):
-                if k:
-                    if k not in cache[i]:
-                        cache[i][k] = images[i] ** k
-                    term = term * cache[i][k]
-            out = out + term
-        return out
+            img = mapping[v] if v in mapping else MPoly.variable(target_vars, v)
+            if img.vars != target_vars:
+                raise ValueError("substitution image in wrong variables")
+            tables.append(_powers(img, self.degree(v)))
+        return _compose(self, tables, target_vars)
 
     def shift(self, var, delta):
         """Substitute var -> var + delta for an integer delta."""
@@ -344,6 +331,26 @@ class MPoly:
 
     def __repr__(self):
         return "MPoly[%s](%s)" % (",".join(self.vars), self.to_str())
+
+
+def _powers(p, n):
+    """[1, p, p^2, ..., p^n] for a polynomial p."""
+    out = [MPoly.const(p.vars, 1)]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
+
+
+def _compose(p, tables, tvars):
+    """Sum over the terms c*x^e of p of c * prod tables[i][e_i]; an empty table skips x_i."""
+    out = MPoly.zero(tvars)
+    for e, c in p.terms.items():
+        term = MPoly.const(tvars, c)
+        for table, k in zip(tables, e):
+            if table:
+                term = term * table[k]
+        out = out + term
+    return out
 
 
 def divexact(a: MPoly, b: MPoly) -> MPoly:
@@ -938,7 +945,7 @@ class RatFun:
         if num.is_zero():
             den = MPoly.const(num.vars, 1)
         else:
-            g = poly_gcd(num, den)
+            g = den if den.is_constant() else poly_gcd(num, den)
             if not g.is_constant():
                 num = divexact(num, g)
                 den = divexact(den, g)
@@ -1030,28 +1037,27 @@ class RatFun:
         return self.num.evaluate(env) / d
 
     def substitute_ratfun(self, mapping):
-        """Compose with rational functions: var -> RatFun (shared target vars)."""
-        sample = next(iter(mapping.values()))
-        tvars = sample.vars
-        one = RatFun.const(tvars, 1)
+        """Compose with rational functions: var -> RatFun (shared target vars).
 
-        def poly_image(p):
-            out = RatFun.const(tvars, 0)
-            cache = {}
-            for e, c in p.terms.items():
-                term = one * c
-                for v, k in zip(p.vars, e):
-                    if k:
-                        if (v, k) not in cache:
-                            base = mapping.get(v)
-                            if base is None:
-                                raise ValueError("unmapped variable %r" % v)
-                            cache[(v, k)] = base**k
-                        term = term * cache[(v, k)]
-                out = out + term
-            return out
-
-        return poly_image(self.num) / poly_image(self.den)
+        An image n/d enters as n^k * d^(D-k), D the larger degree of num and
+        den in its variable, so the factor d^D common to both composed
+        polynomials cancels and the constructor's gcd is the only one.
+        """
+        tvars = next(iter(mapping.values())).vars
+        tables = []
+        for v in self.vars:
+            D = max(self.num.degree(v), self.den.degree(v))
+            if D <= 0:
+                tables.append(())
+            elif mapping.get(v) is None:
+                raise ValueError("unmapped variable %r" % v)
+            else:
+                ns, ds = _powers(mapping[v].num, D), _powers(mapping[v].den, D)
+                tables.append([n * d for n, d in zip(ns, reversed(ds))])
+        den = _compose(self.den, tables, tvars)
+        if den.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFun(_compose(self.num, tables, tvars), den)
 
     def shift(self, var, delta):
         return RatFun(self.num.shift(var, delta), self.den.shift(var, delta))

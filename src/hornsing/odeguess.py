@@ -39,13 +39,17 @@ class Unstable(Exception):
     """Square-order detection did not stabilize between N and N+10.
 
     When the two windows disagree, windows is (N, N+10) and orders holds the
-    order found in each; otherwise both are None.
+    order found in each.  Otherwise cap and degree are the order cap and the
+    degree bound of the fit that failed, degree < 0 when the series window is
+    too short.  Attributes that do not apply are None.
     """
 
-    def __init__(self, message, windows=None, orders=None):
+    def __init__(self, message, windows=None, orders=None, cap=None, degree=None):
         super().__init__(message)
         self.windows = windows
         self.orders = orders
+        self.cap = cap
+        self.degree = degree
 
 
 # ---------------------------------------------------------------------------
@@ -687,21 +691,17 @@ def _square_order_once(ode, L, p, pairs):
         combos.append(acc)
     degree = (length - cap - 10) // (cap + 1) - 1
     if degree < 0:
-        raise Unstable("series window too short for order cap %d" % cap)
+        raise Unstable("series window too short for order cap %d" % cap, cap=cap, degree=degree)
     found = []
-    for tgt in targets + combos:
-        o = _min_order_mod([tgt], length, cap, degree, p)
+    # each target and combination alone, then all targets jointly
+    for group in [[tgt] for tgt in targets + combos] + [targets]:
+        o = _min_order_mod(group, length, cap, degree, p)
         if o is None:
+            kind = "joint annihilator" if group is targets else "annihilator"
             raise Unstable(
-                "no annihilator of order <= %d, degree <= %d" % (cap, degree)
+                "no %s of order <= %d, degree <= %d" % (kind, cap, degree), cap=cap, degree=degree
             )
         found.append(o)
-    joint = _min_order_mod(targets, length, cap, degree, p)
-    if joint is None:
-        raise Unstable(
-            "no joint annihilator of order <= %d, degree <= %d" % (cap, degree)
-        )
-    found.append(joint)
     return max(found)
 
 

@@ -384,13 +384,3 @@ def uniseries_from_entries(entries):
     for (k,), value in entries.items():
         out[k] = Fraction(value)
     return UniSeries(order, out)
-
-
-def biseries_from_entries(entries):
-    """Build from series-file entries with exponent-pair keys."""
-    order = max(n + m for (n, m) in entries)
-    return BiSeries(order, dict(entries))
-
-
-def uniseries_entries(u):
-    return {(k,): c for k, c in enumerate(u.coeffs)}

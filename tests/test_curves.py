@@ -16,7 +16,7 @@ from hornsing.curves import (
     substitute_compare,
     verify_parametrization,
 )
-from hornsing.exact import MPoly, RatFun, ZeroInput
+from hornsing.exact import MPoly, RatFun, ZeroInput, squarefree_primitive
 
 XY = ("x", "y")
 
@@ -251,6 +251,7 @@ def test_substitute_compare_equal_under_identity():
     )
     assert rep.kind == "equal"
     assert rep.constant == 1
+    assert rep.common == squarefree_primitive(rep.left)
 
 
 def test_substitute_compare_distinct_with_gcd():
@@ -277,6 +278,7 @@ def test_lattice_factor_correspondence():
     rep = substitute_compare(Curve(factor2_poly()), kr_map, Curve(factor1_poly()), wr_map)
     assert rep.kind == "proportional"
     assert rep.constant == 4
+    assert rep.common == squarefree_primitive(rep.left)
 
 
 def test_lattice_factor_correspondence_on_section():

@@ -286,6 +286,9 @@ def test_ratfun_normalization():
     assert f.den == MPoly.const(XY, 1)
     g = RatFun(x, -2 * (y - 1))
     assert g.den.leading_coeff() > 0
+    h = RatFun(6 * x, MPoly.const(XY, -4))
+    assert h.num == Fraction(-3, 2) * x
+    assert h.den == MPoly.const(XY, 1)
 
 
 def test_ratfun_arithmetic_and_eval():
@@ -448,6 +451,121 @@ def test_property_factor_reconstruction():
             rebuilt = rebuilt * res.remainder
         assert rebuilt == p
         done += 1
+
+
+def _compose_reference(f, mapping):
+    """Term-by-term composition in RatFun arithmetic, a gcd on every + and *."""
+    tvars = next(iter(mapping.values())).vars
+
+    def image(p):
+        out = RatFun.const(tvars, 0)
+        for e, c in p.terms.items():
+            term = RatFun.const(tvars, c)
+            for v, k in zip(p.vars, e):
+                if k:
+                    if mapping.get(v) is None:
+                        raise ValueError("unmapped variable %r" % v)
+                    term = term * mapping[v] ** k
+            out = out + term
+        return out
+
+    return image(f.num) / image(f.den)
+
+
+def _outcome(compose, f, mapping):
+    try:
+        img = compose(f, mapping)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err), str(err)
+    return img.num.terms, img.den.terms
+
+
+ST = ("s", "t")
+
+
+def _rand_nonzero(rng, vars, deg, nterms):
+    while True:
+        p = _rand_poly(rng, vars, deg, nterms=nterms)
+        if not p.is_zero():
+            return p
+
+
+def _rand_compose_case(rng):
+    """A random f in x, y and a map to s, t with constant or polynomial denominators."""
+    f = RatFun(_rand_poly(rng, XY, rng.randint(0, 3), nterms=4), _rand_nonzero(rng, XY, 2, 3))
+    mapping = {}
+    for v in XY:
+        if rng.random() < 0.5:
+            den = MPoly.const(ST, rng.randint(1, 5))
+        else:
+            den = _rand_nonzero(rng, ST, 1, 2)
+        mapping[v] = RatFun(_rand_poly(rng, ST, 2, nterms=2), den)
+    return f, mapping
+
+
+def _compose_edge_cases():
+    x, y = x_(), y_()
+    s, t = MPoly.variable(ST, "s"), MPoly.variable(ST, "t")
+    seven, two = MPoly.const(XY, 7), MPoly.const(ST, 2)
+    same = {"x": RatFun(s, t + 1), "y": RatFun(s, t + 1)}
+    return [
+        # den sent to zero, in the second case together with the num
+        (RatFun(x + 2 * y, x - y), same),
+        (RatFun(x - 1, y - 2), {"x": RatFun.const(ST, 1), "y": RatFun.const(ST, 2)}),
+        # num sent to zero
+        (RatFun(x - y, x + y + 3), same),
+        # y unmapped in the num, in the den, and absent from f
+        (RatFun(x * y + 1, x + 2), {"x": RatFun(s, t + 1)}),
+        (RatFun(x + 1, y**2 + x), {"x": RatFun(s, t + 1)}),
+        (RatFun(x**3 - 1, x**2 + 5), {"x": RatFun(s * t, t**2 + 1)}),
+        # degree 3 in x upstairs, 0 downstairs, and the reverse
+        (RatFun(x**3 * y + 2, seven), {"x": RatFun(s, t), "y": RatFun(t, s + 1)}),
+        (RatFun(y + 1, x**3 + x * y**2 + 4), {"x": RatFun(s**2, t), "y": RatFun(two, s)}),
+    ]
+
+
+def test_property_substitute_ratfun_matches_reference():
+    rng = random.Random(20261018)
+    cases = [_rand_compose_case(rng) for _ in range(100)] + _compose_edge_cases()
+    uneven = 0
+    for f, mapping in cases:
+        got = _outcome(RatFun.substitute_ratfun, f, mapping)
+        assert got == _outcome(_compose_reference, f, mapping)
+        uneven += any(f.num.degree(v) != f.den.degree(v) for v in XY)
+    assert uneven > 60
+    outcomes = [_outcome(RatFun.substitute_ratfun, f, m) for f, m in _compose_edge_cases()]
+    assert outcomes[0] == (ZeroDivisionError, "division by zero rational function")
+    assert outcomes[1] == (ZeroDivisionError, "division by zero rational function")
+    assert outcomes[2][0] == {}
+    assert outcomes[3] == outcomes[4] == (ValueError, "unmapped variable 'y'")
+
+
+def test_property_substitute_ratfun_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    s, t = sympy.symbols("s t")
+
+    def to_sympy(p, bases):
+        out = sympy.Integer(0)
+        for e, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for base, k in zip(bases, e):
+                term *= base**k
+            out += term
+        return out
+
+    rng = random.Random(1018)
+    cases = [_rand_compose_case(rng) for _ in range(60)] + _compose_edge_cases()[:3]
+    for f, mapping in cases:
+        bases = [to_sympy(mapping[v].num, (s, t)) / to_sympy(mapping[v].den, (s, t)) for v in XY]
+        num = sympy.cancel(to_sympy(f.num, bases))
+        den = sympy.cancel(to_sympy(f.den, bases))
+        if den == 0:
+            with pytest.raises(ZeroDivisionError):
+                f.substitute_ratfun(mapping)
+            continue
+        img = f.substitute_ratfun(mapping)
+        ours = to_sympy(img.num, (s, t)) / to_sympy(img.den, (s, t))
+        assert sympy.cancel(ours - num / den) == 0
 
 
 def test_squarefree_decomposition_multiplicities():

@@ -413,8 +413,15 @@ def test_exterior_square_order_four_restriction():
 
 
 def test_exterior_square_unstable_window():
-    with pytest.raises(Unstable):
+    with pytest.raises(Unstable) as exc:
         exterior_square_order(UniODE.from_text(C4_TEXT), 150)
+    assert str(exc.value) == "no annihilator of order <= 6, degree <= 18"
+    assert (exc.value.cap, exc.value.degree) == (6, 18)
+    assert exc.value.windows is None and exc.value.orders is None
+    with pytest.raises(Unstable) as exc:
+        exterior_square_order(UniODE.from_text(C4_TEXT), 10)
+    assert str(exc.value) == "series window too short for order cap 6"
+    assert (exc.value.cap, exc.value.degree) == (6, -2)
 
 
 def test_square_order_window_disagreement_carries_orders():
