@@ -417,8 +417,66 @@ def _pseudo_rem(A, B):
         R[dR] = MPoly.zero(lb.vars)
 
 
+_GCD_IMAGE_TRIES = 3
+
+
+def _coprime_image(a, b, ix):
+    """True when an integer point proves deg_x gcd(a, b) = 0, x = vars[ix] (see poly_gcd).
+
+    The first of _GCD_IMAGE_TRIES fixed points at which both leading
+    coefficients in x are nonzero decides; False sends poly_gcd to the PRS.
+    """
+    n = len(a.vars)
+    for t in range(_GCD_IMAGE_TRIES):
+        point = [2 + k + t * n for k in range(n)]
+        point[ix] = 1
+        fa, fb = _x_image(a, ix, point), _x_image(b, ix, point)
+        if fa[-1] and fb[-1]:
+            return _coprime_over_q(fa, fb)
+    return False
+
+
+def _x_image(p, ix, point):
+    """Coefficient list in x = vars[ix] of p at the point (point[ix] is 1)."""
+    out = [Fraction(0)] * (p.degree(p.vars[ix]) + 1)
+    for e, c in p.terms.items():
+        for v, d in zip(point, e):
+            if d:
+                c *= v**d
+        out[e[ix]] += c
+    return out
+
+
+def _coprime_over_q(f, g):
+    """Whether two univariate Fraction coefficient lists with nonzero leading terms have gcd 1."""
+    f, g = list(f), list(g)
+    while len(g) > 1:
+        while len(f) >= len(g):
+            q = f[-1] / g[-1]
+            shift = len(f) - len(g)
+            for j in range(len(g) - 1):
+                f[shift + j] -= q * g[j]
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
+
+
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """Primitive positive gcd; poly_gcd(0, 0) = 0."""
+    """Primitive positive gcd; poly_gcd(0, 0) = 0.
+
+    Primitive PRS in the first variable x that occurs, after a coprimality
+    exit: at an integer point p for the other variables where both leading
+    coefficients in x are nonzero, if a(x, p) and b(x, p) have a constant gcd
+    over Q, then deg_x gcd(a, b) = 0.  Proof: g = gcd(a, b) divides a, so
+    lc_x(g) divides lc_x(a), hence lc_x(g)(p) != 0 and g(x, p) has the x-degree
+    of g; and g(x, p) divides both images, so it is constant.  The gcd is then
+    the gcd of all x-coefficients of a and b.  At most _GCD_IMAGE_TRIES points
+    are tried before the PRS runs.
+    """
     if a.is_zero() and b.is_zero():
         return a
     if a.is_zero():
@@ -435,6 +493,13 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return MPoly.const(a.vars, 1)
     A = a.as_univar(main)
     B = b.as_univar(main)
+    if _coprime_image(a, b, a.vars.index(main)):
+        g = MPoly.zero(a.vars)
+        for c in A + B:
+            g = poly_gcd(g, c)
+            if not g.is_zero() and g.is_constant():
+                break
+        return g
     contA, A = _list_primitive(A)
     contB, B = _list_primitive(B)
     gc = poly_gcd(contA, contB)
@@ -453,60 +518,129 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
 
 
 def resultant(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Sylvester resultant in var, by fraction-free elimination.
+    """Sylvester resultant in var, by evaluation and interpolation.
 
-    Rows built from a come first.  Both inputs must have positive degree
-    in var.
+    The result is the determinant of the formal Sylvester matrix of size
+    m + n, m = deg_var a and n = deg_var b, whose n rows built from a come
+    first; both degrees must be positive.  The inputs are scaled to integer
+    coefficients (which scales the determinant by la^n * lb^m), and every
+    other variable z that occurs is evaluated at z = 0..D with
+    D = deg_z(a)*n + deg_z(b)*m, the bound on deg_z of the determinant.
+    Evaluation commutes with the determinant of the formal matrix, so no
+    point is rejected even where a leading coefficient vanishes; the values
+    are interpolated back exactly (G. E. Collins, J. ACM 18, 1971).
     """
     a._check(b)
     m = a.degree(var)
     n = b.degree(var)
     if m <= 0 or n <= 0:
         raise DegreeZero("resultant needs positive degree in %r" % var)
-    ca = a.as_univar(var)
-    cb = b.as_univar(var)
-    size = m + n
-    zero = MPoly.zero(a.vars)
+    i = a.vars.index(var)
+    la, ca = _int_coeff_lists(a, i, m)
+    lb, cb = _int_coeff_lists(b, i, n)
+    scale = la**n * lb**m
+    det = _sylvester_det(ca, cb, len(a.vars))
+    return MPoly(a.vars, {e: Fraction(c, scale) for e, c in det.items()})
+
+
+def _int_coeff_lists(p, i, d):
+    """(l, [c_0..c_d]): l*p = sum c_k * x_i^k, c_k maps exponents (x_i slot 0) to ints."""
+    l = 1
+    for c in p.terms.values():
+        l = l * c.denominator // math.gcd(l, c.denominator)
+    coeffs = [{} for _ in range(d + 1)]
+    for e, c in p.terms.items():
+        coeffs[e[i]][e[:i] + (0,) + e[i + 1 :]] = int(c * l)
+    return l, coeffs
+
+
+def _sylvester_det(ca, cb, nvars):
+    """Determinant of the formal Sylvester matrix of two integer coefficient lists.
+
+    Entries are {exponents: int} dicts; so is the result.  Recurses on the
+    first variable that occurs, evaluating it at 0..D and interpolating.
+    """
+    z = next((k for k in range(nvars) if any(e[k] for c in ca + cb for e in c)), None)
+    m, n = len(ca) - 1, len(cb) - 1
+    if z is None:
+        zero = (0,) * nvars
+        ints = [c.get(zero, 0) for c in ca], [c.get(zero, 0) for c in cb]
+        det = _int_det(_sylvester_rows(*ints))
+        return {zero: det} if det else {}
+    da = max((e[z] for c in ca for e in c), default=0)
+    db = max((e[z] for c in cb for e in c), default=0)
+    values = []
+    for v in range(da * n + db * m + 1):
+        at_v = [[_eval_slot(c, z, v) for c in cs] for cs in (ca, cb)]
+        values.append(_sylvester_det(*at_v, nvars))
+    return _interpolate_slot(values, z)
+
+
+def _sylvester_rows(ca, cb):
+    m, n = len(ca) - 1, len(cb) - 1
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(ca):
-            row[i + (m - j)] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(cb):
-            row[i + (n - j)] = c
-        rows.append(row)
-    return _bareiss_det(rows)
+    for cs, d, count in ((ca, m, n), (cb, n, m)):
+        for i in range(count):
+            row = [0] * (m + n)
+            for j, c in enumerate(cs):
+                row[i + d - j] = c
+            rows.append(row)
+    return rows
 
 
-def _bareiss_det(rows):
-    """Fraction-free determinant of a square MPoly matrix."""
-    n = len(rows)
-    vars = rows[0][0].vars
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = MPoly.const(vars, 1)
+def _int_det(M):
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    n = len(M)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if M[k][k].is_zero():
-            pivot_row = None
-            for i in range(k + 1, n):
-                if not M[i][k].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return MPoly.zero(vars)
-            M[k], M[pivot_row] = M[pivot_row], M[k]
+        if not M[k][k]:
+            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if pivot is None:
+                return 0
+            M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pk, rk = M[k][k], M[k]
+        for row in M[k + 1 :]:
+            f = row[k]
             for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = divexact(num, prev)
-            M[i][k] = MPoly.zero(vars)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else -det
+                row[j] = (pk * row[j] - f * rk[j]) // prev
+        prev = pk
+    return sign * M[n - 1][n - 1]
+
+
+def _eval_slot(c, z, v):
+    """Set the variable in slot z of an {exponents: int} polynomial to the integer v."""
+    out = {}
+    for e, x in c.items():
+        if e[z]:
+            x *= v ** e[z]
+            e = e[:z] + (0,) + e[z + 1 :]
+        out[e] = out.get(e, 0) + x
+    return {e: x for e, x in out.items() if x}
+
+
+def _interpolate_slot(values, z):
+    """The polynomial whose slot-z variable at v = 0..D gives values[v], coefficients exact ints.
+
+    Newton divided differences at the nodes 0..D divide by integers exactly,
+    because the interpolated polynomial has integer coefficients.
+    """
+    D = len(values) - 1
+    out = {}
+    for mono in set().union(*values):
+        ys = [val.get(mono, 0) for val in values]
+        for k in range(1, D + 1):
+            for j in range(D, k - 1, -1):
+                ys[j] = (ys[j] - ys[j - 1]) // k
+        poly = [ys[D]]
+        for k in range(D - 1, -1, -1):
+            # poly <- poly * (z - k) + ys[k]
+            poly = [s - k * p for s, p in zip([0] + poly, poly + [0])]
+            poly[0] += ys[k]
+        for j, x in enumerate(poly):
+            if x:
+                out[mono[:z] + (j,) + mono[z + 1 :]] = x
+    return out
 
 
 def discriminant(a: MPoly, var: str) -> MPoly:
@@ -929,6 +1063,14 @@ def squarefree_decomposition(p, var):
     return out
 
 
+def _unit_den(num, den):
+    """Scale num and den alike so den is primitive with positive leading coefficient."""
+    c = den.content()
+    if den.leading_coeff() < 0:
+        c = -c
+    return num * (1 / c), den * (1 / c)
+
+
 class RatFun:
     """Rational function num/den in lowest terms.
 
@@ -949,11 +1091,7 @@ class RatFun:
             if not g.is_constant():
                 num = divexact(num, g)
                 den = divexact(den, g)
-            c = den.content()
-            if den.leading_coeff() < 0:
-                c = -c
-            num = num * (1 / c)
-            den = den * (1 / c)
+            num, den = _unit_den(num, den)
         self.num = num
         self.den = den
 
@@ -1006,7 +1144,12 @@ class RatFun:
         return self._coerce(other) / self
 
     def inverse(self):
-        return RatFun(self.den, self.num)
+        """1/self.  The swapped fraction is still in lowest terms, so no gcd runs."""
+        if self.num.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        out = RatFun.__new__(RatFun)
+        out.num, out.den = _unit_den(self.den, self.num)
+        return out
 
     def __pow__(self, n):
         if n < 0:

@@ -1,0 +1,169 @@
+"""Paired benchmark runs of two commits, written out as a BENCH_*.json file.
+
+Run from the root of a checkout:
+
+    python3 tools/bench_pair.py --parent HEAD~1 --change HEAD \\
+        --runs curve:1:10 --runs curve:101:10 --runs guess:1:3 --out BENCH_6.json
+
+Each side is a clean copy of its commit, extracted with `git archive` into a
+temporary directory, so uncommitted edits are never measured and the
+repository's own .git is only read.  For every WORKLOAD:SEED:PAIRS entry the
+script runs `perfbench/run.py` once per side and pair, one process at a
+time, alternating which side goes first, with the run length BENCHMARK.json
+sets.  The output holds every results row, and per workload and seed, for
+each end-to-end metric of BENCHMARK.json: the median and quartiles of each
+side, the number of pairs the change won (ties count for neither side), the
+relative change of the medians, whether that stays inside the metric's
+bound, and whether the gain rule holds (the change wins at least nine tenths
+of the pairs and the medians differ by more than the parent's interquartile
+range).
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_args():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD~1", help="git revision of the parent side")
+    ap.add_argument("--change", default="HEAD", help="git revision of the change side")
+    ap.add_argument(
+        "--runs", action="append", required=True, metavar="WORKLOAD:SEED:PAIRS",
+        help="a workload, its seed and the number of pairs; repeatable",
+    )
+    ap.add_argument("--out", required=True, help="path of the BENCH_*.json to write")
+    args = ap.parse_args()
+    plan = []
+    for spec in args.runs:
+        parts = spec.split(":")
+        if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+            ap.error("--runs expects WORKLOAD:SEED:PAIRS, got %r" % spec)
+        plan.append((parts[0], int(parts[1]), int(parts[2])))
+    args.plan = plan
+    return args
+
+
+def git(*argv):
+    return subprocess.run(
+        ("git",) + argv, cwd=ROOT, check=True, capture_output=True
+    ).stdout
+
+
+def extract(rev, dest):
+    """Write the tree of rev into dest; return the full commit id."""
+    sha = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
+    archive = Path(dest) / "tree.tar"
+    archive.write_bytes(git("archive", "--format=tar", sha))
+    with tarfile.open(archive) as tar:
+        tar.extractall(Path(dest) / "tree", filter="data")
+    archive.unlink()
+    return sha
+
+
+def run_once(tree, workload, seed, seconds):
+    """One perfbench run; returns (results row, result line) parsed from its last two lines."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds),
+    ]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.exit("bench_pair: %s in %s failed (code %d): %s"
+                 % (" ".join(cmd), tree, proc.returncode, proc.stderr.strip()[-2000:]))
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(rows, metrics):
+    """Per metric: each side's median, quartiles and failed jobs, wins, relative change,
+    bound and gain checks."""
+    out = {}
+    for m in metrics:
+        name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
+        sides = {}
+        for side in ("parent", "change"):
+            values = [r["result"]["metrics"][name]["value"] for r in rows if r["side"] == side]
+            q1, med, q3 = quartiles(values)
+            failed = sum(r["result"]["failed"] for r in rows if r["side"] == side)
+            sides[side] = {"median": med, "q1": q1, "q3": q3, "n": len(values), "failed": failed}
+        by_pair = {}
+        for r in rows:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
+        wins = sum(
+            (p["change"] < p["parent"]) if lower else (p["change"] > p["parent"])
+            for p in by_pair.values()
+        )
+        par, chg = sides["parent"]["median"], sides["change"]["median"]
+        rel = (chg - par) / par if par else 0.0
+        worse = rel if lower else -rel
+        gap = (par - chg) if lower else (chg - par)
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "parent": sides["parent"],
+            "change": sides["change"],
+            "pairs": len(by_pair),
+            "change_wins": wins,
+            "rel_change": rel,
+            "within_bound": worse <= bound,
+            "gain_rule_met": wins >= 0.9 * len(by_pair)
+            and gap > sides["parent"]["q3"] - sides["parent"]["q1"],
+        }
+    return out
+
+
+def main():
+    args = parse_args()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    rows = []
+    summary = {}
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        trees, shas = {}, {}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            (Path(tmp) / side).mkdir()
+            shas[side] = extract(rev, Path(tmp) / side)
+            trees[side] = Path(tmp) / side / "tree"
+        for workload, seed, pairs in args.plan:
+            group = []
+            for pair in range(pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    row, result = run_once(trees[side], workload, seed, seconds)
+                    row["commit"] = shas[side]
+                    group.append({"workload": workload, "seed": seed, "pair": pair,
+                                  "side": side, "first": side == order[0],
+                                  "row": row, "result": result})
+                    print("%s seed %d pair %d %s: wall_ref_s %.3f" % (
+                        workload, seed, pair, side,
+                        result["metrics"]["wall_ref_s"]["value"]), file=sys.stderr)
+            rows.extend(group)
+            summary["%s@%d" % (workload, seed)] = summarize(group, bench["end_to_end"])
+    doc = {
+        "parent": shas["parent"],
+        "change": shas["change"],
+        "run_seconds": seconds,
+        "command": bench["command"],
+        "summary": summary,
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
