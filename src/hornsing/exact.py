@@ -622,25 +622,41 @@ def _eval_slot(c, z, v):
 def _interpolate_slot(values, z):
     """The polynomial whose slot-z variable at v = 0..D gives values[v], coefficients exact ints.
 
-    Newton divided differences at the nodes 0..D divide by integers exactly,
-    because the interpolated polynomial has integer coefficients.
+    The interpolated polynomial has integer coefficients, so _newton_int
+    never returns None here.
     """
-    D = len(values) - 1
     out = {}
     for mono in set().union(*values):
-        ys = [val.get(mono, 0) for val in values]
-        for k in range(1, D + 1):
-            for j in range(D, k - 1, -1):
-                ys[j] = (ys[j] - ys[j - 1]) // k
-        poly = [ys[D]]
-        for k in range(D - 1, -1, -1):
-            # poly <- poly * (z - k) + ys[k]
-            poly = [s - k * p for s, p in zip([0] + poly, poly + [0])]
-            poly[0] += ys[k]
+        poly = _newton_int([val.get(mono, 0) for val in values], 0)
         for j, x in enumerate(poly):
             if x:
                 out[mono[:z] + (j,) + mono[z + 1 :]] = x
     return out
+
+
+def _newton_int(ys, x0):
+    """Integer coefficients, low first, of the polynomial of degree < len(ys)
+    taking the values ys at x0, x0+1, ..., or None when they are not integers.
+
+    Newton divided differences at consecutive nodes divide by k at level k.
+    Those of an integer polynomial at integer nodes are integers (for x^j
+    they are complete symmetric polynomials in the nodes), and an integer
+    Newton form expands to integer coefficients, so the first inexact
+    division proves that the interpolant is not integral.
+    """
+    ys = list(ys)
+    D = len(ys) - 1
+    for k in range(1, D + 1):
+        for j in range(D, k - 1, -1):
+            ys[j], r = divmod(ys[j] - ys[j - 1], k)
+            if r:
+                return None
+    poly = [ys[D]]
+    for k in range(D - 1, -1, -1):
+        # poly <- poly * (z - x0 - k) + ys[k]
+        poly = [s - (x0 + k) * p for s, p in zip([0] + poly, poly + [0])]
+        poly[0] += ys[k]
+    return poly
 
 
 def discriminant(a: MPoly, var: str) -> MPoly:
@@ -930,23 +946,13 @@ def _kronecker_split(coeffs, max_coeff=10**8, max_combos=200000):
             if total > max_combos:
                 return None
         for combo in _iproduct(*div_sets):
-            cand = _interp_int(pts, combo, g)
+            cand = _newton_int(combo, pts[0])
             if cand is None or cand[-1] == 0:
                 continue
             quo = _poly_divmod_int(coeffs, cand)
             if quo is not None:
                 return cand, quo
     return None
-
-
-def _interp_int(xs, ys, deg):
-    """Integer Lagrange interpolation of degree deg, or None."""
-    n = deg + 1
-    mat = [[Fraction(x) ** k for k in range(n)] for x in xs]
-    sol = solve_linear(mat, [Fraction(y) for y in ys])
-    if sol is None or any(s.denominator != 1 for s in sol):
-        return None
-    return [int(s) for s in sol]
 
 
 def _poly_divmod_int(a, b):

@@ -8,9 +8,10 @@ Hadamard products and composition with rational maps fixing the origin.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exact import MPoly, RatFun
+from .exact import MPoly, RatFun, _eval_int
 from .exprio import EvaluationError, eval_expr, expr_to_ratfun
 
 NM = ("n", "m")
@@ -29,7 +30,18 @@ class NonzeroAtOrigin(Exception):
 
 
 class InsufficientOrder(Exception):
-    """The input series is too short for the requested output order."""
+    """The input series is too short for the requested output order.
+
+    restrict sets needed and have, the total degree of the double series the
+    restriction needs and the one it was given; log_basis sets dims, the
+    solution dimension per degree.  Attributes that do not apply are None.
+    """
+
+    def __init__(self, message, needed=None, have=None, dims=None):
+        super().__init__(message)
+        self.needed = needed
+        self.have = have
+        self.dims = dims
 
 
 class OrderMismatch(Exception):
@@ -196,25 +208,46 @@ def check_compatibility(s):
     return left == right
 
 
-def _ratio_at(r, n, m):
-    try:
-        return r.evaluate({"n": Fraction(n), "m": Fraction(m)})
-    except ZeroDivisionError:
-        raise RatioPole(
-            "ratio denominator vanishes at (n, m) = (%d, %d)" % (n, m)
-        ) from None
+def _int_slice(r, axis, value):
+    """r with variable number `axis` fixed at the integer value.
+
+    Returns the numerator and denominator as integer coefficient lists in
+    the other variable, over one common denominator, so their quotient is r
+    along that lattice line.
+    """
+    rows = []
+    for p in (r.num, r.den):
+        row = [Fraction(0)] * (max((e[1 - axis] for e in p.terms), default=0) + 1)
+        for e, c in p.terms.items():
+            row[e[1 - axis]] += c * value ** e[axis]
+        rows.append(row)
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+
+
+def _ratio(num, den, x, n, m):
+    d = _eval_int(den, x)
+    if not d:
+        raise RatioPole("ratio denominator vanishes at (n, m) = (%d, %d)" % (n, m))
+    return Fraction(_eval_int(num, x), d)
 
 
 def expand_from_ratios(s, order):
-    """Walk (0,0) -> (n,0) -> (n,m), multiplying ratios along the way."""
+    """Walk (0,0) -> (n,0) -> (n,m), multiplying ratios along the way.
+
+    alpha1(n, 0) is evaluated along m = 0 and alpha2(n, m) along each row n,
+    as integer polynomials by Horner's rule.
+    """
     if not check_compatibility(s):
         raise IncompatibleSpec("the two term ratios fail the mixed-step identity")
     c = {(0, 0): Fraction(1)}
+    num, den = _int_slice(s.alpha1, 1, 0)
     for n in range(order):
-        c[(n + 1, 0)] = c[(n, 0)] * _ratio_at(s.alpha1, n, 0)
-    for n in range(order + 1):
+        c[(n + 1, 0)] = c[(n, 0)] * _ratio(num, den, n, n, 0)
+    for n in range(order):
+        num, den = _int_slice(s.alpha2, 0, n)
         for m in range(order - n):
-            c[(n, m + 1)] = c[(n, m)] * _ratio_at(s.alpha2, n, m)
+            c[(n, m + 1)] = c[(n, m)] * _ratio(num, den, m, n, m)
     return BiSeries(order, c)
 
 
@@ -238,7 +271,8 @@ def expand_spec(spec, order):
 
 
 def _mul_trunc(a, b, order):
-    out = [Fraction(0)] * (order + 1)
+    """Product of two coefficient lists (Fractions or ints) through t^order."""
+    out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if i > order:
             break
@@ -272,29 +306,17 @@ def ratfun_series(r, order):
     return out
 
 
-def _power_table(coeffs, order):
-    """[map^0, map^1, ...] truncated at order, stopping once identically 0."""
-    one = [Fraction(0)] * (order + 1)
-    one[0] = Fraction(1)
-    table = [one]
-    val = next((k for k, c in enumerate(coeffs) if c), None)
-    if val is None or val > order:
-        return table
-    power = list(coeffs)
-    k = 1
-    while k * val <= order:
-        table.append(power)
-        power = _mul_trunc(power, coeffs, order)
-        k += 1
-    return table
-
-
 def restrict(b, xp, yp, order):
     """Coefficients of sum c_{n,m} xp(t)^n yp(t)^m through t^order.
 
     xp and yp are rational functions of one variable vanishing at 0.  The
     input order of b must cover every lattice point that can contribute:
     b.order >= ceil(order / min valuation), never silently truncated.
+
+    The sum is taken in integers: each map's series is cleared to integers
+    over a denominator L, so its power k is an integer list over L^k, and
+    row n, sum_m c_{n,m} yp^m, is an integer list over the lcm of
+    den(c_{n,m}) L_y^m.  One Fraction is built per t-coefficient.
     """
     maps = []
     for r in (xp, yp):
@@ -302,40 +324,51 @@ def restrict(b, xp, yp, order):
         if coeffs[0] != 0:
             raise NonzeroAtOrigin("substitution map does not vanish at t = 0")
         maps.append(coeffs)
-    vals = []
-    for coeffs in maps:
-        val = next((k for k, c in enumerate(coeffs) if c), None)
-        if val is not None:
-            vals.append(val)
-    if vals:
-        needed = -(-order // min(vals))
+    vals = [next((k for k, c in enumerate(coeffs) if c), None) for coeffs in maps]
+    live = [v for v in vals if v is not None]
+    if live:
+        needed = -(-order // min(live))
         if b.order < needed:
             raise InsufficientOrder(
                 "restriction to t-order %d needs the double series through"
-                " total degree %d, have %d" % (order, needed, b.order)
+                " total degree %d, have %d" % (order, needed, b.order),
+                needed=needed,
+                have=b.order,
             )
-    xpow = _power_table(maps[0], order)
-    ypow = _power_table(maps[1], order)
-    total = [Fraction(0)] * (order + 1)
+    tables, scales = [], []
+    for coeffs, val in zip(maps, vals):
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        table = [[1] + [0] * order]
+        while val is not None and len(table) * val <= order:
+            table.append(_mul_trunc(table[-1], ints, order))
+        tables.append(table)
+        scales.append(scale)
+    (xpow, ypow), (lx, ly), vy = tables, scales, vals[1]
+    parts = []
     for n in range(len(xpow)):
-        row = [Fraction(0)] * (order + 1)
-        nonzero = False
-        for m in range(len(ypow)):
-            if n + m > b.order:
-                break
-            c = b.coeff(n, m)
-            if not c:
-                continue
+        terms = []
+        for m in range(min(len(ypow), b.order - n + 1)):
+            c = b.coeffs.get((n, m))
+            if c:
+                terms.append((m, c))
+        if not terms:
+            continue
+        den = math.lcm(*(c.denominator * ly**m for m, c in terms))
+        row = [0] * (order + 1)
+        for m, c in terms:
+            w = c.numerator * (den // (c.denominator * ly**m))
             ym = ypow[m]
-            for k in range(order + 1):
-                if ym[k]:
-                    row[k] += c * ym[k]
-            nonzero = True
-        if nonzero:
-            xn = xpow[n]
-            for k, value in enumerate(_mul_trunc(xn, row, order)):
-                total[k] += value
-    return UniSeries(order, total)
+            for k in range(m * vy if m else 0, order + 1):
+                row[k] += w * ym[k]
+        parts.append((_mul_trunc(xpow[n], row, order), lx**n * den))
+    common = math.lcm(*(d for _, d in parts))
+    total = [0] * (order + 1)
+    for part, d in parts:
+        scale = common // d
+        for k, v in enumerate(part):
+            total[k] += v * scale
+    return UniSeries(order, [Fraction(v, common) for v in total])
 
 
 def hadamard(a, b):

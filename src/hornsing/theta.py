@@ -11,7 +11,7 @@ space of formal log-series solutions of a system.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .exact import MPoly, rref
 from .exprio import format_operator_text, parse_operator_text
@@ -214,13 +214,6 @@ def to_recurrence(op):
 # D-form conversions (univariate)
 
 
-def _falling(i, s):
-    out = Fraction(1)
-    for r in range(s):
-        out *= i - r
-    return out
-
-
 def _falling_poly(theta, count):
     out = MPoly.const(theta.vars, 1)
     for r in range(count):
@@ -366,6 +359,9 @@ def log_basis(sys, order, max_log):
         for op in sys.ops
     ]
 
+    # falling[l][s] = l (l-1) ... (l-s+1), the weight theta^s puts on ln^l
+    falling = [[perm(l, s) for s in range(max_log + 1)] for l in range(max_log + 1)]
+
     coeffs = {}
     solved = {}
     free = []
@@ -373,31 +369,36 @@ def log_basis(sys, order, max_log):
     dims = []
 
     for degree in range(order + 1):
+        monos = _monos(width, degree)
         for li in logidx:
-            for mono in _monos(width, degree):
+            for mono in monos:
                 coeffs[(li, mono)] = {next_pid: Fraction(1)}
                 free.append(next_pid)
                 next_pid += 1
         for op_terms in partials:
+            # Nonzero scaled partials of each term at each source monomial,
+            # evaluated once for all log indices of this degree.
+            sources = {}
+            for mono in monos:
+                found = []
+                for exps, table in op_terms:
+                    src_mono = tuple(p - a for p, a in zip(mono, exps))
+                    if any(v < 0 for v in src_mono):
+                        continue
+                    env = _theta_env(theta_vars, src_mono)
+                    values = [(sidx, poly.evaluate(env)) for sidx, poly in table.items()]
+                    found.append((src_mono, [(sidx, w) for sidx, w in values if w]))
+                sources[mono] = found
             for li in logidx:
-                for mono in _monos(width, degree):
+                for mono in monos:
                     vec = {}
-                    for exps, table in op_terms:
-                        src_mono = tuple(p - a for p, a in zip(mono, exps))
-                        if any(v < 0 for v in src_mono):
-                            continue
-                        env = _theta_env(theta_vars, src_mono)
-                        for sidx, poly in table.items():
+                    for src_mono, values in sources[mono]:
+                        for sidx, w in values:
                             src_log = tuple(l + s for l, s in zip(li, sidx))
                             if src_log not in logset:
                                 continue
-                            w = poly.evaluate(env)
-                            if not w:
-                                continue
                             for l, s in zip(src_log, sidx):
-                                w *= _falling(l, s)
-                            if not w:
-                                continue
+                                w *= falling[l][s]
                             for pid, pc in coeffs[(src_log, src_mono)].items():
                                 nv = vec.get(pid, Fraction(0)) + w * pc
                                 if nv:
@@ -417,7 +418,8 @@ def log_basis(sys, order, max_log):
     if len(dims) < 3 or not dims[-1] == dims[-2] == dims[-3]:
         raise InsufficientOrder(
             "solution dimension still moving at order %d: %s"
-            % (order, dims[-3:])
+            % (order, dims[-3:]),
+            dims=dims,
         )
 
     # Canonical basis: echelonize with log monomials ordered by

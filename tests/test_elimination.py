@@ -3,7 +3,8 @@
 Each kernel is checked against an outside oracle (sympy, skipped when it is
 not installed) on seeded random inputs, and the resultant also against the
 fraction-free Bareiss determinant of the MPoly Sylvester matrix written out
-below as the reference.
+below as the reference.  The integer interpolation of the Kronecker split is
+checked against the Fraction Vandermonde solve it replaced.
 """
 
 import random
@@ -16,11 +17,13 @@ from hornsing.exact import (
     MPoly,
     RatFun,
     _coprime_image,
+    _newton_int,
     discriminant,
     divexact,
     factor_univariate,
     poly_gcd,
     resultant,
+    solve_linear,
 )
 from hornsing.exprio import expr_to_ratfun, parse_expr
 from hornsing.horn import HornMaps, IdenticallyZeroResultant, eliminate
@@ -348,3 +351,31 @@ def test_ratfun_inverse_matches_constructor():
     assert str(got.value) == str(ref.value) == "rational function with zero denominator"
     with pytest.raises(ZeroDivisionError, match="zero denominator"):
         zero**-2
+
+
+def _ref_interp_int(xs, ys, deg):
+    """Integer Lagrange interpolation of degree deg through a Vandermonde solve, or None."""
+    n = deg + 1
+    mat = [[Fraction(x) ** k for k in range(n)] for x in xs]
+    sol = solve_linear(mat, [Fraction(y) for y in ys])
+    if sol is None or any(s.denominator != 1 for s in sol):
+        return None
+    return [int(s) for s in sol]
+
+
+def test_newton_int_matches_vandermonde_reference():
+    rng = random.Random(8128)
+    integral = 0
+    for _ in range(600):
+        deg = rng.randint(0, 5)
+        x0 = rng.randint(-4, 2)
+        xs = list(range(x0, x0 + deg + 1))
+        if rng.random() < 0.5:
+            ys = [rng.randint(-60, 60) for _ in xs]
+        else:
+            coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
+            ys = [sum(c * x**k for k, c in enumerate(coeffs)) for x in xs]
+        want = _ref_interp_int(xs, ys, deg)
+        integral += want is not None
+        assert _newton_int(ys, x0) == want
+    assert 300 < integral < 600

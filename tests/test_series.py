@@ -322,3 +322,213 @@ def test_uniseries_from_entries():
     u = uniseries_from_entries({(0,): Fraction(1), (2,): Fraction(5)})
     assert u.order == 2
     assert u.coeffs == [1, 0, 5]
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the term-by-term restriction and ratio walk that the
+# integer kernels of restrict and expand_from_ratios replaced.
+
+
+def _ref_mul_trunc(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a):
+        if i > order:
+            break
+        if not ai:
+            continue
+        top = order - i
+        for j, bj in enumerate(b):
+            if j > top:
+                break
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _ref_power_table(coeffs, order):
+    one = [Fraction(0)] * (order + 1)
+    one[0] = Fraction(1)
+    table = [one]
+    val = next((k for k, c in enumerate(coeffs) if c), None)
+    if val is None or val > order:
+        return table
+    power = list(coeffs)
+    k = 1
+    while k * val <= order:
+        table.append(power)
+        power = _ref_mul_trunc(power, coeffs, order)
+        k += 1
+    return table
+
+
+def _ref_restrict(b, xp, yp, order):
+    maps = []
+    for r in (xp, yp):
+        coeffs = ratfun_series(r, order)
+        if coeffs[0] != 0:
+            raise NonzeroAtOrigin("substitution map does not vanish at t = 0")
+        maps.append(coeffs)
+    vals = []
+    for coeffs in maps:
+        val = next((k for k, c in enumerate(coeffs) if c), None)
+        if val is not None:
+            vals.append(val)
+    if vals:
+        needed = -(-order // min(vals))
+        if b.order < needed:
+            raise InsufficientOrder(
+                "restriction to t-order %d needs the double series through"
+                " total degree %d, have %d" % (order, needed, b.order)
+            )
+    xpow = _ref_power_table(maps[0], order)
+    ypow = _ref_power_table(maps[1], order)
+    total = [Fraction(0)] * (order + 1)
+    for n in range(len(xpow)):
+        row = [Fraction(0)] * (order + 1)
+        nonzero = False
+        for m in range(len(ypow)):
+            if n + m > b.order:
+                break
+            c = b.coeff(n, m)
+            if not c:
+                continue
+            ym = ypow[m]
+            for k in range(order + 1):
+                if ym[k]:
+                    row[k] += c * ym[k]
+            nonzero = True
+        if nonzero:
+            xn = xpow[n]
+            for k, value in enumerate(_ref_mul_trunc(xn, row, order)):
+                total[k] += value
+    return UniSeries(order, total)
+
+
+def _ref_ratio_at(r, n, m):
+    try:
+        return r.evaluate({"n": Fraction(n), "m": Fraction(m)})
+    except ZeroDivisionError:
+        raise RatioPole(
+            "ratio denominator vanishes at (n, m) = (%d, %d)" % (n, m)
+        ) from None
+
+
+def _ref_expand_from_ratios(s, order):
+    if not check_compatibility(s):
+        raise IncompatibleSpec("the two term ratios fail the mixed-step identity")
+    c = {(0, 0): Fraction(1)}
+    for n in range(order):
+        c[(n + 1, 0)] = c[(n, 0)] * _ref_ratio_at(s.alpha1, n, 0)
+    for n in range(order + 1):
+        for m in range(order - n):
+            c[(n, m + 1)] = c[(n, m)] * _ref_ratio_at(s.alpha2, n, m)
+    return BiSeries(order, c)
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (NonzeroAtOrigin, InsufficientOrder, RatioPole, IncompatibleSpec) as exc:
+        return type(exc), str(exc)
+
+
+ODD_MAPS = (
+    "3/7*t - 5/2*t^2",
+    "(2*t)/(3-5*t)",
+    "t^3/(1+t/2)",
+    "0",
+    "t^2",
+    "-t^2/(1-t)^2",
+    "t^3",
+    "2/9*t^3 + t^4",
+    "t",
+    "-t/(1-8*t)",
+    "1+t",
+    "1/t",
+)
+
+
+def _rand_biseries(rng, order, density=0.7):
+    coeffs = {}
+    for n in range(order + 1):
+        for m in range(order + 1 - n):
+            if rng.random() < density:
+                coeffs[(n, m)] = Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
+    return BiSeries(order, coeffs)
+
+
+def test_restrict_matches_fraction_reference_random():
+    rng = random.Random(7001)
+    maps = [rf_t(text) for text in ODD_MAPS]
+    for _ in range(400):
+        b = _rand_biseries(rng, rng.randrange(0, 12), rng.choice((0.0, 0.3, 0.9)))
+        xp, yp = rng.choice(maps), rng.choice(maps)
+        order = rng.randrange(0, 13)
+        want = _outcome(_ref_restrict, b, xp, yp, order)
+        assert _outcome(restrict, b, xp, yp, order) == want
+
+
+def test_restrict_matches_fraction_reference_on_rational_maps():
+    b = expand_from_ratios(hyper_from_spec(KDF3), 21)
+    for x_text in ODD_MAPS[:9]:
+        for y_text in ODD_MAPS[:9]:
+            xp, yp = rf_t(x_text), rf_t(y_text)
+            for order in (0, 1, 7, 20):
+                want = _outcome(_ref_restrict, b, xp, yp, order)
+                assert _outcome(restrict, b, xp, yp, order) == want
+
+
+KDF3 = parse_spec_text(
+    """[spec]
+name = kdf3
+kind = ratio
+vars = n m
+alpha1 = (1/2+n)^3*(1/2+n+m)/((1+n+m)^3*(n+1))
+alpha2 = (1/2+m)^3*(1/2+n+m)/((1+n+m)^3*(m+1))
+"""
+)
+
+
+# the ratios of c_{n,m} = 1/(n*m - 3): alpha1(n, 0) = 1, and alpha2 has its
+# first pole in row n = 1
+POLE_IN_ALPHA2 = HyperSpec(rf_nm("(n*m-3)/(n*m+m-3)"), rf_nm("(n*m-3)/(n*m+n-3)"))
+
+
+def test_expand_from_ratios_matches_fraction_reference():
+    specs = [
+        hyper_from_spec(H2),
+        hyper_from_spec(BAT16),
+        hyper_from_spec(KDF3),
+        HyperSpec(rf_nm("1"), rf_nm("1")),
+        HyperSpec(rf_nm("0"), rf_nm("2/3")),
+        HyperSpec(rf_nm("(2*n+3*m+1)/7"), rf_nm("(3*n+3*m+3)*(4*m+5)/(5*(4*m+5)*(m+1))")),
+        # poles: alpha1 at n = 2, alpha2 in row n = 1 at m = 2, both at once
+        HyperSpec(rf_nm("1/(n-2)"), rf_nm("1")),
+        POLE_IN_ALPHA2,
+        HyperSpec(rf_nm("(n*m-3)/((n*m+m-3)*(n-2))"), POLE_IN_ALPHA2.alpha2),
+        HyperSpec(rf_nm("(n+m+1)/(n+1)"), rf_nm("1")),
+    ]
+    for s in specs:
+        for order in (0, 1, 2, 3, 6, 12):
+            want = _outcome(_ref_expand_from_ratios, s, order)
+            assert _outcome(expand_from_ratios, s, order) == want
+
+
+def test_expand_ratio_pole_messages():
+    with pytest.raises(RatioPole, match=r"^ratio denominator vanishes at \(n, m\) = \(2, 0\)$"):
+        expand_from_ratios(HyperSpec(rf_nm("1/(n-2)"), rf_nm("1")), 5)
+    with pytest.raises(RatioPole, match=r"^ratio denominator vanishes at \(n, m\) = \(1, 2\)$"):
+        expand_from_ratios(POLE_IN_ALPHA2, 5)
+
+
+def test_restrict_insufficient_order_attributes():
+    b = expand_from_ratios(hyper_from_spec(H2), 4)
+    with pytest.raises(InsufficientOrder) as info:
+        restrict(b, rf_t("t^2"), rf_t("t^3"), 11)
+    assert (info.value.needed, info.value.have) == (6, 4)
+    assert info.value.dims is None
+    assert str(info.value) == (
+        "restriction to t-order 11 needs the double series through"
+        " total degree 6, have 4"
+    )

@@ -244,6 +244,17 @@ def test_log_basis_univariate_double_root():
             assert part.coeffs == [1, 0, 0, 0, 0, 0]
 
 
+def test_log_basis_insufficient_order_carries_dims():
+    tx = MPoly.variable(("tx",), "tx")
+    sys = PdeSystem([ThetaOp(("x",), [((0,), tx - 3)])])
+    with pytest.raises(InsufficientOrder) as info:
+        log_basis(sys, 3, 0)
+    assert info.value.dims == [0, 0, 0, 1]
+    assert (info.value.needed, info.value.have) == (None, None)
+    assert str(info.value) == "solution dimension still moving at order 3: [0, 0, 1]"
+    assert log_basis(sys, 5, 0)[0] == 1
+
+
 def test_log_basis_univariate_simple():
     tx = MPoly.variable(("tx",), "tx")
     sys = PdeSystem([ThetaOp(("x",), [((0,), tx)])])

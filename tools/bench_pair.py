@@ -3,7 +3,8 @@
 Run from the root of a checkout:
 
     python3 tools/bench_pair.py --parent HEAD~1 --change HEAD \\
-        --runs curve:1:10 --runs curve:101:10 --runs guess:1:3 --out BENCH_6.json
+        --runs curve:1:10 --runs curve:101:10 --runs guess:1:3 \\
+        --traced guess:1 --out BENCH_6.json
 
 Each side is a clean copy of its commit, extracted with `git archive` into a
 temporary directory, so uncommitted edits are never measured and the
@@ -17,6 +18,11 @@ relative change of the medians, whether that stays inside the metric's
 bound, and whether the gain rule holds (the change wins at least nine tenths
 of the pairs and the medians differ by more than the parent's interquartile
 range).
+
+Each --traced WORKLOAD:SEED entry adds one `perfbench/run.py --trace 1` run
+per side, and the output keeps its rows and, for each per-layer metric of
+BENCHMARK.json, the parent and change values side by side, so a gain can be
+traced to the layers it came from.
 """
 
 import argparse
@@ -36,19 +42,28 @@ def parse_args():
     ap.add_argument("--parent", default="HEAD~1", help="git revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="git revision of the change side")
     ap.add_argument(
-        "--runs", action="append", required=True, metavar="WORKLOAD:SEED:PAIRS",
+        "--runs", action="append", default=[], metavar="WORKLOAD:SEED:PAIRS",
         help="a workload, its seed and the number of pairs; repeatable",
+    )
+    ap.add_argument(
+        "--traced", action="append", default=[], metavar="WORKLOAD:SEED",
+        help="a workload and seed to run once per side with --trace 1; repeatable",
     )
     ap.add_argument("--out", required=True, help="path of the BENCH_*.json to write")
     args = ap.parse_args()
-    plan = []
-    for spec in args.runs:
-        parts = spec.split(":")
-        if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
-            ap.error("--runs expects WORKLOAD:SEED:PAIRS, got %r" % spec)
-        plan.append((parts[0], int(parts[1]), int(parts[2])))
-    args.plan = plan
+    if not args.runs and not args.traced:
+        ap.error("give at least one --runs or --traced entry")
+    args.plan = [_split(ap, "--runs", "WORKLOAD:SEED:PAIRS", s) for s in args.runs]
+    args.traced_plan = [_split(ap, "--traced", "WORKLOAD:SEED", s) for s in args.traced]
     return args
+
+
+def _split(ap, flag, metavar, spec):
+    """The workload name and the integers of spec, which has the form metavar."""
+    parts = spec.split(":")
+    if len(parts) != metavar.count(":") + 1 or not all(p.isdigit() for p in parts[1:]):
+        ap.error("%s expects %s, got %r" % (flag, metavar, spec))
+    return (parts[0],) + tuple(int(p) for p in parts[1:])
 
 
 def git(*argv):
@@ -68,11 +83,11 @@ def extract(rev, dest):
     return sha
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed, seconds, trace=0):
     """One perfbench run; returns (results row, result line) parsed from its last two lines."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds),
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -127,6 +142,26 @@ def summarize(rows, metrics):
     return out
 
 
+def traced_pair(trees, shas, workload, seed, seconds, per_layer):
+    """One --trace 1 run per side; the rows and each per-layer metric side by side."""
+    rows, values = [], {}
+    for side in ("parent", "change"):
+        row, result = run_once(trees[side], workload, seed, seconds, trace=1)
+        row["commit"] = shas[side]
+        rows.append({"side": side, "row": row, "result": result})
+        values[side] = result["metrics"]
+        print("%s seed %d traced %s: done" % (workload, seed, side), file=sys.stderr)
+    layers = {
+        m["name"]: {
+            "unit": m["unit"],
+            "parent": values["parent"].get(m["name"], {}).get("value"),
+            "change": values["change"].get(m["name"], {}).get("value"),
+        }
+        for m in per_layer
+    }
+    return {"layers": layers, "rows": rows}
+
+
 def main():
     args = parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -154,6 +189,11 @@ def main():
                         result["metrics"]["wall_ref_s"]["value"]), file=sys.stderr)
             rows.extend(group)
             summary["%s@%d" % (workload, seed)] = summarize(group, bench["end_to_end"])
+        traced = {
+            "%s@%d" % (workload, seed): traced_pair(
+                trees, shas, workload, seed, seconds, bench["per_layer"])
+            for workload, seed in args.traced_plan
+        }
     doc = {
         "parent": shas["parent"],
         "change": shas["change"],
@@ -161,6 +201,7 @@ def main():
         "command": bench["command"],
         "summary": summary,
         "rows": rows,
+        "traced": traced,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
 
