@@ -1,18 +1,19 @@
 """Fit, normalize and analyze univariate linear ODEs on truncated series."""
 
 import math
-import operator
 from fractions import Fraction
 from itertools import islice, repeat
 
 from .exact import (
     MPoly,
     ZeroInput,
+    _eval_int,
     _is_probable_prime,
     divexact,
     factor_univariate,
     nullspace,
     poly_gcd,
+    rref,
 )
 from .exprio import format_ode_text, parse_ode_text
 from .series import InsufficientOrder, UniSeries
@@ -33,23 +34,6 @@ class NotFound(Exception):
 
 class SingularPoint(Exception):
     """The head polynomial vanishes at the requested expansion point."""
-
-
-class Unstable(Exception):
-    """Square-order detection did not stabilize between N and N+10.
-
-    When the two windows disagree, windows is (N, N+10) and orders holds the
-    order found in each.  Otherwise cap and degree are the order cap and the
-    degree bound of the fit that failed, degree < 0 when the series window is
-    too short.  Attributes that do not apply are None.
-    """
-
-    def __init__(self, message, windows=None, orders=None, cap=None, degree=None):
-        super().__init__(message)
-        self.windows = windows
-        self.orders = orders
-        self.cap = cap
-        self.degree = degree
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +118,9 @@ class UniODE:
         r = self.order
         if s.order < r:
             raise InsufficientOrder(
-                "series order %d below operator order %d" % (s.order, r)
+                "series order %d below operator order %d" % (s.order, r),
+                needed=r,
+                have=s.order,
             )
         out_ord = s.order - r
         lists = self.coeff_lists()
@@ -441,7 +427,9 @@ def guess_ode(s, max_order, max_degree, var="t"):
     if s.order < need:
         raise InsufficientOrder(
             "series order %d, need at least %d for bounds (%d, %d)"
-            % (s.order, need, max_order, max_degree)
+            % (s.order, need, max_order, max_degree),
+            needed=need,
+            have=s.order,
         )
     nrows = s.order + 1
     ncols = (max_order + 1) * (max_degree + 1)
@@ -501,10 +489,10 @@ def guess_ode(s, max_order, max_degree, var="t"):
 
 def annihilates_series(ode, s):
     """Exact zero test of ode applied to s through the whole valid window."""
-    degmax = max(p.degree(ode.var) for p in ode.coeffs)
-    if s.order < ode.order + degmax + 10:
+    need = ode.order + max(p.degree(ode.var) for p in ode.coeffs) + 10
+    if s.order < need:
         raise InsufficientOrder(
-            "series order %d, need %d" % (s.order, ode.order + degmax + 10)
+            "series order %d, need %d" % (s.order, need), needed=need, have=s.order
         )
     return not any(ode.apply(s).coeffs)
 
@@ -551,13 +539,18 @@ def _shifted_coeffs(ode, t0):
     return out
 
 
-def _recurrence_basis(shifted, head_val, N, div):
-    """Coefficients a_0..a_N of the solutions with unit initial segments.
+def local_basis(ode, t0, N):
+    """Fundamental system at an ordinary point, as series in s = t - t0.
 
-    shifted holds the coefficient lists of the operator at the expansion
-    point, head_val = p_r there is nonzero, and div is the field's division.
+    The r = ode.order solutions have unit-vector initial segments and are
+    produced by the coefficient recurrence of the shifted equation.
     """
-    r = len(shifted) - 1
+    t0 = Fraction(t0)
+    head_val = ode.head.evaluate({ode.var: t0})
+    if head_val == 0:
+        raise SingularPoint("head polynomial vanishes at %s" % t0)
+    shifted = _shifted_coeffs(ode, t0)
+    r = ode.order
     basis = []
     for unit in range(r):
         a = [0] * (N + 1)
@@ -571,173 +564,120 @@ def _recurrence_basis(shifted, head_val, N, div):
                     k = n - i + j
                     if 0 <= k < n + r:
                         acc += ci * math.perm(k, j) * a[k]
-            a[n + r] = div(-acc, head_val * math.perm(n + r, r))
-        basis.append(a)
+            a[n + r] = -acc / (head_val * math.perm(n + r, r))
+        basis.append(UniSeries(N, a))
     return basis
 
 
-def local_basis(ode, t0, N):
-    """Fundamental system at an ordinary point, as series in s = t - t0.
-
-    The r = ode.order solutions have unit-vector initial segments and are
-    produced by the coefficient recurrence of the shifted equation.
-    """
-    t0 = Fraction(t0)
-    head_val = ode.head.evaluate({ode.var: t0})
-    if head_val == 0:
-        raise SingularPoint("head polynomial vanishes at %s" % t0)
-    basis = _recurrence_basis(_shifted_coeffs(ode, t0), head_val, N, operator.truediv)
-    return [UniSeries(N, a) for a in basis]
-
-
 # ---------------------------------------------------------------------------
-# Exterior and symmetric square orders by the wronskian-series method
+# Exterior and symmetric square orders by an exact rank certificate
 
 
-def _base_point(ode):
-    q = 7
-    while True:
-        t0 = Fraction(1, q)
-        if ode.head.evaluate({ode.var: t0}) != 0:
-            return t0
-        q = 10 if q == 7 else q + 1
+def _poly_add(acc, a, f):
+    """acc += f * a on integer coefficient lists, lowest degree first."""
+    if len(acc) < len(a):
+        acc.extend([0] * (len(a) - len(acc)))
+    for i, x in enumerate(a):
+        if x:
+            acc[i] += f * x
 
 
-def _conv_prefix(a, b, length, p):
-    out = [0] * length
-    for i, ai in enumerate(a):
-        if not ai or i >= length:
-            continue
-        top = min(len(b), length - i)
-        for j in range(top):
-            if b[j]:
-                out[i + j] = (out[i + j] + ai * b[j]) % p
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
-def _dform_rows(target, length, cap, degree, p, fall, k_count):
-    """Rows matching sum_j p_j(s) f^(j) = 0 with deg p_j <= degree, order <= cap.
+def _poly_trim(a):
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
 
-    Column j*(degree+1) + i of row k carries fall[m][j] * target[m] with
-    m = k - i + j, or 0 for m < 0.
+
+def _square_order(ode, pairs):
+    """Order of the exterior (pairs) or symmetric square of ode, certified.
+
+    Solutions f, g of L = sum p_j D^j give the coordinates
+    f^(a) g^(b) - f^(b) g^(a), a < b < r (wedge), or
+    f^(a) g^(b) + f^(b) g^(a), a <= b < r (product), whose derivatives are
+    coordinates again, with M as matrix, once f^(r) is replaced through L.
+    The k-th derivative of the first coordinate, the wronskian (twice the
+    product), is u_k . coordinates with u_0 = e_0 and u_{k+1} = u_k' + u_k M.
+    The integer polynomial vectors v_0 = e_0, v_{k+1} = p_r v_k' + v_k (p_r M)
+    satisfy v_k = p_r^k u_k + (a Q(t)-combination of u_0..u_{k-1}), so they
+    span the same spaces.  The order is the first o with v_o in the Q(t)-span
+    of v_0..v_{o-1}: the span is then closed under the recurrence (van der
+    Put and Singer, Galois Theory of Linear Differential Equations, section 2).
+
+    Returns (order, points, bound): v_0..v_k have rank k + 1 at the integer
+    point points[k], and [v_0..v_order] has rank <= order at each of
+    t = 0..bound, bound = sum of deg v_k, so every maximal minor, of degree
+    at most bound, vanishes identically.  bound is None when the order is
+    the number of coordinates.
     """
-    nrows = min(k_count, length - cap)
-    top = nrows + cap
-    # tables[j][top-1-m] = fall[m][j] * target[m], padded with degree zeros
-    # for m < 0, so the degree+1 entries of block j in row k are one slice.
-    tables = [
-        [fall[m][j] * target[m] % p for m in range(top - 1, -1, -1)] + [0] * degree
-        for j in range(cap + 1)
-    ]
-    rows = []
-    for k in range(nrows):
-        row = []
-        for j, table in enumerate(tables):
-            start = top - 1 - k - j
-            row += table[start : start + degree + 1]
-        rows.append(row)
-    return rows
-
-
-def _min_order_mod(targets, length, cap, degree, p):
-    """Smallest D-order of a joint annihilator of the listed targets mod p."""
-    fall = [[1] * (cap + 1) for _ in range(length)]
-    for m in range(length):
-        for j in range(1, cap + 1):
-            fall[m][j] = fall[m][j - 1] * (m - j + 1) % p
-    ncols = (cap + 1) * (degree + 1)
-    per = -(-(ncols + 30) // len(targets))
-    blocks = [_dform_rows(t, length, cap, degree, p, fall, per) for t in targets]
-    rows = [row for group in zip(*blocks) for row in group]
-    return _first_free_block(rows, ncols, degree + 1, p)
-
-
-def _square_order_once(ode, L, p, pairs):
     r = ode.order
-    cap = r * (r - 1) // 2 if pairs else r * (r + 1) // 2
-    t0 = _base_point(ode)
-    shifted = [[_mod_frac(c, p) for c in qj] for qj in _shifted_coeffs(ode, t0)]
-    head_val = _mod_frac(ode.head.evaluate({ode.var: t0}), p)
-    if head_val == 0:
-        raise _BadPrime("head value divisible by modulus")
-    basis = _recurrence_basis(
-        shifted, head_val, L, lambda a, b: a * pow(b, p - 2, p) % p
-    )
-    if pairs:
-        ders = [
-            [(m + 1) * y[m + 1] % p for m in range(L)] for y in basis
-        ]
-        length = L
-        targets = []
-        for i in range(r):
-            for j in range(i + 1, r):
-                wij = _conv_prefix(basis[i], ders[j], length, p)
-                wji = _conv_prefix(ders[i], basis[j], length, p)
-                targets.append([(u - v) % p for u, v in zip(wij, wji)])
-    else:
-        length = L + 1
-        targets = []
-        for i in range(r):
-            for j in range(i, r):
-                targets.append(_conv_prefix(basis[i], basis[j], length, p))
-    combos = []
-    for power in (1, 2):
-        acc = [0] * length
-        for idx, tgt in enumerate(targets):
-            w = pow(idx + 1, power)
-            for k in range(length):
-                if tgt[k]:
-                    acc[k] = (acc[k] + w * tgt[k]) % p
-        combos.append(acc)
-    degree = (length - cap - 10) // (cap + 1) - 1
-    if degree < 0:
-        raise Unstable("series window too short for order cap %d" % cap, cap=cap, degree=degree)
-    found = []
-    # each target and combination alone, then all targets jointly
-    for group in [[tgt] for tgt in targets + combos] + [targets]:
-        o = _min_order_mod(group, length, cap, degree, p)
-        if o is None:
-            kind = "joint annihilator" if group is targets else "annihilator"
-            raise Unstable(
-                "no %s of order <= %d, degree <= %d" % (kind, cap, degree), cap=cap, degree=degree
-            )
-        found.append(o)
-    return max(found)
-
-
-def _square_order(ode, N, pairs):
-    if ode.order < 2:
+    if r < 2:
         raise ValueError("need an operator of order at least 2")
-    stream = _prime_stream()
-    results = []
-    for L in (N, N + 10):
-        for p in islice(stream, _MAX_PRIMES):
-            try:
-                results.append(_square_order_once(ode, L, p, pairs))
-            except _BadPrime:
-                continue
-            break
+    p = [[int(c) for c in lst] for lst in ode.coeff_lists()]
+    coords = [(a, b) for a in range(r) for b in range(a + pairs, r)]
+    index = {c: i for i, c in enumerate(coords)}
+    n = len(coords)
+    # scaled[i] lists (j, f, q): row i of p_r M has f * p_q in column j.
+    scaled = [[] for _ in coords]
+
+    def put(i, a, b, f, q):
+        if a > b:
+            a, b = b, a
+            f = -f if pairs else f
+        if pairs and a == b:
+            return
+        if b == r:
+            for j in range(r):
+                put(i, a, j, -f, j)
         else:
-            raise RuntimeError("no usable prime among the first %d" % _MAX_PRIMES)
-    if results[0] != results[1]:
-        raise Unstable(
-            "order %d at N=%d but %d at N=%d" % (results[0], N, results[1], N + 10),
-            (N, N + 10),
-            tuple(results),
-        )
-    return results[0]
+            scaled[i].append((index[a, b], f, q))
+
+    for i, (a, b) in enumerate(coords):
+        put(i, a + 1, b, 1, r)
+        put(i, a, b + 1, 1, r)
+    v = [[0] for _ in coords]
+    v[0] = [1]
+    vs = [v]
+    points = [0]
+    while len(points) < n:
+        nxt = [_poly_mul(p[r], [k * c for k, c in enumerate(x)][1:] or [0]) for x in v]
+        for i, x in enumerate(v):
+            for j, f, q in scaled[i]:
+                _poly_add(nxt[j], _poly_mul(x, p[q]), f)
+        v = [_poly_trim(x) for x in nxt]
+        vs.append(v)
+        bound = sum(max(len(x) for x in w) - 1 for w in vs)
+        for t in range(bound + 1):
+            rows = [[_eval_int(x, t) for x in w] for w in vs]
+            if len(rref(rows)[1]) == len(vs):
+                points.append(t)
+                break
+        else:
+            return len(points), points, bound
+    return n, points, None
 
 
-def exterior_square_order(ode, N):
+def exterior_square_order(ode, N=None):
     """Order of the minimal operator annihilating all pairwise wronskians.
 
-    Deterministic integer combinations of the wronskians and every wronskian
-    individually are guessed alongside the joint fit; the maximum is returned
-    and must agree between window sizes N and N+10.
+    The order is exact, proved by the rank certificate of _square_order.  N
+    is accepted for existing callers and ignored: the order does not depend
+    on a series window.
     """
-    return _square_order(ode, N, True)
+    return _square_order(ode, True)[0]
 
 
-def symmetric_square_order(ode, N):
-    """Order of the minimal operator annihilating all pairwise products."""
-    return _square_order(ode, N, False)
+def symmetric_square_order(ode, N=None):
+    """Order of the minimal operator annihilating all pairwise products.
+
+    Exact like exterior_square_order; N is ignored.
+    """
+    return _square_order(ode, False)[0]

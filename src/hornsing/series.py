@@ -32,9 +32,10 @@ class NonzeroAtOrigin(Exception):
 class InsufficientOrder(Exception):
     """The input series is too short for the requested output order.
 
-    restrict sets needed and have, the total degree of the double series the
-    restriction needs and the one it was given; log_basis sets dims, the
-    solution dimension per degree.  Attributes that do not apply are None.
+    needed and have are the series order the operation needs and the one it
+    was given (for restrict, the total degree of the double series); log_basis
+    sets dims, the solution dimension per degree, instead.  Attributes that do
+    not apply are None.
     """
 
     def __init__(self, message, needed=None, have=None, dims=None):
@@ -76,7 +77,9 @@ class UniSeries:
     def truncate(self, new_order):
         if new_order > self.order:
             raise InsufficientOrder(
-                "have order %d, asked for %d" % (self.order, new_order)
+                "have order %d, asked for %d" % (self.order, new_order),
+                needed=new_order,
+                have=self.order,
             )
         return UniSeries(new_order, self.coeffs[: new_order + 1])
 
@@ -117,7 +120,9 @@ class UniSeries:
 
     def derivative(self):
         if self.order == 0:
-            raise InsufficientOrder("cannot differentiate an order-0 series")
+            raise InsufficientOrder(
+                "cannot differentiate an order-0 series", needed=1, have=0
+            )
         return UniSeries(
             self.order - 1,
             [k * self.coeffs[k] for k in range(1, self.order + 1)],
@@ -392,7 +397,9 @@ def compose_rational(a, g, order):
     if a.order < kmax:
         raise InsufficientOrder(
             "composition to order %d needs %d outer coefficients, have %d"
-            % (order, kmax, a.order)
+            % (order, kmax, a.order),
+            needed=kmax,
+            have=a.order,
         )
     acc = [Fraction(0)] * (order + 1)
     acc[0] = a.coeffs[kmax]

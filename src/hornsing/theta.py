@@ -147,7 +147,9 @@ def apply(op, s):
             raise TypeError("two-variable operator needs a BiSeries")
         out_order = s.order - op.max_shift
         if out_order < 0:
-            raise InsufficientOrder("series order below the operator shift")
+            raise InsufficientOrder(
+                "series order below the operator shift", needed=op.max_shift, have=s.order
+            )
         out = {}
         for exps, q in op.terms:
             a, b = exps
@@ -164,7 +166,9 @@ def apply(op, s):
         raise TypeError("one-variable operator needs a UniSeries")
     out_order = s.order - op.max_shift
     if out_order < 0:
-        raise InsufficientOrder("series order below the operator shift")
+        raise InsufficientOrder(
+            "series order below the operator shift", needed=op.max_shift, have=s.order
+        )
     out = [Fraction(0)] * (out_order + 1)
     for exps, q in op.terms:
         a = exps[0]
@@ -185,7 +189,9 @@ def annihilates(sys, s):
     if s.order < 10 + sys.max_shift:
         raise InsufficientOrder(
             "need series order >= %d for a trustworthy annihilation check"
-            % (10 + sys.max_shift)
+            % (10 + sys.max_shift),
+            needed=10 + sys.max_shift,
+            have=s.order,
         )
     return all(_series_is_zero(apply(op, s)) for op in sys.ops)
 

@@ -13,7 +13,6 @@ from hornsing.odeguess import (
     NotFound,
     SingularPoint,
     UniODE,
-    Unstable,
     annihilates_series,
     exterior_square_order,
     guess_ode,
@@ -346,6 +345,37 @@ def test_annihilates_trivial_cases():
         annihilates_series(ode, geometric(5))
 
 
+@pytest.mark.parametrize(
+    "call, message, needed, have",
+    [
+        (
+            lambda: UniODE.from_text(GEOMETRIC_TEXT).apply(UniSeries(0, [Fraction(1)])),
+            "series order 0 below operator order 1",
+            1,
+            0,
+        ),
+        (
+            lambda: guess_ode(geometric(10), 2, 2),
+            "series order 10, need at least 21 for bounds (2, 2)",
+            21,
+            10,
+        ),
+        (
+            lambda: annihilates_series(UniODE.from_text(GEOMETRIC_TEXT), geometric(5)),
+            "series order 5, need 12",
+            12,
+            5,
+        ),
+    ],
+    ids=["apply", "guess_ode", "annihilates_series"],
+)
+def test_insufficient_order_attributes(call, message, needed, have):
+    with pytest.raises(InsufficientOrder) as info:
+        call()
+    assert (info.value.needed, info.value.have) == (needed, have)
+    assert str(info.value) == message
+
+
 def brute_min_joint_order(polys, max_order, max_degree, window):
     """Exhaustive minimal joint annihilator order for polynomial targets."""
     for r in range(1, max_order + 1):
@@ -412,24 +442,49 @@ def test_exterior_square_order_four_restriction():
     assert exterior_square_order(UniODE.from_text(C4_TEXT), 200) == 5
 
 
-def test_exterior_square_unstable_window():
-    with pytest.raises(Unstable) as exc:
-        exterior_square_order(UniODE.from_text(C4_TEXT), 150)
-    assert str(exc.value) == "no annihilator of order <= 6, degree <= 18"
-    assert (exc.value.cap, exc.value.degree) == (6, 18)
-    assert exc.value.windows is None and exc.value.orders is None
-    with pytest.raises(Unstable) as exc:
-        exterior_square_order(UniODE.from_text(C4_TEXT), 10)
-    assert str(exc.value) == "series window too short for order cap 6"
-    assert (exc.value.cap, exc.value.degree) == (6, -2)
+@pytest.mark.parametrize("N", [10, 150, 165, None])
+def test_exterior_square_order_c4_does_not_depend_on_window(N):
+    # a window-based guess raised or answered 6 at these N; the order is 5
+    args = () if N is None else (N,)
+    assert exterior_square_order(UniODE.from_text(C4_TEXT), *args) == 5
 
 
-def test_square_order_window_disagreement_carries_orders():
-    with pytest.raises(Unstable) as exc:
-        symmetric_square_order(UniODE.from_text(C3_TEXT), 80)
-    assert str(exc.value) == "order 6 at N=80 but 5 at N=90"
-    assert exc.value.windows == (80, 90)
-    assert exc.value.orders == (6, 5)
+def test_square_order_certificate_skips_points_where_rank_drops():
+    # The head of C4 vanishes at t = 0, 1 and 2, so v_0 and v_1 = p_4 e_02
+    # are dependent there and the first point giving rank 2 is t = 3.
+    order, points, bound = odeguess._square_order(UniODE.from_text(C4_TEXT), True)
+    assert (order, points, bound) == (5, [0, 3, 3, 3, 3], 209)
+    # A head vanishing at t = 0..9 pushes the rank-2 witness to t = 10.
+    head = MPoly.const(T, 1)
+    for k in range(10):
+        head = head * mp_t("t - %d" % k)
+    ode = UniODE("t", [mp_t("t"), mp_t("1"), head])
+    order, points, bound = odeguess._square_order(ode, False)
+    assert (order, points[:2], bound) == (3, [0, 10], None)
+
+
+def _random_int_poly(rng, degree):
+    return MPoly.from_univar(
+        "t", [MPoly.const(T, rng.randint(-9, 9)) for _ in range(degree + 1)]
+    )
+
+
+def test_square_orders_of_random_operators():
+    # Orders that hold for every operator: wedges of an order-2 operator span
+    # one line, products of its solutions three, wedges of an order-3 one three.
+    rng = random.Random(31)
+    for _ in range(20):
+        for order in (2, 3):
+            coeffs = [_random_int_poly(rng, rng.randint(0, 3)) for _ in range(order)]
+            head = _random_int_poly(rng, rng.randint(0, 3))
+            if head.is_zero():
+                head = mp_t("1")
+            ode = UniODE("t", coeffs + [head])
+            if order == 2:
+                assert exterior_square_order(ode) == 1
+                assert symmetric_square_order(ode) == 3
+            else:
+                assert exterior_square_order(ode) == 3
 
 
 def test_symmetric_square_small_cases():
@@ -441,6 +496,12 @@ def test_symmetric_square_small_cases():
 
 def test_symmetric_square_order_three_restriction():
     assert symmetric_square_order(UniODE.from_text(C3_TEXT), 100) == 5
+
+
+@pytest.mark.parametrize("N", [80, None])
+def test_symmetric_square_order_c3_does_not_depend_on_window(N):
+    args = () if N is None else (N,)
+    assert symmetric_square_order(UniODE.from_text(C3_TEXT), *args) == 5
 
 
 def test_order_three_is_symmetric_square_of_order_two():
@@ -482,18 +543,31 @@ def _guarded_stream(primes, limit=10**4):
     return stream
 
 
+def test_null_vector_exact_falls_back_to_nullspace(monkeypatch):
+    # Three small primes leave a modulus near 10^6, far too small to
+    # reconstruct null-vector entries near 10^12, so every modular candidate
+    # is rejected and the exact nullspace decides.
+    rows = [[1000003, -1999993, 7], [3, 5, -999983]]
+    frows = [[Fraction(x) for x in row] for row in rows]
+    calls = []
+
+    def spy(matrix):
+        calls.append(matrix)
+        return nullspace(matrix)
+
+    monkeypatch.setattr(odeguess, "_MAX_PRIMES", 3)
+    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([101, 103, 107], 3))
+    monkeypatch.setattr(odeguess, "nullspace", spy)
+    vec = odeguess._null_vector_exact(frows, 3)
+    assert calls == [frows]
+    assert vec == [Fraction(v) for v in odeguess._primitive(nullspace(frows)[0])]
+    assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in rows)
+    assert max(abs(v) for v in vec) > 10**11
+
+
 def test_guess_ode_prime_retries_are_bounded(monkeypatch):
     p = 2**61 - 1
     monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([p]))
     s = UniSeries(40, [Fraction(1, p)] + [Fraction(1)] * 40)
     with pytest.raises(RuntimeError):
         guess_ode(s, 1, 2)
-
-
-def test_square_order_prime_retries_are_bounded(monkeypatch):
-    # The base point is t0 = 1/7, so p_0(t0 + s) = 1/7 + s cannot be
-    # reduced modulo 7.
-    ode = UniODE.from_text("ode-var: t\n0 : t\n2 : 1\n")
-    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([7]))
-    with pytest.raises(RuntimeError):
-        exterior_square_order(ode, 30)

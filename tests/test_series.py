@@ -532,3 +532,25 @@ def test_restrict_insufficient_order_attributes():
         "restriction to t-order 11 needs the double series through"
         " total degree 6, have 4"
     )
+
+
+@pytest.mark.parametrize(
+    "call, message, needed, have",
+    [
+        (lambda: UniSeries(3, [1, 2, 3, 4]).truncate(5), "have order 3, asked for 5", 5, 3),
+        (lambda: UniSeries(0, [1]).derivative(), "cannot differentiate an order-0 series", 1, 0),
+        (
+            lambda: compose_rational(UniSeries(2, [1, 1, 1]), rf_t("t"), 5),
+            "composition to order 5 needs 5 outer coefficients, have 2",
+            5,
+            2,
+        ),
+    ],
+    ids=["truncate", "derivative", "compose_rational"],
+)
+def test_insufficient_order_attributes(call, message, needed, have):
+    with pytest.raises(InsufficientOrder) as info:
+        call()
+    assert (info.value.needed, info.value.have) == (needed, have)
+    assert info.value.dims is None
+    assert str(info.value) == message

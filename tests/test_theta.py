@@ -93,8 +93,33 @@ def test_apply_picard_annihilates_h2():
 
 def test_apply_insufficient_margin():
     b = expand_from_ratios(hyper_from_spec(H2), 10)
-    with pytest.raises(InsufficientOrder):
+    with pytest.raises(InsufficientOrder) as info:
         annihilates(picard_system(), b)
+    assert (info.value.needed, info.value.have) == (11, 10)
+    assert str(info.value) == "need series order >= 11 for a trustworthy annihilation check"
+
+
+@pytest.mark.parametrize(
+    "call, needed, have",
+    [
+        (
+            lambda: apply(ThetaOp.from_text(PICARD_X), expand_from_ratios(hyper_from_spec(H2), 0)),
+            1,
+            0,
+        ),
+        (
+            lambda: apply(ThetaOp(("x",), [((2,), MPoly.variable(("tx",), "tx"))]), UniSeries(1, [1, 1])),
+            2,
+            1,
+        ),
+    ],
+    ids=["bivariate", "univariate"],
+)
+def test_apply_insufficient_order_attributes(call, needed, have):
+    with pytest.raises(InsufficientOrder) as info:
+        call()
+    assert (info.value.needed, info.value.have) == (needed, have)
+    assert str(info.value) == "series order below the operator shift"
 
 
 def test_theta_x_does_not_kill_geometric():

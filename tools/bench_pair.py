@@ -16,8 +16,9 @@ each end-to-end metric of BENCHMARK.json: the median and quartiles of each
 side, the number of pairs the change won (ties count for neither side), the
 relative change of the medians, whether that stays inside the metric's
 bound, and whether the gain rule holds (the change wins at least nine tenths
-of the pairs and the medians differ by more than the parent's interquartile
-range).
+of the pairs, the medians differ by more than the parent's interquartile
+range, and the change's share of failed jobs is no larger than the
+parent's).
 
 Each --traced WORKLOAD:SEED entry adds one `perfbench/run.py --trace 1` run
 per side, and the output keeps its rows and, for each per-layer metric of
@@ -105,8 +106,8 @@ def quartiles(values):
 
 
 def summarize(rows, metrics):
-    """Per metric: each side's median, quartiles and failed jobs, wins, relative change,
-    bound and gain checks."""
+    """Per metric: each side's median, quartiles, attempted and failed jobs, wins,
+    relative change, bound and gain checks."""
     out = {}
     for m in metrics:
         name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
@@ -114,8 +115,10 @@ def summarize(rows, metrics):
         for side in ("parent", "change"):
             values = [r["result"]["metrics"][name]["value"] for r in rows if r["side"] == side]
             q1, med, q3 = quartiles(values)
+            attempted = sum(r["result"]["attempted"] for r in rows if r["side"] == side)
             failed = sum(r["result"]["failed"] for r in rows if r["side"] == side)
-            sides[side] = {"median": med, "q1": q1, "q3": q3, "n": len(values), "failed": failed}
+            sides[side] = {"median": med, "q1": q1, "q3": q3, "n": len(values),
+                           "attempted": attempted, "failed": failed}
         by_pair = {}
         for r in rows:
             by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
@@ -127,6 +130,8 @@ def summarize(rows, metrics):
         rel = (chg - par) / par if par else 0.0
         worse = rel if lower else -rel
         gap = (par - chg) if lower else (chg - par)
+        # raw failure counts mislead when the sides attempt different numbers of jobs
+        share = {side: v["failed"] / max(v["attempted"], 1) for side, v in sides.items()}
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -137,7 +142,8 @@ def summarize(rows, metrics):
             "rel_change": rel,
             "within_bound": worse <= bound,
             "gain_rule_met": wins >= 0.9 * len(by_pair)
-            and gap > sides["parent"]["q3"] - sides["parent"]["q1"],
+            and gap > sides["parent"]["q3"] - sides["parent"]["q1"]
+            and share["change"] <= share["parent"],
         }
     return out
 
