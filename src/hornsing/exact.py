@@ -200,15 +200,30 @@ class MPoly:
         return MPoly(self.vars, t)
 
     def evaluate(self, env) -> Fraction:
-        total = Fraction(0)
-        vals = [Fraction(env[v]) for v in self.vars]
-        for e, c in self.terms.items():
-            term = c
-            for val, k in zip(vals, e):
-                if k:
-                    term *= val**k
+        """Value at the point env (name -> rational).
+
+        The terms are summed as one integer over the common denominator
+        (the lcm of the coefficient denominators times each point
+        denominator to its degree), so only the result is reduced.
+        """
+        point = [Fraction(env[v]) for v in self.vars]
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        cden = math.lcm(*(c.denominator for c in terms.values()))
+        den = cden
+        tables = []
+        for i, x in enumerate(point):
+            num, xden, deg = x.numerator, x.denominator, max(e[i] for e in terms)
+            tables.append([num**k * xden ** (deg - k) for k in range(deg + 1)])
+            den *= xden**deg
+        total = 0
+        for e, c in terms.items():
+            term = c.numerator * (cden // c.denominator)
+            for table, k in zip(tables, e):
+                term *= table[k]
             total += term
-        return total
+        return Fraction(total, den)
 
     def substitute(self, mapping, target_vars=None):
         """Map variables to polynomials (identity for unmapped names)."""
@@ -588,24 +603,50 @@ def _sylvester_rows(ca, cb):
     return rows
 
 
-def _int_det(M):
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    n = len(M)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
+def _bareiss(M):
+    """Fraction-free (Bareiss) row echelon elimination of an integer matrix.
+
+    Works in place, column by column, skipping a column with no nonzero
+    entry at or below the current row.  Each division by the previous
+    pivot is exact by Sylvester's identity (E. H. Bareiss, Math. Comp. 22,
+    1968).  Yields (column, swapped) for each pivot, after clearing below it.
+    """
+    nrows, ncols = len(M), len(M[0]) if M else 0
+    r, prev = 0, 1
+    for k in range(ncols):
+        if r == nrows:
+            return
+        swapped = not M[r][k]
+        if swapped:
+            pivot = next((i for i in range(r + 1, nrows) if M[i][k]), None)
             if pivot is None:
-                return 0
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        pk, rk = M[k][k], M[k]
-        for row in M[k + 1 :]:
+                continue
+            M[r], M[pivot] = M[pivot], M[r]
+        pk, rk = M[r][k], M[r]
+        for row in M[r + 1 :]:
             f = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, ncols):
                 row[j] = (pk * row[j] - f * rk[j]) // prev
         prev = pk
-    return sign * M[n - 1][n - 1]
+        r += 1
+        yield k, swapped
+
+
+def _int_det(M):
+    """Determinant of a square integer matrix, which it overwrites."""
+    sign, rank = 1, 0
+    for k, swapped in _bareiss(M):
+        if k != rank:
+            return 0
+        if swapped:
+            sign = -sign
+        rank += 1
+    return sign * M[-1][-1] if rank == len(M) else 0
+
+
+def _int_rank(rows):
+    """Rank of an integer matrix (list of row lists), left unchanged."""
+    return sum(1 for _ in _bareiss([list(row) for row in rows]))
 
 
 def _eval_slot(c, z, v):

@@ -8,12 +8,12 @@ from .exact import (
     MPoly,
     ZeroInput,
     _eval_int,
+    _int_rank,
     _is_probable_prime,
     divexact,
     factor_univariate,
     nullspace,
     poly_gcd,
-    rref,
 )
 from .exprio import format_ode_text, parse_ode_text
 from .series import InsufficientOrder, UniSeries
@@ -657,7 +657,7 @@ def _square_order(ode, pairs):
         bound = sum(max(len(x) for x in w) - 1 for w in vs)
         for t in range(bound + 1):
             rows = [[_eval_int(x, t) for x in w] for w in vs]
-            if len(rref(rows)[1]) == len(vs):
+            if _int_rank(rows) == len(vs):
                 points.append(t)
                 break
         else:

@@ -11,7 +11,7 @@ space of formal log-series solutions of a system.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import gcd, lcm, perm
 
 from .exact import MPoly, rref
 from .exprio import format_operator_text, parse_operator_text
@@ -334,17 +334,26 @@ def _scaled_partials(q, theta_vars, max_log):
     return {idx: poly for idx, poly in out.items() if not poly.is_zero()}
 
 
-def _vec_sub_everywhere(store_list, pivot, rhs):
-    for store in store_list:
-        for vec in store.values():
-            if pivot in vec:
-                c = vec.pop(pivot)
-                for q, w in rhs.items():
-                    nv = vec.get(q, Fraction(0)) + c * w
-                    if nv:
-                        vec[q] = nv
-                    elif q in vec:
-                        del vec[q]
+def _substitute(coeffs, holders, key, pivot, pc, row):
+    """Replace pivot in the unknown at key, using pc * pivot + row = 0."""
+    vec, den = coeffs[key]
+    c = vec.pop(pivot)
+    for q in vec:
+        vec[q] *= pc
+    for q, w in row.items():
+        nv = vec.get(q, 0) - c * w
+        if nv:
+            if q not in vec:
+                holders[q].add(key)
+            vec[q] = nv
+        elif q in vec:
+            del vec[q]
+            holders[q].discard(key)
+    den *= pc
+    g = gcd(den, *vec.values())
+    if den < 0:
+        g = -g
+    coeffs[key] = ({q: v // g for q, v in vec.items()}, den // g)
 
 
 def log_basis(sys, order, max_log):
@@ -353,6 +362,16 @@ def log_basis(sys, order, max_log):
     Substitutes sum H_{i,j} ln(x)^i ln(y)^j with series coefficients unknown
     through total degree `order`, solves degree by degree, and requires the
     dimension to be unchanged over the last three degrees.
+
+    The elimination is over the integers.  Each operator is scaled by the
+    lcm of its coefficient denominators, so its scaled partials take integer
+    values at the integer source monomials.  Each unknown is an integer
+    vector over the free parameters with a positive denominator, in lowest
+    terms, and each equation row is built over the lcm of the denominators
+    that feed it: a multiple of the rational row, with the same support.
+    The pivot is the largest parameter of the row; it is substituted only in
+    the unknowns that hold it, which an index from parameter to unknowns
+    lists.
     """
     if max_log < 0:
         raise ValueError("max_log must be nonnegative")
@@ -360,17 +379,20 @@ def log_basis(sys, order, max_log):
     theta_vars = sys.ops[0].theta_vars
     logidx = _log_indices(width, max_log)
     logset = set(logidx)
-    partials = [
-        [(exps, _scaled_partials(q, theta_vars, max_log)) for exps, q in op.terms]
-        for op in sys.ops
-    ]
+    partials = []
+    for op in sys.ops:
+        scale = lcm(*(c.denominator for _, q in op.terms for c in q.terms.values()))
+        partials.append(
+            [(exps, _scaled_partials(q * scale, theta_vars, max_log)) for exps, q in op.terms]
+        )
 
     # falling[l][s] = l (l-1) ... (l-s+1), the weight theta^s puts on ln^l
     falling = [[perm(l, s) for s in range(max_log + 1)] for l in range(max_log + 1)]
 
+    # coeffs[(li, mono)] = (vec, den): the unknown is sum vec[pid] * pid / den.
+    # holders[pid]: the keys whose vec holds pid; its keys are the free pids.
     coeffs = {}
-    solved = {}
-    free = []
+    holders = {}
     next_pid = 0
     dims = []
 
@@ -378,12 +400,12 @@ def log_basis(sys, order, max_log):
         monos = _monos(width, degree)
         for li in logidx:
             for mono in monos:
-                coeffs[(li, mono)] = {next_pid: Fraction(1)}
-                free.append(next_pid)
+                coeffs[(li, mono)] = ({next_pid: 1}, 1)
+                holders[next_pid] = {(li, mono)}
                 next_pid += 1
         for op_terms in partials:
             # Nonzero scaled partials of each term at each source monomial,
-            # evaluated once for all log indices of this degree.
+            # evaluated once for all log indices of this degree; integers.
             sources = {}
             for mono in monos:
                 found = []
@@ -392,12 +414,12 @@ def log_basis(sys, order, max_log):
                     if any(v < 0 for v in src_mono):
                         continue
                     env = _theta_env(theta_vars, src_mono)
-                    values = [(sidx, poly.evaluate(env)) for sidx, poly in table.items()]
+                    values = [(sidx, poly.evaluate(env).numerator) for sidx, poly in table.items()]
                     found.append((src_mono, [(sidx, w) for sidx, w in values if w]))
                 sources[mono] = found
             for li in logidx:
                 for mono in monos:
-                    vec = {}
+                    feeds = []
                     for src_mono, values in sources[mono]:
                         for sidx, w in values:
                             src_log = tuple(l + s for l, s in zip(li, sidx))
@@ -405,21 +427,24 @@ def log_basis(sys, order, max_log):
                                 continue
                             for l, s in zip(src_log, sidx):
                                 w *= falling[l][s]
-                            for pid, pc in coeffs[(src_log, src_mono)].items():
-                                nv = vec.get(pid, Fraction(0)) + w * pc
-                                if nv:
-                                    vec[pid] = nv
-                                elif pid in vec:
-                                    del vec[pid]
-                    if not vec:
+                            feeds.append((w, coeffs[(src_log, src_mono)]))
+                    den = lcm(*(d for _, (_, d) in feeds))
+                    row = {}
+                    for w, (vec, d) in feeds:
+                        w *= den // d
+                        for pid, pc in vec.items():
+                            nv = row.get(pid, 0) + w * pc
+                            if nv:
+                                row[pid] = nv
+                            elif pid in row:
+                                del row[pid]
+                    if not row:
                         continue
-                    pivot = max(vec)
-                    pc = vec.pop(pivot)
-                    rhs = {q: -w / pc for q, w in vec.items()}
-                    solved[pivot] = rhs
-                    free.remove(pivot)
-                    _vec_sub_everywhere((coeffs, solved), pivot, rhs)
-        dims.append(len(free))
+                    pivot = max(row)
+                    pc = row.pop(pivot)
+                    for key in holders.pop(pivot):
+                        _substitute(coeffs, holders, key, pivot, pc, row)
+        dims.append(len(holders))
 
     if len(dims) < 3 or not dims[-1] == dims[-2] == dims[-3]:
         raise InsufficientOrder(
@@ -438,9 +463,12 @@ def log_basis(sys, order, max_log):
         for d in range(order + 1)
         for mono in sorted(_monos(width, d))
     ]
-    rows = []
-    for pid in free:
-        rows.append([coeffs[key].get(pid, Fraction(0)) for key in columns])
+    slot = {pid: i for i, pid in enumerate(sorted(holders))}
+    rows = [[Fraction(0)] * len(columns) for _ in slot]
+    for col, key in enumerate(columns):
+        vec, den = coeffs[key]
+        for pid, c in vec.items():
+            rows[slot[pid]][col] = Fraction(c, den)
     rows, _pivots = rref(rows)
 
     basis = []

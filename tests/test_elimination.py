@@ -1,10 +1,12 @@
-"""Resultant, discriminant, gcd, factorization and RatFun.inverse.
+"""Resultant, discriminant, gcd, factorization, RatFun.inverse and the
+integer Bareiss rank and determinant.
 
 Each kernel is checked against an outside oracle (sympy, skipped when it is
 not installed) on seeded random inputs, and the resultant also against the
 fraction-free Bareiss determinant of the MPoly Sylvester matrix written out
 below as the reference.  The integer interpolation of the Kronecker split is
-checked against the Fraction Vandermonde solve it replaced.
+checked against the Fraction Vandermonde solve it replaced, and the integer
+rank against the rank rref reports.
 """
 
 import random
@@ -17,12 +19,15 @@ from hornsing.exact import (
     MPoly,
     RatFun,
     _coprime_image,
+    _int_det,
+    _int_rank,
     _newton_int,
     discriminant,
     divexact,
     factor_univariate,
     poly_gcd,
     resultant,
+    rref,
     solve_linear,
 )
 from hornsing.exprio import expr_to_ratfun, parse_expr
@@ -379,3 +384,60 @@ def test_newton_int_matches_vandermonde_reference():
         integral += want is not None
         assert _newton_int(ys, x0) == want
     assert 300 < integral < 600
+
+
+def _planted_rank_matrices(seed, count):
+    """Seeded integer matrices with some rows replaced by integer combinations
+    of others, zero rows and zero columns included."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        for i in range(nrows):
+            roll = rng.random()
+            if i and roll < 0.4:
+                rows[i] = [
+                    sum(rng.randint(-3, 3) * rows[j][k] for j in range(i))
+                    for k in range(ncols)
+                ]
+            elif roll < 0.5:
+                rows[i] = [0] * ncols
+        if rng.random() < 0.2:
+            col = rng.randrange(ncols)
+            for row in rows:
+                row[col] = 0
+        rng.shuffle(rows)
+        out.append(rows)
+    return out
+
+
+def test_int_rank_matches_rref():
+    deficient = 0
+    for rows in _planted_rank_matrices(9001, 400):
+        before = [list(row) for row in rows]
+        rank = _int_rank(rows)
+        assert rows == before
+        assert rank == len(rref(rows)[1])
+        deficient += rank < min(len(rows), len(rows[0]))
+    assert deficient > 100
+    assert _int_rank([]) == 0
+
+
+def test_int_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for rows in _planted_rank_matrices(9002, 150):
+        assert _int_rank(rows) == sympy.Matrix(rows).rank()
+
+
+def test_int_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9003)
+    singular = 0
+    for rows in _planted_rank_matrices(9004, 300):
+        n = len(rows)
+        square = [row[:n] + [rng.randint(-9, 9) for _ in range(n - len(row))] for row in rows]
+        want = sympy.Matrix(square).det()
+        singular += want == 0
+        assert _int_det([list(row) for row in square]) == want
+    assert singular > 50

@@ -404,6 +404,47 @@ def test_property_squarefree_primitive_invariance():
         done += 1
 
 
+def _evaluate_reference(p, env):
+    """Value of p at env, one Fraction product per term."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for v, k in zip(p.vars, e):
+            term *= Fraction(env[v]) ** k
+        total += term
+    return total
+
+
+def test_property_evaluate_matches_term_by_term_reference():
+    rng = random.Random(2400)
+    XYZ = ("x", "y", "z")
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-5, 3), Fraction(7, 4)]
+    polys = [MPoly.zero(XYZ), MPoly.const(XYZ, Fraction(-7, 3)), MPoly.const(XYZ, 5)]
+    for _ in range(200):
+        terms = {
+            tuple(rng.randint(0, 4) for _ in XYZ): Fraction(
+                rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 6, 35))
+            )
+            for _ in range(rng.randint(1, 7))
+        }
+        polys.append(MPoly(XYZ, terms))
+    for p in polys:
+        for _ in range(6):
+            env = {
+                v: rng.choice(values + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                for v in XYZ
+            }
+            got = p.evaluate(env)
+            assert type(got) is Fraction
+            assert got == _evaluate_reference(p, env)
+    # integer and int-valued points too
+    p = polys[-1]
+    assert p.evaluate({"x": 2, "y": -3, "z": 0}) == _evaluate_reference(
+        p, {"x": 2, "y": -3, "z": 0}
+    )
+    assert MPoly.zero(XYZ).evaluate({"x": 1, "y": 2, "z": 3}) == 0
+
+
 def test_property_nullspace_exactness():
     rng = random.Random(515151)
     for _ in range(100):

@@ -299,6 +299,98 @@ def c3_dform():
     return [expr_to_mpoly(parse_expr(s, T), T) for s in texts]
 
 
+def _log_terms(ls):
+    """A LogSeries as {(log powers, monomial): coefficient}, zeros dropped."""
+    out = {}
+    for li, s in ls.parts.items():
+        if isinstance(s, BiSeries):
+            items = s.coeffs.items()
+        else:
+            items = (((k,), c) for k, c in enumerate(s.coeffs))
+        out.update(((li, mono), c) for mono, c in items if c)
+    return out
+
+
+def _theta_on_logs(f, axis):
+    """theta_v(v^n ln^i v) = n v^n ln^i v + i v^n ln^(i-1) v, v the axis-th variable."""
+    out = {}
+    for (li, mono), c in f.items():
+        for key, w in (
+            ((li, mono), mono[axis]),
+            ((li[:axis] + (li[axis] - 1,) + li[axis + 1 :], mono), li[axis]),
+        ):
+            if w:
+                out[key] = out.get(key, 0) + w * c
+    return {k: c for k, c in out.items() if c}
+
+
+def apply_to_log_series(op, ls):
+    """op applied to ls, as {(log powers, monomial): coefficient}, kept through
+    total degree ls.order - op.max_shift, the part the truncation determines."""
+    valid = ls.order - op.max_shift
+    powers = {(0,) * len(op.vars): _log_terms(ls)}
+
+    def theta_power(exps):
+        if exps not in powers:
+            axis = next(k for k, e in enumerate(exps) if e)
+            lower = exps[:axis] + (exps[axis] - 1,) + exps[axis + 1 :]
+            powers[exps] = _theta_on_logs(theta_power(lower), axis)
+        return powers[exps]
+
+    out = {}
+    for shift, q in op.terms:
+        for texps, c in q.terms.items():
+            for (li, mono), v in theta_power(texps).items():
+                target = tuple(a + b for a, b in zip(mono, shift))
+                if sum(target) <= valid:
+                    out[(li, target)] = out.get((li, target), 0) + c * v
+    return {k: c for k, c in out.items() if c}
+
+
+def test_apply_to_log_series_reference():
+    # theta_x (x^2 ln x) = 2 x^2 ln x + x^2, and x * theta_x^2 (ln x) = 0.
+    tx = MPoly.variable(("tx",), "tx")
+    ls = LogSeries(4, {(1,): UniSeries(4, [0, 0, 1, 0, 0])})
+    assert apply_to_log_series(ThetaOp(("x",), [((0,), tx)]), ls) == {
+        ((1,), (2,)): 2,
+        ((0,), (2,)): 1,
+    }
+    ls = LogSeries(4, {(1,): UniSeries(4, [1, 0, 0, 0, 0])})
+    assert apply_to_log_series(ThetaOp(("x",), [((1,), tx**2)]), ls) == {}
+
+
+def _log_basis_cases():
+    tx = MPoly.variable(("tx",), "tx")
+    c3 = theta_from_dform("t", c3_dform())
+    return [
+        ("picard", picard_system(), 10, 2, 9),
+        ("pde13", pde13_system(), 10, 2, 9),
+        ("double_root", PdeSystem([ThetaOp(("x",), [((0,), tx**2)])]), 5, 2, 2),
+        ("simple", PdeSystem([ThetaOp(("x",), [((0,), tx)])]), 5, 2, 1),
+        ("shifted_root", PdeSystem([ThetaOp(("x",), [((0,), tx - 3)])]), 5, 0, 1),
+        ("c3", PdeSystem([c3]), 12, 3, 3),
+    ]
+
+
+@pytest.mark.parametrize("case", _log_basis_cases(), ids=lambda case: case[0])
+def test_log_basis_elements_are_annihilated(case):
+    _name, sys, order, max_log, expected = case
+    dim, basis = log_basis(sys, order, max_log)
+    assert dim == len(basis) == expected
+    for element in basis:
+        assert _log_terms(element)
+        for op in sys.ops:
+            assert apply_to_log_series(op, element) == {}
+
+
+def test_log_basis_ignores_operator_scaling():
+    x_op, y_op = picard_system().ops
+    scaled = ThetaOp(x_op.vars, [(e, q * Fraction(-2, 3)) for e, q in x_op.terms])
+    assert scaled != x_op
+    expected = log_basis(picard_system(), 10, 2)
+    assert log_basis(PdeSystem([scaled, y_op]), 10, 2) == expected
+
+
 def test_dform_theta_round_trip_c3():
     coeffs = c3_dform()
     op = theta_from_dform("t", coeffs)
