@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product as _iproduct
+from operator import add as _add
 
 
 class DegreeZero(ValueError):
@@ -61,18 +62,30 @@ class MPoly:
                 clean[t] = clean.get(t, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c}
 
+    @classmethod
+    def _trusted(cls, vars, terms):
+        """Wrap a vars tuple and a terms dict that already hold the invariant.
+
+        The keys are int tuples of length len(vars) and the values nonzero
+        Fractions; nothing is checked, coerced or copied, so only internal
+        paths whose inputs are valid polynomials build results this way.
+        """
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, vars):
-        return cls(vars, {})
+        return cls._trusted(tuple(vars), {})
 
     @classmethod
     def const(cls, vars, c):
         c = Fraction(c)
-        if not c:
-            return cls.zero(vars)
-        return cls(vars, {(0,) * len(tuple(vars)): c})
+        vars = tuple(vars)
+        return cls._trusted(vars, {(0,) * len(vars): c} if c else {})
 
     @classmethod
     def variable(cls, vars, name):
@@ -80,7 +93,7 @@ class MPoly:
         i = vars.index(name)
         e = [0] * len(vars)
         e[i] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
+        return cls._trusted(vars, {tuple(e): Fraction(1)})
 
     # ---- basic queries -------------------------------------------------
 
@@ -123,41 +136,47 @@ class MPoly:
         if self.vars != other.vars:
             raise ValueError("variable mismatch: %r vs %r" % (self.vars, other.vars))
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def _plus(self, other, sign):
+        """self + sign*other for sign 1 or -1: one dict copy, cancelled terms deleted."""
+        if not isinstance(other, MPoly) and isinstance(other, (int, Fraction)):
             other = MPoly.const(self.vars, other)
         self._check(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return MPoly(self.vars, t)
+            _add_term(t, e, c if sign > 0 else -c)
+        return MPoly._trusted(self.vars, t)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.vars, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly) and isinstance(other, (int, Fraction)):
             c = Fraction(other)
+            if c == 1:
+                return self
             if not c:
                 return MPoly.zero(self.vars)
-            return MPoly(self.vars, {e: v * c for e, v in self.terms.items()})
+            return MPoly._trusted(self.vars, {e: v * c for e, v in self.terms.items()})
         self._check(other)
         t = {}
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.vars, t)
+            for e2, c2 in right:
+                e = tuple(map(_add, e1, e2))
+                s = t.get(e)
+                t[e] = c1 * c2 if s is None else s + c1 * c2
+        return MPoly._trusted(self.vars, {e: c for e, c in t.items() if c})
 
     __rmul__ = __mul__
 
@@ -194,10 +213,9 @@ class MPoly:
         t = {}
         for e, c in self.terms.items():
             if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                t[tuple(ne)] = t.get(tuple(ne), Fraction(0)) + c * e[i]
-        return MPoly(self.vars, t)
+                # lowering e[i] by one maps distinct exponents to distinct ones
+                t[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+        return MPoly._trusted(self.vars, t)
 
     def evaluate(self, env) -> Fraction:
         """Value at the point env (name -> rational).
@@ -269,27 +287,25 @@ class MPoly:
     def as_univar(self, var):
         """Coefficient list [c0, c1, ...] w.r.t. var; entries are MPoly."""
         i = self.vars.index(var)
-        d = self.degree(var)
-        coeffs = [MPoly.zero(self.vars) for _ in range(max(d, 0) + 1)]
+        parts = [{} for _ in range(max(self.degree(var), 0) + 1)]
         for e, c in self.terms.items():
-            ne = list(e)
-            k = ne[i]
-            ne[i] = 0
-            coeffs[k] = coeffs[k] + MPoly(self.vars, {tuple(ne): c})
-        return coeffs
+            parts[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
+        return [MPoly._trusted(self.vars, t) for t in parts]
 
     @classmethod
     def from_univar(cls, var, coeffs):
+        """sum coeffs[k] * var^k, the coefficients sharing one vars tuple."""
         if not coeffs:
             raise ValueError("empty coefficient list")
         vars = coeffs[0].vars
         i = vars.index(var)
-        out = cls.zero(vars)
-        x = cls.variable(vars, var)
+        t = {}
         for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                out = out + c * x**k
-        return out
+            if c.terms:
+                c._check(coeffs[0])
+            for e, v in c.terms.items():
+                _add_term(t, e[:i] + (e[i] + k,) + e[i + 1 :], v)
+        return cls._trusted(vars, t)
 
     # ---- normalization ----------------------------------------------------
 
@@ -348,6 +364,19 @@ class MPoly:
         return "MPoly[%s](%s)" % (",".join(self.vars), self.to_str())
 
 
+def _add_term(t, e, c):
+    """t[e] += c in a terms dict, deleting the entry when the sum is zero."""
+    s = t.get(e)
+    if s is None:
+        t[e] = c
+    else:
+        s += c
+        if s:
+            t[e] = s
+        else:
+            del t[e]
+
+
 def _powers(p, n):
     """[1, p, p^2, ..., p^n] for a polynomial p."""
     out = [MPoly.const(p.vars, 1)]
@@ -377,19 +406,23 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
     a._check(b)
     if b.is_constant():
         return a * (1 / b.constant_value())
-    rem = a
+    rem = dict(a.terms)
     q = {}
     lb = b.leading_exps()
     cb = b.terms[lb]
-    while not rem.is_zero():
-        la = rem.leading_exps()
+    # the leading term of b cancels the leading term of rem exactly
+    tail = [(e, c) for e, c in b.terms.items() if e != lb]
+    while rem:
+        la = max(rem, key=_glex_key)
         diff = tuple(x - y for x, y in zip(la, lb))
         if any(d < 0 for d in diff):
             raise ValueError("inexact polynomial division")
-        c = rem.terms[la] / cb
+        c = rem.pop(la) / cb
         q[diff] = c
-        rem = rem - MPoly(a.vars, {diff: c}) * b
-    return MPoly(a.vars, q)
+        for e, v in tail:
+            _add_term(rem, tuple(map(_add, diff, e)), -c * v)
+    # each step lowers the leading term in graded lex, so the keys of q are distinct
+    return MPoly._trusted(a.vars, q)
 
 
 def _list_primitive(coeffs):
@@ -769,11 +802,11 @@ def rref(rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows[:r], pivots
@@ -1063,7 +1096,7 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
                 if cur[0] != 1:
                     unit = unit * Fraction(cur[0]) ** mult
                 continue
-            poly = _ints_to_poly(cur, p.vars, var)
+            poly = MPoly.from_univar(var, [MPoly.const(p.vars, c) for c in cur])
             if poly.leading_coeff() < 0:
                 poly = -poly
                 cur = [-c for c in cur]
@@ -1080,15 +1113,6 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
                 stack.extend(split)
     factors.sort(key=lambda fm: (fm[0].total_degree(), fm[0].canonical_str()))
     return FactorizationResult(unit, factors, remainder)
-
-
-def _ints_to_poly(coeffs, vars, var):
-    x = MPoly.variable(vars, var)
-    out = MPoly.zero(vars)
-    for k, c in enumerate(coeffs):
-        if c:
-            out = out + x**k * c
-    return out
 
 
 def squarefree_decomposition(p, var):
@@ -1116,6 +1140,37 @@ def _unit_den(num, den):
     if den.leading_coeff() < 0:
         c = -c
     return num * (1 / c), den * (1 / c)
+
+
+def _cross_gcd(p, q):
+    """gcd(p, q), or None when it is constant (always so if p or q is constant)."""
+    if p.is_constant() or q.is_constant():
+        return None
+    g = poly_gcd(p, q)
+    return None if g.is_constant() else g
+
+
+def _lowest_product(a, b, c, d):
+    """The RatFun (a/b)*(c/d) of two fractions a/b and c/d in lowest terms.
+
+    With g1 = gcd(a, d) and g2 = gcd(c, b), the result is
+    (a/g1 * c/g2) / (b/g2 * d/g1), already in lowest terms: each factor of
+    the numerator is coprime to each factor of the denominator, because
+    a/g1 divides a (coprime to b) and is coprime to d/g1, and c/g2 divides c
+    (coprime to d) and is coprime to b/g2.  So no gcd of the full products
+    runs, and _unit_den gives the same canonical form as the constructor.
+    """
+    a._check(c)
+    if a.is_zero() or c.is_zero():
+        return RatFun(MPoly.zero(a.vars), b)
+    g1, g2 = _cross_gcd(a, d), _cross_gcd(c, b)
+    if g1 is not None:
+        a, d = divexact(a, g1), divexact(d, g1)
+    if g2 is not None:
+        c, b = divexact(c, g2), divexact(b, g2)
+    out = RatFun.__new__(RatFun)
+    out.num, out.den = _unit_den(a * c, b * d)
+    return out
 
 
 class RatFun:
@@ -1177,7 +1232,7 @@ class RatFun:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _lowest_product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -1185,7 +1240,7 @@ class RatFun:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return _lowest_product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

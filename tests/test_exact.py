@@ -630,3 +630,133 @@ def test_strip_monomials():
     exps, rest = strip_monomials(x + y + 1)
     assert exps == (0, 0)
     assert rest == x + y + 1
+
+
+# ---- arithmetic kernels against sympy, and the public constructor -------------
+
+XYZ = ("x", "y", "z")
+
+
+def _assert_invariant(p, vars):
+    """Keys are int tuples of length len(vars), values nonzero Fractions."""
+    assert p.vars == vars
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(vars)
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is Fraction and c != 0
+
+
+def _small_poly(rng, vars, nterms=5):
+    terms = {}
+    for _ in range(rng.randint(0, nterms)):
+        e = tuple(rng.randint(0, 3) for _ in vars)
+        terms[e] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 5)))
+    return MPoly(vars, terms)
+
+
+def _sympy_of(p, syms):
+    import sympy
+
+    out = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, k in zip(syms, e):
+            term *= s**k
+        out += term
+    return out
+
+
+def test_property_arithmetic_kernels_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    for _ in range(120):
+        vars = XYZ[: rng.randint(1, 3)]
+        syms = sympy.symbols(vars)
+        a, b = _small_poly(rng, vars), _small_poly(rng, vars)
+        sa, sb = _sympy_of(a, syms), _sympy_of(b, syms)
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        sk = sympy.Rational(k.numerator, k.denominator)
+        checks = [
+            (a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (-a, -sa),
+            (a * k, sa * sk), (k * a, sa * sk), (a + k, sa + sk), (k - a, sk - sa),
+            (a * a, sa**2), (a - a, 0),
+        ]
+        checks += [(a.derivative(v), sympy.diff(sa, s)) for v, s in zip(vars, syms)]
+        for ours, want in checks:
+            _assert_invariant(ours, vars)
+            assert sympy.expand(_sympy_of(ours, syms) - want) == 0
+        for v, s in zip(vars, syms):
+            coeffs = a.as_univar(v)
+            want = sympy.Poly(sa, s).all_coeffs()[::-1]
+            assert len(coeffs) == len(want)
+            for c, w in zip(coeffs, want):
+                _assert_invariant(c, vars)
+                assert c.degree(v) <= 0
+                assert sympy.expand(_sympy_of(c, syms) - w) == 0
+            back = MPoly.from_univar(v, coeffs)
+            _assert_invariant(back, vars)
+            assert back == a
+
+
+def test_property_divexact_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1018)
+    inexact = 0
+    for _ in range(120):
+        vars = XYZ[: rng.randint(1, 3)]
+        syms = sympy.symbols(vars)
+        a, b = _small_poly(rng, vars), _small_poly(rng, vars, 3)
+        if b.is_zero():
+            continue
+        for num in (a * b, a * b + _small_poly(rng, vars, 2)):
+            want = sympy.cancel(_sympy_of(num, syms) / _sympy_of(b, syms))
+            if sympy.denom(want).is_number:
+                q = divexact(num, b)
+                _assert_invariant(q, vars)
+                assert sympy.expand(_sympy_of(q, syms) - want) == 0
+            else:
+                inexact += 1
+                with pytest.raises(ValueError, match="inexact polynomial division"):
+                    divexact(num, b)
+    assert inexact > 20
+
+
+def test_public_constructor_validates_and_coerces():
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MPoly(XY, {(1, -1): 1})
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MPoly(XY, {(1,): 1})
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MPoly(XY, {(1, 0, 0): 1})
+    p = MPoly(["x", "y"], {(1, 0): 2, ("1", "0"): Fraction(1, 2), (0, 2): 0, ("0", 1): "3/4"})
+    assert p.vars == XY
+    assert p.terms == {(1, 0): Fraction(5, 2), (0, 1): Fraction(3, 4)}
+    _assert_invariant(p, XY)
+    assert MPoly(XY, {(2, 1): 3, ("2", "1"): -3}).is_zero()
+
+
+def _coprime_pair_with(rng, h):
+    """A RatFun whose numerator or denominator was built with the factor h."""
+    n, d = _small_poly(rng, XY, 3), _small_poly(rng, XY, 3)
+    if d.is_zero():
+        d = MPoly.const(XY, rng.randint(1, 4))
+    return RatFun(n * h, d) if rng.random() < 0.5 else RatFun(n, d * h)
+
+
+def test_property_ratfun_products_match_full_gcd():
+    rng = random.Random(611)
+    for _ in range(80):
+        h = _small_poly(rng, XY, 2) + 1
+        f, g = _coprime_pair_with(rng, h), _coprime_pair_with(rng, h)
+        prod = f * g
+        want = RatFun(f.num * g.num, f.den * g.den)
+        assert (prod.num.terms, prod.den.terms) == (want.num.terms, want.den.terms)
+        _assert_invariant(prod.num, XY)
+        _assert_invariant(prod.den, XY)
+        if g.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f / g
+            continue
+        quo = f / g
+        want = RatFun(f.num * g.den, f.den * g.num)
+        assert (quo.num.terms, quo.den.terms) == (want.num.terms, want.den.terms)

@@ -177,3 +177,20 @@ def test_solve_linear_underdetermined_system():
         assert sum(a * v for a, v in zip(row, x)) == b
     # the free unknown (column 1) is set to zero
     assert x == [Fraction(3), Fraction(0), Fraction(1)]
+
+
+def test_rref_of_sparse_matrices_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4242)
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 30)
+        m = [
+            [rng.randint(-5, 5) if rng.random() < 0.15 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        rows, pivots = rref(m)
+        want, want_pivots = sympy.Matrix(m).rref()
+        assert tuple(pivots) == tuple(want_pivots)
+        for i, row in enumerate(rows):
+            assert all(type(x) is Fraction for x in row)
+            assert row == [Fraction(int(x.p), int(x.q)) for x in want.row(i)]
