@@ -17,6 +17,7 @@ from .exact import (
     discriminant,
     divexact,
     factor_univariate,
+    gcd_list,
     poly_gcd,
     resultant,
     squarefree_decomposition,
@@ -198,41 +199,26 @@ def substitute_compare(c1, map1, c2, map2):
     return MatchReport("distinct", None, n1, n2)
 
 
-def _rational_roots(p, var):
-    """Rational roots of a polynomial in var: (roots, residual, complete)."""
-    fr = factor_univariate(p, var)
-    roots = set()
-    residual = []
-    for f, _mult in fr.factors:
-        if f.degree(var) == 1:
-            coeffs = f.as_univar(var)
-            roots.add(-coeffs[0].constant_value() / coeffs[1].constant_value())
-        else:
-            residual.append(f)
-    if not fr.complete:
-        residual.append(fr.remainder)
-    return roots, residual, fr.complete and not residual
-
-
-def _coeff_content(p, var):
-    """Gcd of the coefficients of p seen as a polynomial in var."""
-    out = MPoly.zero(p.vars)
-    for c in p.as_univar(var):
-        out = poly_gcd(out, c)
-        if out.is_constant() and not out.is_zero():
-            break
-    return out
+def _rational_roots(p, var, residual):
+    """Set of rational roots of a polynomial in var; its other factors go to residual."""
+    roots, others = factor_univariate(p, var).split_roots(var)
+    residual.extend(f for f, _ in others)
+    return {r for r, _ in roots}
 
 
 class SingularPoints:
     """Rational affine singular points plus unresolved eliminant factors."""
 
-    __slots__ = ("points", "residual", "complete")
+    __slots__ = ("points", "residual")
 
-    def __init__(self, points, residual, complete):
+    def __init__(self, points, residual):
         self.points = tuple(points)
         self.residual = tuple(residual)
-        self.complete = complete
+
+    @property
+    def complete(self):
+        """True when no eliminant factor is left unresolved."""
+        return not self.residual
 
     def __repr__(self):
         left = ", ".join("(%s, %s)" % p for p in self.points)
@@ -240,94 +226,47 @@ class SingularPoints:
         return "SingularPoints([%s], %s)" % (left, tag)
 
 
-def _eliminant(G, parts, elim):
-    """Gcd of the resultants of G with each part, eliminating elim."""
-    pieces = []
-    for h in parts:
-        if h.is_zero():
-            return None
-        if h.degree(elim) == 0:
-            pieces.append(h)
-        else:
-            pieces.append(resultant(G, h, elim))
-    out = pieces[0]
-    for h in pieces[1:]:
-        out = poly_gcd(out, h)
-    if out.is_zero():
-        return None
-    return out
+def _core_singularities(G, x, y, residual):
+    """Singular points of a component with no x-only or y-only factors.
 
-
-def _core_singularities(G, x, y):
-    """Singular points of a component with no x-only or y-only factors."""
+    G is squarefree and each of its factors involves x and y, so G shares no
+    factor with G_x or G_y: the resultants below and the sections of G at
+    roots in x are nonzero.
+    """
     gx = G.derivative(x)
     gy = G.derivative(y)
-    ex = _eliminant(G, (gx, gy), y)
-    if ex is None:
-        return set(), [G], False
-    if ex.is_constant():
-        return set(), [], True
-    xs, residual, complete = _rational_roots(ex, x)
+    pieces = [h if h.degree(y) == 0 else resultant(G, h, y) for h in (gx, gy)]
     points = set()
-    for a in xs:
+    for a in _rational_roots(gcd_list(pieces), x, residual):
         sub = {x: MPoly.const(G.vars, a)}
-        g = poly_gcd(poly_gcd(G.substitute(sub), gx.substitute(sub)), gy.substitute(sub))
-        if g.is_constant():
-            continue
-        roots, res, ok = _rational_roots(g, y)
-        residual += res
-        complete = complete and ok
-        points.update((a, b) for b in roots)
-    return points, residual, complete
+        g = gcd_list([G.substitute(sub), gx.substitute(sub), gy.substitute(sub)])
+        points.update((a, b) for b in _rational_roots(g, y, residual))
+    return points
 
 
 def affine_singular_points(curve):
     """Solve F = F_x = F_y = 0: rational points exactly, leftovers reported."""
     x, y = _plane_vars(curve)
     F = curve.poly
-    cx = _coeff_content(F, y)
+    cx = gcd_list(F.as_univar(y))
     rest = divexact(F, cx)
-    cy = _coeff_content(rest, x)
+    cy = gcd_list(rest.as_univar(x))
     core = divexact(rest, cy)
 
-    points = set()
     residual = []
-    complete = True
-
-    def line_roots(content, var):
-        nonlocal complete
-        if content.is_constant():
-            return set()
-        roots, res, ok = _rational_roots(content, var)
-        residual.extend(res)
-        complete = complete and ok
-        return roots
-
-    xs = line_roots(cx, x)
-    ys = line_roots(cy, y)
-    points.update((a, b) for a in xs for b in ys)
-
+    xs = _rational_roots(cx, x, residual)
+    ys = _rational_roots(cy, y, residual)
+    points = {(a, b) for a in xs for b in ys}
+    # core has no factor free of x or of y, so none of its sections is zero
+    for a in xs:
+        sect = core.substitute({x: MPoly.const(F.vars, a)})
+        points.update((a, b) for b in _rational_roots(sect, y, residual))
+    for b in ys:
+        sect = core.substitute({y: MPoly.const(F.vars, b)})
+        points.update((a, b) for a in _rational_roots(sect, x, residual))
     if not core.is_constant():
-        for a in xs:
-            sect = core.substitute({x: MPoly.const(F.vars, a)})
-            if not sect.is_constant():
-                roots, res, ok = _rational_roots(sect, y)
-                residual.extend(res)
-                complete = complete and ok
-                points.update((a, b) for b in roots)
-        for b in ys:
-            sect = core.substitute({y: MPoly.const(F.vars, b)})
-            if not sect.is_constant():
-                roots, res, ok = _rational_roots(sect, x)
-                residual.extend(res)
-                complete = complete and ok
-                points.update((a, b) for a in roots)
-        pts, res, ok = _core_singularities(core, x, y)
-        points.update(pts)
-        residual.extend(res)
-        complete = complete and ok
-
-    return SingularPoints(sorted(points), residual, complete)
+        points.update(_core_singularities(core, x, y, residual))
+    return SingularPoints(sorted(points), residual)
 
 
 class GenusCertificate:

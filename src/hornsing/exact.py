@@ -427,9 +427,7 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
 
 def _list_primitive(coeffs):
     """Split a univariate-view coefficient list into (content, primitive list)."""
-    cont = MPoly.zero(coeffs[0].vars)
-    for c in coeffs:
-        cont = poly_gcd(cont, c)
+    cont = gcd_list(coeffs)
     if cont.is_zero():
         return cont, coeffs
     prim = [divexact(c, cont) for c in coeffs]
@@ -542,12 +540,7 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     A = a.as_univar(main)
     B = b.as_univar(main)
     if _coprime_image(a, b, a.vars.index(main)):
-        g = MPoly.zero(a.vars)
-        for c in A + B:
-            g = poly_gcd(g, c)
-            if not g.is_zero() and g.is_constant():
-                break
-        return g
+        return gcd_list(A + B)
     contA, A = _list_primitive(A)
     contB, B = _list_primitive(B)
     gc = poly_gcd(contA, contB)
@@ -563,6 +556,16 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
         A, B = B, R
     pp = MPoly.from_univar(main, B)
     return (gc * pp).primitive_positive()
+
+
+def gcd_list(polys):
+    """poly_gcd of a nonempty list, folded from zero; it stops at the first nonzero constant."""
+    g = MPoly.zero(polys[0].vars)
+    for p in polys:
+        g = poly_gcd(g, p)
+        if g.is_constant() and not g.is_zero():
+            break
+    return g
 
 
 def resultant(a: MPoly, b: MPoly, var: str) -> MPoly:
@@ -934,6 +937,23 @@ class FactorizationResult:
     def complete(self):
         return self.remainder is None
 
+    def split_roots(self, var):
+        """([(root, mult)] of the linear factors, [(factor, mult)] of the rest).
+
+        The rest keeps the order of `factors`, with the remainder last at
+        multiplicity 1.
+        """
+        roots, others = [], []
+        for f, m in self.factors:
+            if f.degree(var) == 1:
+                c0, c1 = f.as_univar(var)
+                roots.append((-c0.constant_value() / c1.constant_value(), m))
+            else:
+                others.append((f, m))
+        if self.remainder is not None:
+            others.append((self.remainder, 1))
+        return roots, others
+
     def __repr__(self):
         parts = ["%r^%d" % (f.to_str(), m) for f, m in self.factors]
         tail = "" if self.complete else " * [%s]" % self.remainder.to_str()
@@ -1254,9 +1274,12 @@ class RatFun:
         return out
 
     def __pow__(self, n):
+        """self**n.  Powers of coprime num and den stay coprime, so no gcd runs."""
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFun(self.num**n, self.den**n)
+        out = RatFun.__new__(RatFun)
+        out.num, out.den = _unit_den(self.num**n, self.den**n)
+        return out
 
     def _coerce(self, other):
         if isinstance(other, RatFun):

@@ -12,8 +12,8 @@ from .exact import (
     _is_probable_prime,
     divexact,
     factor_univariate,
+    gcd_list,
     nullspace,
-    poly_gcd,
 )
 from .exprio import format_ode_text, parse_ode_text
 from .series import InsufficientOrder, UniSeries
@@ -84,12 +84,9 @@ class UniODE:
     def from_theta(cls, op):
         """Convert a theta-form operator, removing any common polynomial factor."""
         var, coeffs = dform_from_theta(op)
-        nonzero = [p for p in coeffs if not p.is_zero()]
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = poly_gcd(g, p)
+        g = gcd_list(coeffs)
         if not g.is_constant():
-            coeffs = [p if p.is_zero() else divexact(p, g) for p in coeffs]
+            coeffs = [divexact(p, g) for p in coeffs]
         return cls(var, coeffs)
 
     def to_theta(self):
@@ -458,11 +455,10 @@ def guess_ode(s, max_order, max_degree, var="t"):
                 max_degree,
             )
         rows = _theta_rows(weights, nrows, r_star, max_degree)
+        # never None: the r* pass found these columns (same prime, reordered) rank-deficient
         d_star = _first_free_block(
             rows, (r_star + 1) * (max_degree + 1), r_star + 1, p
         )
-        if d_star is None:
-            continue
         exact = [
             [c * k**i for i in range(r_star + 1)] for k, c in enumerate(s.coeffs)
         ]
@@ -504,24 +500,9 @@ def annihilates_series(ode, s):
 def singular_points(ode):
     """Factor the head polynomial; t = 0 multiplicity is reported separately."""
     fac = factor_univariate(ode.head, ode.var)
-    zero_mult = 0
-    rational = []
-    other = []
-    for f, m in fac.factors:
-        if f.total_degree() == 1:
-            cs = f.as_univar(ode.var)
-            b = cs[0].constant_value() if not cs[0].is_zero() else Fraction(0)
-            a = cs[1].constant_value()
-            root = -b / a
-            if root == 0:
-                zero_mult = m
-            else:
-                rational.append((root, m))
-        else:
-            other.append((f, m))
-    if fac.remainder is not None:
-        other.append((fac.remainder, 1))
-    rational.sort()
+    roots, other = fac.split_roots(ode.var)
+    rational = sorted((r, m) for r, m in roots if r != 0)
+    zero_mult = dict(roots).get(0, 0)
     return SingularLocus(
         ode.var, ode.head, zero_mult, rational, other, fac.complete
     )

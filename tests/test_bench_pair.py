@@ -47,3 +47,15 @@ def test_gain_rule_compares_shares_not_counts():
     out = bench_pair.summarize(_rows((2.0, 6, 1), (1.0, 90, 2)), METRICS)["wall_ref_s"]
     assert out["change"]["failed"] > out["parent"]["failed"]
     assert out["gain_rule_met"]
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path):
+    pkg = tmp_path / "src" / "pkg" / "sub"
+    pkg.mkdir(parents=True)
+    (tmp_path / "src" / "top.py").write_text("a = 1\n")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("b = 2\nc = 3\n")
+    (pkg / "deep.py").write_text("\n\nd = 4\n")
+    (pkg / "notes.txt").write_text("not counted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("not counted\n")
+    assert bench_pair.src_lines(tmp_path) == 6

@@ -341,6 +341,82 @@ def test_line_times_conic_sections():
     assert rep.points == ((Fraction(1), Fraction(0)),)
 
 
+def _to_sympy(p, syms):
+    import sympy
+
+    out = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, k in zip(syms, e):
+            term *= s**k
+        out += term
+    return out
+
+
+def _random_component(rng):
+    """A rational line, a conic through a rational point, or a nodal cubic y^2 = x^2 (x + a)."""
+    x, y = xy()
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        return q() * x + rng.choice((0, 1, 2)) * y + q() + (y if rng.random() < 0.5 else x)
+    X, Y = x - q(), y - q()
+    if kind == 1:
+        return q() * X**2 + q() * X * Y + q() * Y**2 + q() * X + rng.choice((1, -2)) * Y
+    return Y**2 - X**2 * (X + q())
+
+
+def _groebner_singular_points(F):
+    """Rational solutions of F = F_x = F_y = 0 from a lex Groebner basis (sympy).
+
+    The basis element free of x gives the candidate y; at each rational y the
+    gcd of the specialized basis gives the x of the points above it.
+    """
+    import sympy
+
+    xs, ys = sympy.symbols("x y")
+    f = _to_sympy(F, (xs, ys))
+    basis = sympy.groebner([f, f.diff(xs), f.diff(ys)], xs, ys, order="lex").exprs
+    (g_y,) = [g for g in basis if not g.has(xs)]
+    points = set()
+    if g_y.is_number:
+        return points
+    for b in sympy.Poly(g_y, ys).ground_roots():
+        g = sympy.Integer(0)
+        for h in basis:
+            g = sympy.gcd(g, h.subs(ys, b))
+        for a in sympy.Poly(g, xs).ground_roots():
+            points.add((Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))))
+    return points
+
+
+def test_singular_points_match_sympy_groebner():
+    pytest.importorskip("sympy")
+    rng = random.Random(7011)
+    done = with_points = partial = 0
+    while done < 36:
+        F = MPoly.const(XY, 1)
+        for _ in range(rng.randint(1, 3)):
+            F = F * _random_component(rng)
+        if F.is_constant() or F.total_degree() > 4:
+            continue
+        curve = Curve(F)
+        rep = affine_singular_points(curve)
+        want = _groebner_singular_points(curve.poly)
+        assert rep.complete == (not rep.residual)
+        if rep.complete:
+            assert set(rep.points) == want
+        else:
+            assert set(rep.points) <= want
+            partial += 1
+        with_points += bool(want)
+        done += 1
+    assert with_points > 10 and partial > 5
+
+
 # ---- genus certificates -------------------------------------------------------
 
 

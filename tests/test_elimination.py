@@ -347,6 +347,9 @@ def test_ratfun_inverse_matches_constructor():
         assert inv.inverse() == r
         cube = r**-3
         assert (cube.num, cube.den) == (ref.num**3, ref.den**3)
+        for n in range(5):
+            power, want = r**n, RatFun(r.num**n, r.den**n)
+            assert (power.num, power.den) == (want.num, want.den)
         done += 1
     zero = RatFun.const(XY, 0)
     with pytest.raises(ZeroDivisionError) as got:

@@ -18,7 +18,8 @@ relative change of the medians, whether that stays inside the metric's
 bound, and whether the gain rule holds (the change wins at least nine tenths
 of the pairs, the medians differ by more than the parent's interquartile
 range, and the change's share of failed jobs is no larger than the
-parent's).
+parent's).  It also gives the line count of src/**/*.py on each side, as
+src_lines, so the net change of src/ can be read off it.
 
 Each --traced WORKLOAD:SEED entry adds one `perfbench/run.py --trace 1` run
 per side, and the output keeps its rows and, for each per-layer metric of
@@ -82,6 +83,11 @@ def extract(rev, dest):
         tar.extractall(Path(dest) / "tree", filter="data")
     archive.unlink()
     return sha
+
+
+def src_lines(tree):
+    """Number of lines (newlines, as wc -l counts them) in src/**/*.py of a tree."""
+    return sum(f.read_bytes().count(b"\n") for f in Path(tree).glob("src/**/*.py"))
 
 
 def run_once(tree, workload, seed, seconds, trace=0):
@@ -180,6 +186,7 @@ def main():
             (Path(tmp) / side).mkdir()
             shas[side] = extract(rev, Path(tmp) / side)
             trees[side] = Path(tmp) / side / "tree"
+        src_counts = {side: src_lines(tree) for side, tree in trees.items()}
         for workload, seed, pairs in args.plan:
             group = []
             for pair in range(pairs):
@@ -205,6 +212,7 @@ def main():
         "change": shas["change"],
         "run_seconds": seconds,
         "command": bench["command"],
+        "src_lines": src_counts,
         "summary": summary,
         "rows": rows,
         "traced": traced,
