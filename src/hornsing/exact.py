@@ -463,65 +463,25 @@ def _pseudo_rem(A, B):
         R[dR] = MPoly.zero(lb.vars)
 
 
-_GCD_IMAGE_TRIES = 3
-
-
-def _coprime_image(a, b, ix):
-    """True when an integer point proves deg_x gcd(a, b) = 0, x = vars[ix] (see poly_gcd).
-
-    The first of _GCD_IMAGE_TRIES fixed points at which both leading
-    coefficients in x are nonzero decides; False sends poly_gcd to the PRS.
-    """
-    n = len(a.vars)
-    for t in range(_GCD_IMAGE_TRIES):
-        point = [2 + k + t * n for k in range(n)]
-        point[ix] = 1
-        fa, fb = _x_image(a, ix, point), _x_image(b, ix, point)
-        if fa[-1] and fb[-1]:
-            return _coprime_over_q(fa, fb)
-    return False
-
-
-def _x_image(p, ix, point):
-    """Coefficient list in x = vars[ix] of p at the point (point[ix] is 1)."""
-    out = [Fraction(0)] * (p.degree(p.vars[ix]) + 1)
-    for e, c in p.terms.items():
-        for v, d in zip(point, e):
-            if d:
-                c *= v**d
-        out[e[ix]] += c
-    return out
-
-
-def _coprime_over_q(f, g):
-    """Whether two univariate Fraction coefficient lists with nonzero leading terms have gcd 1."""
-    f, g = list(f), list(g)
-    while len(g) > 1:
-        while len(f) >= len(g):
-            q = f[-1] / g[-1]
-            shift = len(f) - len(g)
-            for j in range(len(g) - 1):
-                f[shift + j] -= q * g[j]
-            f.pop()
-            while f and not f[-1]:
-                f.pop()
-        if not f:
-            return False
-        f, g = g, f
-    return True
+_HEU_TRIES = 6
 
 
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Primitive positive gcd; poly_gcd(0, 0) = 0.
 
-    Primitive PRS in the first variable x that occurs, after a coprimality
-    exit: at an integer point p for the other variables where both leading
-    coefficients in x are nonzero, if a(x, p) and b(x, p) have a constant gcd
-    over Q, then deg_x gcd(a, b) = 0.  Proof: g = gcd(a, b) divides a, so
-    lc_x(g) divides lc_x(a), hence lc_x(g)(p) != 0 and g(x, p) has the x-degree
-    of g; and g(x, p) divides both images, so it is constant.  The gcd is then
-    the gcd of all x-coefficients of a and b.  At most _GCD_IMAGE_TRIES points
-    are tried before the PRS runs.
+    The heuristic integer gcd GCDHEU runs first, on a and b cleared to
+    integer coefficients with their integer contents split off.  The first
+    variable x that occurs is set to an integer xi, starting at
+    xi = 2*min(|a|, |b|) + 29 with |.| the largest coefficient magnitude;
+    the gcd of the two images is taken the same way, one variable at a
+    time, down to math.gcd; and the candidate G is the integer primitive
+    part of the symmetric base-xi expansion of that gcd in powers of x.
+    For xi > 2*min(|a|, |b|) + 1, a G that divides both a and b is their
+    gcd (B. W. Char, K. O. Geddes and G. H. Gonnet, J. Symbolic Comput. 7,
+    1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    sec. 7.7), so exact integer trial division certifies it.  A candidate
+    that fails grows xi to 73794*xi*floor(xi^(1/4)) // 27011; after
+    _HEU_TRIES failures at any level the primitive PRS in x decides.
     """
     if a.is_zero() and b.is_zero():
         return a
@@ -537,12 +497,11 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
             break
     if main is None:
         return MPoly.const(a.vars, 1)
-    A = a.as_univar(main)
-    B = b.as_univar(main)
-    if _coprime_image(a, b, a.vars.index(main)):
-        return gcd_list(A + B)
-    contA, A = _list_primitive(A)
-    contB, B = _list_primitive(B)
+    g = _heu_gcd(_int_terms(a)[1], _int_terms(b)[1])
+    if g is not None:
+        return MPoly._trusted(a.vars, {e: Fraction(c) for e, c in g.items()}).primitive_positive()
+    contA, A = _list_primitive(a.as_univar(main))
+    contB, B = _list_primitive(b.as_univar(main))
     gc = poly_gcd(contA, contB)
     if _list_degree(A) == 0 or _list_degree(B) == 0:
         return gc.primitive_positive() if not gc.is_zero() else MPoly.const(a.vars, 1)
@@ -556,6 +515,68 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
         A, B = B, R
     pp = MPoly.from_univar(main, B)
     return (gc * pp).primitive_positive()
+
+
+def _heu_gcd(a, b):
+    """A gcd over Z of two nonzero {exponents: int} polynomials, or None (see poly_gcd)."""
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    cont = math.gcd(ca, cb)
+    nvars = len(next(iter(a)))
+    z = next((k for k in range(nvars) if any(e[k] for e in a) or any(e[k] for e in b)), None)
+    if z is None:
+        return {next(iter(a)): cont}
+    a = {e: c // ca for e, c in a.items()}
+    b = {e: c // cb for e, c in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        fa, fb = _eval_slot(a, z, xi), _eval_slot(b, z, xi)
+        if fa and fb:
+            h = _heu_gcd(fa, fb)
+            if h is None:
+                return None
+            g = _lift_slot(h, z, xi)
+            k = math.gcd(*g.values())
+            g = {e: c // k for e, c in g.items()}
+            if _int_divides(g, a) and _int_divides(g, b):
+                return {e: c * cont for e, c in g.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _lift_slot(h, z, xi):
+    """The polynomial whose slot-z coefficients are the symmetric base-xi digits of h's."""
+    out = {}
+    for e, c in h.items():
+        k = 0
+        while c:
+            d = c % xi
+            if 2 * d > xi:
+                d -= xi
+            if d:
+                out[e[:z] + (k,) + e[z + 1 :]] = d
+            c = (c - d) // xi
+            k += 1
+    return out
+
+
+def _int_divides(g, a):
+    """Whether the {exponents: int} polynomial g divides a over Z, by trial division."""
+    lg = max(g)
+    cg = g[lg]
+    if not any(lg):
+        return all(c % cg == 0 for c in a.values())
+    tail = [(e, c) for e, c in g.items() if e != lg]
+    top = [max(e[k] for e in a) - lg[k] for k in range(len(lg))]
+    rem = dict(a)
+    while rem:
+        la = max(rem)
+        diff = tuple(x - y for x, y in zip(la, lg))
+        q, r = divmod(rem.pop(la), cg)
+        if r or any(d < 0 or d > t for d, t in zip(diff, top)):
+            return False
+        for e, c in tail:
+            _add_term(rem, tuple(map(_add, diff, e)), -q * c)
+    return True
 
 
 def gcd_list(polys):
@@ -596,13 +617,17 @@ def resultant(a: MPoly, b: MPoly, var: str) -> MPoly:
 
 def _int_coeff_lists(p, i, d):
     """(l, [c_0..c_d]): l*p = sum c_k * x_i^k, c_k maps exponents (x_i slot 0) to ints."""
-    l = 1
-    for c in p.terms.values():
-        l = l * c.denominator // math.gcd(l, c.denominator)
+    l, t = _int_terms(p)
     coeffs = [{} for _ in range(d + 1)]
-    for e, c in p.terms.items():
-        coeffs[e[i]][e[:i] + (0,) + e[i + 1 :]] = int(c * l)
+    for e, c in t.items():
+        coeffs[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
     return l, coeffs
+
+
+def _int_terms(p):
+    """(l, t): l the lcm of p's coefficient denominators, t = l*p as an {exponents: int} dict."""
+    l = math.lcm(*(c.denominator for c in p.terms.values()))
+    return l, {e: c.numerator * (l // c.denominator) for e, c in p.terms.items()}
 
 
 def _sylvester_det(ca, cb, nvars):
@@ -974,6 +999,15 @@ def _eval_int(coeffs, x):
     return v
 
 
+def _eval_hom(coeffs, p, q):
+    """q^n * f(p/q) in integers, f = sum coeffs[k] x^k of degree n, by homogeneous Horner."""
+    v, qk = 0, 1
+    for c in reversed(coeffs):
+        v = v * p + c * qk
+        qk *= q
+    return v
+
+
 def _rational_roots(coeffs):
     """All rational roots with multiplicity of a primitive integer coefficient list."""
     roots = []
@@ -991,7 +1025,7 @@ def _rational_roots(coeffs):
                 for sp in (p, -p):
                     if math.gcd(abs(sp), q) != 1:
                         continue
-                    if _eval_int(coeffs, Fraction(sp, q)) == 0:
+                    if _eval_hom(coeffs, sp, q) == 0:
                         found = (sp, q)
                         break
                 if found:
@@ -1007,7 +1041,7 @@ def _rational_roots(coeffs):
                 break
             coeffs = nxt
             mult += 1
-            if len(coeffs) == 1 or _eval_int(coeffs, Fraction(*found)) != 0:
+            if len(coeffs) == 1 or _eval_hom(coeffs, *found) != 0:
                 break
         if mult == 0:
             break

@@ -9,16 +9,17 @@ checked against the Fraction Vandermonde solve it replaced, and the integer
 rank against the rank rref reports.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from hornsing import exact
 from hornsing.exact import (
     DegreeZero,
     MPoly,
     RatFun,
-    _coprime_image,
     _int_det,
     _int_rank,
     _newton_int,
@@ -76,24 +77,127 @@ def _outcome(fn, *args):
 # ---- sympy oracles -----------------------------------------------------------
 
 
-def test_poly_gcd_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+def _gcd_cases():
+    """120 seeded pairs in 1-3 variables, about half with a planted common factor."""
     rng = random.Random(6001)
-    nontrivial = 0
     for _ in range(120):
         vars = XYT[: rng.randint(1, 3)]
-        syms = sympy.symbols(" ".join(vars), seq=True)
         f, g = _rand_poly(rng, vars, 2), _rand_poly(rng, vars, 2)
         if rng.random() < 0.5:
             h = _rand_poly(rng, vars, 1, nterms=3)
             f, g = f * h, g * h
-        if f.is_zero() and g.is_zero():
-            continue
+        if not (f.is_zero() and g.is_zero()):
+            yield vars, f, g
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    nontrivial = 0
+    for vars, f, g in _gcd_cases():
+        syms = sympy.symbols(" ".join(vars), seq=True)
         ours = poly_gcd(f, g)
         theirs = sympy.gcd(_to_sympy(f, syms), _to_sympy(g, syms))
         assert ours == _from_sympy(theirs, vars, syms).primitive_positive()
         nontrivial += not ours.is_constant()
     assert nontrivial > 30
+
+
+def _planted_gcd_pair(rng, vars, nterms):
+    """(h*u, h*v, h) for seeded h of degree <= 2 and u, v of degree <= 4 per variable.
+
+    The coefficients have numerators up to 10^6 over small denominators, so
+    both products have degree up to 6 per variable.
+    """
+    h = _rand_poly(rng, vars, 2, nterms=4, bound=10**6)
+    u = _rand_poly(rng, vars, 4, nterms=nterms, bound=10**6)
+    v = _rand_poly(rng, vars, 4, nterms=nterms + 1, bound=10**6)
+    return h * u, h * v, h
+
+
+def test_poly_gcd_heuristic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(6011)
+    cases = [_planted_gcd_pair(rng, XYT[:n], rng.randint(4, 8)) for n in (2, 2, 2, 2, 3, 3, 3, 3)]
+    # two trivariate products of 30 and 35 terms, degree 6 in each
+    # variable: the primitive PRS takes minutes on this pair
+    cases.append(_planted_gcd_pair(random.Random(2), XYT, 8))
+    big = cases[-1]
+    assert (len(big[0].terms), len(big[1].terms)) == (30, 35)
+    assert all(p.degree(v) == 6 for p in big[:2] for v in XYT)
+    for f, g, h in cases:
+        assert not h.is_constant()
+        syms = sympy.symbols(" ".join(f.vars), seq=True)
+        ours = poly_gcd(f, g)
+        theirs = sympy.gcd(_to_sympy(f, syms), _to_sympy(g, syms))
+        assert ours == _from_sympy(theirs, f.vars, syms).primitive_positive()
+        divexact(ours, h)  # raises unless the planted factor divides the gcd
+
+
+def test_poly_gcd_heuristic_grows_xi_past_large_gcd_coefficients(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    x, y, t = (MPoly.variable(XYT, v) for v in XYT)
+
+    def in_each(coeffs):
+        out = MPoly.const(XYT, 1)
+        for z in (x, y, t):
+            out = out * sum((c * z**k for k, c in enumerate(coeffs)), MPoly.zero(XYT))
+        return out
+
+    # p = x^6 - x^5 - x^4 + x^2 + x - 1 = (x - 1)^3 (x^3 + 2x^2 + 2x + 1)
+    a = in_each([-1, 1, 1, 0, -1, -1, 1])
+    h = in_each([-1, 3, -3, 1])
+    b = h * (x + y + t + 2)
+    # |a| = 1 gives xi = 31 first, but h has the coefficient 27 > 31/2, so
+    # the first candidate fails its trial division and xi grows
+    assert max(abs(c) for c in a.terms.values()) == 1
+    assert max(abs(c) for c in h.terms.values()) == 27
+    lifts = []
+    lift = exact._lift_slot
+
+    def spy(poly, z, xi):
+        if z == 0:
+            lifts.append(xi)
+        return lift(poly, z, xi)
+
+    monkeypatch.setattr(exact, "_lift_slot", spy)
+    got = poly_gcd(a, b)
+    assert got == h.primitive_positive()
+    assert lifts[0] == 31 and lifts[-1] > 2 * 27
+    syms = sympy.symbols("x y t", seq=True)
+    theirs = sympy.gcd(_to_sympy(a, syms), _to_sympy(b, syms))
+    assert got == _from_sympy(theirs, XYT, syms).primitive_positive()
+
+
+def test_poly_gcd_symmetric_lift_inverts_evaluation():
+    rng = random.Random(6013)
+    for _ in range(40):
+        xi = rng.choice((31, 32, 1001, 10**12 + 1))
+        # symmetric digits lie in (-xi/2, xi/2]; the extremes are included
+        lo, hi = -((xi - 1) // 2), xi // 2
+        g = {}
+        for _ in range(rng.randint(1, 8)):
+            e = tuple(rng.randint(0, 6) for _ in XYT)
+            g[e] = rng.choice((lo, hi, rng.randint(lo, hi))) or 1
+        for z in range(3):
+            assert exact._lift_slot(exact._eval_slot(g, z, xi), z, xi) == g
+
+
+def test_poly_gcd_prs_fallback_matches_heuristic(monkeypatch):
+    cases = list(_gcd_cases())
+    rng = random.Random(6017)
+    cases += [(None,) + _planted_gcd_pair(rng, XY, 3)[:2] for _ in range(4)]
+    heuristic = [poly_gcd(f, g) for _, f, g in cases]
+    prs_calls = []
+    pseudo_rem = exact._pseudo_rem
+
+    def spy(A, B):
+        prs_calls.append(1)
+        return pseudo_rem(A, B)
+
+    monkeypatch.setattr(exact, "_HEU_TRIES", 0)
+    monkeypatch.setattr(exact, "_pseudo_rem", spy)
+    assert [poly_gcd(f, g) for _, f, g in cases] == heuristic
+    assert len(prs_calls) > 100
 
 
 def test_resultant_matches_sympy_sylvester_determinant():
@@ -162,6 +266,46 @@ def test_factor_univariate_matches_sympy():
             for f, _ in res.factors:
                 assert sympy.Poly(_to_sympy(f, (ts,)), ts).is_irreducible
     assert complete > 30
+
+
+def _mul_int_lists(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_integer_test_matches_fraction_reference(monkeypatch):
+    rng = random.Random(6019)
+    cases, planted = [], []
+    for _ in range(40):
+        # leading and trailing coefficients with many divisors, a sign
+        # drawn at random, roots of multiplicity up to 3
+        coeffs = [rng.choice((-1, 1)) * rng.choice((1, 6, 12, 36, 360))]
+        roots = set()
+        for _ in range(rng.randint(1, 4)):
+            p, q = rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6)
+            roots.add(Fraction(p, q))
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                coeffs = _mul_int_lists(coeffs, [-p, q])
+        coeffs = _mul_int_lists(coeffs, [rng.choice((-5, 7, 12)), rng.randint(-3, 3), 1])
+        content = math.gcd(*coeffs)
+        cases.append([c // content for c in coeffs])
+        planted.append(roots)
+    for coeffs in cases:
+        n = len(coeffs) - 1
+        for _ in range(5):
+            p, q = rng.randint(-50, 50), rng.randint(1, 50)
+            assert exact._eval_hom(coeffs, p, q) == q**n * exact._eval_int(coeffs, Fraction(p, q))
+    got = [exact._rational_roots(c) for c in cases]
+    for (roots, _, _), want in zip(got, planted):
+        assert want <= {r for r, _ in roots}
+    assert any(m > 1 for roots, _, _ in got for _, m in roots)
+    monkeypatch.setattr(
+        exact, "_eval_hom", lambda coeffs, p, q: exact._eval_int(coeffs, Fraction(p, q))
+    )
+    assert [exact._rational_roots(c) for c in cases] == got
 
 
 # ---- the resultant against the fraction-free reference --------------------------
@@ -301,10 +445,8 @@ def test_poly_gcd_falls_through_when_every_image_point_is_singular():
     lead = (y - 3) * (y - 5) * (y - 7)
     h = lead * x + 1
     a, b = h * (x + y), h * (x - 2 * y + 1)
-    assert not _coprime_image(a, b, 0)
     assert poly_gcd(a, b) == h.primitive_positive()
     c, d = lead * x**2 + 1, x + y
-    assert not _coprime_image(c, d, 0)
     assert poly_gcd(c, d) == MPoly.const(XY, 1)
 
 
