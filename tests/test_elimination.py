@@ -6,7 +6,9 @@ not installed) on seeded random inputs, and the resultant also against the
 fraction-free Bareiss determinant of the MPoly Sylvester matrix written out
 below as the reference.  The integer interpolation of the Kronecker split is
 checked against the Fraction Vandermonde solve it replaced, and the integer
-rank against the rank rref reports.
+rank against the rank rref reports.  The heuristic gcd is checked against
+the PRS it falls back to, and the integer rational-root test against the
+Fraction evaluation it replaced.
 """
 
 import math
@@ -33,6 +35,7 @@ from hornsing.exact import (
 )
 from hornsing.exprio import expr_to_ratfun, parse_expr
 from hornsing.horn import HornMaps, IdenticallyZeroResultant, eliminate
+from hornsing.odeguess import _poly_mul
 
 XY = ("x", "y")
 XYT = ("x", "y", "t")
@@ -119,7 +122,7 @@ def test_poly_gcd_heuristic_matches_sympy():
     rng = random.Random(6011)
     cases = [_planted_gcd_pair(rng, XYT[:n], rng.randint(4, 8)) for n in (2, 2, 2, 2, 3, 3, 3, 3)]
     # two trivariate products of 30 and 35 terms, degree 6 in each
-    # variable: the primitive PRS takes minutes on this pair
+    # variable: the primitive PRS runs for more than five minutes on this pair
     cases.append(_planted_gcd_pair(random.Random(2), XYT, 8))
     big = cases[-1]
     assert (len(big[0].terms), len(big[1].terms)) == (30, 35)
@@ -268,14 +271,6 @@ def test_factor_univariate_matches_sympy():
     assert complete > 30
 
 
-def _mul_int_lists(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def test_rational_roots_integer_test_matches_fraction_reference(monkeypatch):
     rng = random.Random(6019)
     cases, planted = [], []
@@ -288,8 +283,8 @@ def test_rational_roots_integer_test_matches_fraction_reference(monkeypatch):
             p, q = rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6)
             roots.add(Fraction(p, q))
             for _ in range(rng.choice((1, 1, 2, 3))):
-                coeffs = _mul_int_lists(coeffs, [-p, q])
-        coeffs = _mul_int_lists(coeffs, [rng.choice((-5, 7, 12)), rng.randint(-3, 3), 1])
+                coeffs = _poly_mul(coeffs, [-p, q])
+        coeffs = _poly_mul(coeffs, [rng.choice((-5, 7, 12)), rng.randint(-3, 3), 1])
         content = math.gcd(*coeffs)
         cases.append([c // content for c in coeffs])
         planted.append(roots)
@@ -441,7 +436,7 @@ def test_poly_gcd_zero_coefficient_is_not_a_unit():
 
 def test_poly_gcd_falls_through_when_every_image_point_is_singular():
     x, y = MPoly.variable(XY, "x"), MPoly.variable(XY, "y")
-    # the leading coefficient in x vanishes at y = 3, 5 and 7, the points tried
+    # the leading coefficient in x vanishes at the integer points y = 3, 5 and 7
     lead = (y - 3) * (y - 5) * (y - 7)
     h = lead * x + 1
     a, b = h * (x + y), h * (x - 2 * y + 1)
