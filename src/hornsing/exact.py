@@ -27,13 +27,11 @@ class ZeroInput(ValueError):
     """Operation is undefined for the zero polynomial."""
 
 
-def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd on rationals: gcd of numerators over lcm of denominators, >= 0."""
-    if a == 0 and b == 0:
-        return Fraction(0)
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+def _clear(values):
+    """(l, ints): l the lcm of the denominators of the rationals values, ints = [l*v]."""
+    values = list(values)
+    l = math.lcm(*(v.denominator for v in values))
+    return l, [v.numerator * (l // v.denominator) for v in values]
 
 
 def _glex_key(exps):
@@ -228,16 +226,14 @@ class MPoly:
         terms = self.terms
         if not terms:
             return Fraction(0)
-        cden = math.lcm(*(c.denominator for c in terms.values()))
-        den = cden
+        den, ints = _clear(terms.values())
         tables = []
         for i, x in enumerate(point):
             num, xden, deg = x.numerator, x.denominator, max(e[i] for e in terms)
             tables.append([num**k * xden ** (deg - k) for k in range(deg + 1)])
             den *= xden**deg
         total = 0
-        for e, c in terms.items():
-            term = c.numerator * (cden // c.denominator)
+        for e, term in zip(terms, ints):
             for table, k in zip(tables, e):
                 term *= table[k]
             total += term
@@ -292,6 +288,19 @@ class MPoly:
             parts[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
         return [MPoly._trusted(self.vars, t) for t in parts]
 
+    def coeff_list(self, var):
+        """Rational coefficients [c0, c1, ...] of a polynomial in var alone; [0] for zero.
+
+        Raises ValueError when another variable occurs.
+        """
+        i = self.vars.index(var)
+        out = [Fraction(0)] * (max(self.degree(var), 0) + 1)
+        for e, c in self.terms.items():
+            if any(e[:i]) or any(e[i + 1 :]):
+                raise ValueError("polynomial has a variable other than %r" % var)
+            out[e[i]] = c
+        return out
+
     @classmethod
     def from_univar(cls, var, coeffs):
         """sum coeffs[k] * var^k, the coefficients sharing one vars tuple."""
@@ -311,10 +320,8 @@ class MPoly:
 
     def content(self) -> Fraction:
         """Positive rational content (0 for the zero polynomial)."""
-        c = Fraction(0)
-        for v in self.terms.values():
-            c = frac_gcd(c, v)
-        return c
+        l, ints = _clear(self.terms.values())
+        return Fraction(math.gcd(*ints), l)
 
     def primitive_positive(self):
         """Divide out the content and fix a positive graded-lex leading coefficient."""
@@ -431,9 +438,8 @@ def _list_primitive(coeffs):
     if cont.is_zero():
         return cont, coeffs
     prim = [divexact(c, cont) for c in coeffs]
-    fc = Fraction(0)
-    for c in prim:
-        fc = frac_gcd(fc, c.content())
+    l, ints = _clear(v for c in prim for v in c.terms.values())
+    fc = Fraction(math.gcd(*ints), l)
     if fc and fc != 1:
         prim = [c * (1 / fc) for c in prim]
     return cont, prim
@@ -626,8 +632,8 @@ def _int_coeff_lists(p, i, d):
 
 def _int_terms(p):
     """(l, t): l the lcm of p's coefficient denominators, t = l*p as an {exponents: int} dict."""
-    l = math.lcm(*(c.denominator for c in p.terms.values()))
-    return l, {e: c.numerator * (l // c.denominator) for e, c in p.terms.items()}
+    l, ints = _clear(p.terms.values())
+    return l, dict(zip(p.terms, ints))
 
 
 def _sylvester_det(ca, cb, nvars):
@@ -971,8 +977,8 @@ class FactorizationResult:
         roots, others = [], []
         for f, m in self.factors:
             if f.degree(var) == 1:
-                c0, c1 = f.as_univar(var)
-                roots.append((-c0.constant_value() / c1.constant_value(), m))
+                c0, c1 = f.coeff_list(var)
+                roots.append((-c0 / c1, m))
             else:
                 others.append((f, m))
         if self.remainder is not None:
@@ -986,10 +992,10 @@ class FactorizationResult:
 
 
 def _uni_coeff_ints(p, var):
-    cont = p.content()
-    prim = p * (1 / cont)
-    coeffs = [c.constant_value() for c in prim.as_univar(var)]
-    return cont, [int(c) for c in coeffs]
+    """(content, primitive integer coefficient list) of a nonzero polynomial in var alone."""
+    l, ints = _clear(p.coeff_list(var))
+    g = math.gcd(*ints)
+    return Fraction(g, l), [c // g for c in ints]
 
 
 def _eval_int(coeffs, x):
@@ -997,6 +1003,39 @@ def _eval_int(coeffs, x):
     for c in reversed(coeffs):
         v = v * x + c
     return v
+
+
+def _mul_trunc(a, b, order):
+    """Product of two coefficient lists (Fractions or ints) through t^order."""
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if i > order:
+            break
+        if not ai:
+            continue
+        top = order - i
+        for j, bj in enumerate(b):
+            if j > top:
+                break
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_add(acc, a, f):
+    """acc += f * a on integer coefficient lists, lowest degree first."""
+    if len(acc) < len(a):
+        acc.extend([0] * (len(a) - len(acc)))
+    for i, x in enumerate(a):
+        if x:
+            acc[i] += f * x
+
+
+def _poly_trim(a):
+    """Drop the trailing zeros of a coefficient list in place, keeping one entry."""
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
 
 
 def _eval_hom(coeffs, p, q):
@@ -1107,8 +1146,8 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
     """Factor over Q: content, var powers, rational roots, small Kronecker splits.
 
     Residual quadratics and cubics without rational roots are irreducible and
-    land in `factors`; anything the bounded search cannot split is returned as
-    `remainder` (the UnfactoredRemainder case).
+    land in `factors`; the part the bounded search cannot split is returned
+    unsplit as `remainder`.
     """
     if p.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
@@ -1121,6 +1160,7 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
     work = p * (1 / unit)
     factors = []
     x = MPoly.variable(p.vars, var)
+    (xe,) = x.terms
     k = min((e[p.vars.index(var)] for e in work.terms), default=0)
     if k:
         factors.append((x, k))
@@ -1150,7 +1190,7 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
                 if cur[0] != 1:
                     unit = unit * Fraction(cur[0]) ** mult
                 continue
-            poly = MPoly.from_univar(var, [MPoly.const(p.vars, c) for c in cur])
+            poly = MPoly(p.vars, {tuple(d * i for i in xe): c for d, c in enumerate(cur)})
             if poly.leading_coeff() < 0:
                 poly = -poly
                 cur = [-c for c in cur]

@@ -7,9 +7,13 @@ from itertools import islice, repeat
 from .exact import (
     MPoly,
     ZeroInput,
+    _clear,
     _eval_int,
     _int_rank,
     _is_probable_prime,
+    _mul_trunc,
+    _poly_add,
+    _poly_trim,
     divexact,
     factor_univariate,
     gcd_list,
@@ -56,18 +60,9 @@ class UniODE:
             coeffs.pop()
         if not coeffs:
             raise ZeroInput("zero operator")
-        den = 1
-        for p in coeffs:
-            for c in p.terms.values():
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        num = 0
-        for p in coeffs:
-            for c in p.terms.values():
-                num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
-        scale = Fraction(den, num if num else 1)
-        head = coeffs[-1].as_univar(var)
-        trail = next(c for c in head if not c.is_zero()).constant_value()
-        if trail < 0:
+        den, ints = _clear(c for p in coeffs for c in p.terms.values())
+        scale = Fraction(den, math.gcd(*ints))
+        if next(c for c in coeffs[-1].coeff_list(var) if c) < 0:
             scale = -scale
         self.var = var
         self.coeffs = tuple(p * scale for p in coeffs)
@@ -102,13 +97,7 @@ class UniODE:
 
     def coeff_lists(self):
         """Fraction coefficient lists of p_0..p_r, lowest degree first."""
-        out = []
-        for p in self.coeffs:
-            if p.is_zero():
-                out.append([Fraction(0)])
-            else:
-                out.append([c.constant_value() for c in p.as_univar(self.var)])
-        return out
+        return [p.coeff_list(self.var) for p in self.coeffs]
 
     def apply(self, s):
         """Exact image of a truncated series; the order drops by the ODE order."""
@@ -337,8 +326,7 @@ def _rat_recon(u, modulus):
 def _primitive(vec):
     """Integer multiple of a nonzero rational vector with content 1 and a
     positive first nonzero entry."""
-    den = math.lcm(*(c.denominator for c in vec))
-    ints = [int(c * den) for c in vec]
+    _, ints = _clear(vec)
     g = math.gcd(*ints)
     if next(v for v in ints if v) < 0:
         g = -g
@@ -467,14 +455,9 @@ def guess_ode(s, max_order, max_degree, var="t"):
         if vec is None:
             continue
         tname = "t" + var
-        theta = MPoly.variable((tname,), tname)
         terms = []
         for a in range(d_star + 1):
-            q = MPoly.zero((tname,))
-            for i in range(r_star + 1):
-                c = vec[a * (r_star + 1) + i]
-                if c:
-                    q = q + theta**i * c
+            q = MPoly((tname,), {(i,): vec[a * (r_star + 1) + i] for i in range(r_star + 1)})
             if not q.is_zero():
                 terms.append(((a,), q))
         ode = UniODE.from_theta(ThetaOp((var,), terms))
@@ -508,30 +491,26 @@ def singular_points(ode):
     )
 
 
-def _shifted_coeffs(ode, t0):
-    """Coefficient lists of p_0(t0 + s)..p_r(t0 + s), lowest degree first."""
-    out = []
-    for p in ode.coeffs:
-        q = p.shift(ode.var, t0)
-        if q.is_zero():
-            out.append([Fraction(0)])
-        else:
-            out.append([c.constant_value() for c in q.as_univar(ode.var)])
-    return out
-
-
 def local_basis(ode, t0, N):
     """Fundamental system at an ordinary point, as series in s = t - t0.
 
     The r = ode.order solutions have unit-vector initial segments and are
-    produced by the coefficient recurrence of the shifted equation.
+    produced by the coefficient recurrence of the shifted equation.  An N
+    below ode.order - 1 leaves no room for those segments and raises
+    InsufficientOrder.
     """
     t0 = Fraction(t0)
     head_val = ode.head.evaluate({ode.var: t0})
     if head_val == 0:
         raise SingularPoint("head polynomial vanishes at %s" % t0)
-    shifted = _shifted_coeffs(ode, t0)
     r = ode.order
+    if N < r - 1:
+        raise InsufficientOrder(
+            "local basis of order %d needs N >= %d, have %d" % (r, r - 1, N),
+            needed=r - 1,
+            have=N,
+        )
+    shifted = [p.shift(ode.var, t0).coeff_list(ode.var) for p in ode.coeffs]
     basis = []
     for unit in range(r):
         a = [0] * (N + 1)
@@ -552,30 +531,6 @@ def local_basis(ode, t0, N):
 
 # ---------------------------------------------------------------------------
 # Exterior and symmetric square orders by an exact rank certificate
-
-
-def _poly_add(acc, a, f):
-    """acc += f * a on integer coefficient lists, lowest degree first."""
-    if len(acc) < len(a):
-        acc.extend([0] * (len(a) - len(acc)))
-    for i, x in enumerate(a):
-        if x:
-            acc[i] += f * x
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_trim(a):
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return a
 
 
 def _square_order(ode, pairs):
@@ -629,10 +584,13 @@ def _square_order(ode, pairs):
     vs = [v]
     points = [0]
     while len(points) < n:
-        nxt = [_poly_mul(p[r], [k * c for k, c in enumerate(x)][1:] or [0]) for x in v]
+        nxt = []
+        for x in v:
+            dx = [k * c for k, c in enumerate(x)][1:] or [0]
+            nxt.append(_mul_trunc(p[r], dx, len(p[r]) + len(dx) - 2))
         for i, x in enumerate(v):
             for j, f, q in scaled[i]:
-                _poly_add(nxt[j], _poly_mul(x, p[q]), f)
+                _poly_add(nxt[j], _mul_trunc(x, p[q], len(x) + len(p[q]) - 2), f)
         v = [_poly_trim(x) for x in nxt]
         vs.append(v)
         bound = sum(max(len(x) for x in w) - 1 for w in vs)

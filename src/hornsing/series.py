@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import MPoly, RatFun, _eval_int
+from .exact import MPoly, RatFun, _clear, _eval_int, _mul_trunc, _poly_add
 from .exprio import EvaluationError, eval_expr, expr_to_ratfun
 
 NM = ("n", "m")
@@ -226,8 +226,8 @@ def _int_slice(r, axis, value):
         for e, c in p.terms.items():
             row[e[1 - axis]] += c * value ** e[axis]
         rows.append(row)
-    scale = math.lcm(*(c.denominator for row in rows for c in row))
-    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+    _, ints = _clear(rows[0] + rows[1])
+    return ints[: len(rows[0])], ints[len(rows[0]) :]
 
 
 def _ratio(num, den, x, n, m):
@@ -275,30 +275,13 @@ def expand_spec(spec, order):
     return expand_from_formula(spec.coeff, order, spec.params, spec.vars)
 
 
-def _mul_trunc(a, b, order):
-    """Product of two coefficient lists (Fractions or ints) through t^order."""
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        if not ai:
-            continue
-        top = order - i
-        for j, bj in enumerate(b):
-            if j > top:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def ratfun_series(r, order):
     """Taylor coefficients of a univariate rational function at the origin."""
     if len(r.num.vars) != 1:
         raise ValueError("need a univariate rational function")
     var = r.num.vars[0]
-    num = [p.constant_value() for p in r.num.as_univar(var)]
-    den = [p.constant_value() for p in r.den.as_univar(var)]
+    num = r.num.coeff_list(var)
+    den = r.den.coeff_list(var)
     if den[0] == 0:
         raise NonzeroAtOrigin("map has a pole at the origin")
     num += [Fraction(0)] * (order + 1 - len(num))
@@ -320,8 +303,9 @@ def restrict(b, xp, yp, order):
 
     The sum is taken in integers: each map's series is cleared to integers
     over a denominator L, so its power k is an integer list over L^k, and
-    row n, sum_m c_{n,m} yp^m, is an integer list over the lcm of
-    den(c_{n,m}) L_y^m.  One Fraction is built per t-coefficient.
+    row n, sum_m c_{n,m} yp^m, is an integer list over l L_y^M, with l the
+    lcm of the den(c_{n,m}) and M the largest m in the row.  One Fraction is
+    built per t-coefficient.
     """
     maps = []
     for r in (xp, yp):
@@ -342,14 +326,13 @@ def restrict(b, xp, yp, order):
             )
     tables, scales = [], []
     for coeffs, val in zip(maps, vals):
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        scale, ints = _clear(coeffs)
         table = [[1] + [0] * order]
         while val is not None and len(table) * val <= order:
             table.append(_mul_trunc(table[-1], ints, order))
         tables.append(table)
         scales.append(scale)
-    (xpow, ypow), (lx, ly), vy = tables, scales, vals[1]
+    (xpow, ypow), (lx, ly) = tables, scales
     parts = []
     for n in range(len(xpow)):
         terms = []
@@ -359,20 +342,16 @@ def restrict(b, xp, yp, order):
                 terms.append((m, c))
         if not terms:
             continue
-        den = math.lcm(*(c.denominator * ly**m for m, c in terms))
+        den, ws = _clear(c for _, c in terms)
+        top = terms[-1][0]
         row = [0] * (order + 1)
-        for m, c in terms:
-            w = c.numerator * (den // (c.denominator * ly**m))
-            ym = ypow[m]
-            for k in range(m * vy if m else 0, order + 1):
-                row[k] += w * ym[k]
-        parts.append((_mul_trunc(xpow[n], row, order), lx**n * den))
+        for (m, _), w in zip(terms, ws):
+            _poly_add(row, ypow[m], w * ly ** (top - m))
+        parts.append((_mul_trunc(xpow[n], row, order), lx**n * ly**top * den))
     common = math.lcm(*(d for _, d in parts))
     total = [0] * (order + 1)
     for part, d in parts:
-        scale = common // d
-        for k, v in enumerate(part):
-            total[k] += v * scale
+        _poly_add(total, part, common // d)
     return UniSeries(order, [Fraction(v, common) for v in total])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, perm
 
-from .exact import MPoly, rref
+from .exact import MPoly, _clear, rref
 from .exprio import format_operator_text, parse_operator_text
 from .series import BiSeries, InsufficientOrder, UniSeries
 
@@ -269,20 +269,19 @@ def dform_from_theta(op):
     if len(op.vars) != 1:
         raise ValueError("D-form conversion is univariate")
     var = op.vars[0]
-    uv = (var,)
-    t = MPoly.variable(uv, var)
     rmax = max(q.total_degree() for _, q in op.terms)
     s2 = _stirling2(rmax)
-    out = [MPoly.zero(uv) for _ in range(rmax + 1)]
+    out = [{} for _ in range(rmax + 1)]
     for (a,), q in op.terms:
-        for r, qr in enumerate(q.as_univar(op.theta_vars[0])):
-            c = qr.constant_value() if not qr.is_zero() else Fraction(0)
+        for r, c in enumerate(q.coeff_list(op.theta_vars[0])):
             if not c:
                 continue
             for j in range(r + 1):
                 w = s2[r][j]
                 if w:
-                    out[j] = out[j] + c * w * t ** (a + j)
+                    key = (a + j,)
+                    out[j][key] = out[j].get(key, 0) + c * w
+    out = [MPoly((var,), t) for t in out]
     while len(out) > 1 and out[-1].is_zero():
         out.pop()
     return var, out
@@ -381,7 +380,7 @@ def log_basis(sys, order, max_log):
     logset = set(logidx)
     partials = []
     for op in sys.ops:
-        scale = lcm(*(c.denominator for _, q in op.terms for c in q.terms.values()))
+        scale, _ = _clear(c for _, q in op.terms for c in q.terms.values())
         partials.append(
             [(exps, _scaled_partials(q * scale, theta_vars, max_log)) for exps, q in op.terms]
         )

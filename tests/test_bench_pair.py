@@ -10,8 +10,9 @@ _SPEC.loader.exec_module(bench_pair)
 METRICS = [{"name": "wall_ref_s", "unit": "s", "bound": 0.25, "better": "lower"}]
 
 
-def _rows(parent, change):
-    """Ten pairs of synthetic results; each side is (wall, attempted, failed) per run."""
+def _rows(parent, change, spread=0.01):
+    """Ten pairs of synthetic results; each side is (wall, attempted, failed) per run,
+    and run `pair` of each side adds spread * pair to its wall."""
     rows = []
     for pair in range(10):
         for side, (wall, attempted, failed) in (("parent", parent), ("change", change)):
@@ -21,7 +22,7 @@ def _rows(parent, change):
                 "result": {
                     "attempted": attempted,
                     "failed": failed,
-                    "metrics": {"wall_ref_s": {"value": wall + 0.01 * pair}},
+                    "metrics": {"wall_ref_s": {"value": wall + spread * pair}},
                 },
             })
     return rows
@@ -59,3 +60,25 @@ def test_src_lines_counts_python_files_under_src(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_x.py").write_text("not counted\n")
     assert bench_pair.src_lines(tmp_path) == 6
+
+
+def test_unresolved_when_parent_spread_exceeds_bound():
+    # parent runs 1.0..1.9: interquartile range 0.45 over a median of 1.45 is 31%,
+    # above the 25% bound
+    out = bench_pair.summarize(_rows((1.0, 6, 0), (0.95, 6, 0), spread=0.1), METRICS)
+    assert out["wall_ref_s"]["unresolved"]
+    assert out["wall_ref_s"]["within_bound"]
+    # the same parent spread, but every change run beats every parent run
+    separated = _rows((1.0, 6, 0), (0.0, 6, 0), spread=0.1)
+    assert not bench_pair.summarize(separated, METRICS)["wall_ref_s"]["unresolved"]
+    # a higher-is-better metric: beating every parent run means lying above it
+    higher = [{**METRICS[0], "better": "higher"}]
+    assert bench_pair.summarize(separated, higher)["wall_ref_s"]["unresolved"]
+    above = _rows((1.0, 6, 0), (2.0, 6, 0), spread=0.1)
+    assert not bench_pair.summarize(above, higher)["wall_ref_s"]["unresolved"]
+
+
+def test_resolved_when_parent_spread_is_inside_bound():
+    out = bench_pair.summarize(_rows((2.0, 6, 0), (2.1, 6, 0)), METRICS)["wall_ref_s"]
+    assert not out["unresolved"]
+    assert out["within_bound"]

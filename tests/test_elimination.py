@@ -24,6 +24,7 @@ from hornsing.exact import (
     RatFun,
     _int_det,
     _int_rank,
+    _mul_trunc,
     _newton_int,
     discriminant,
     divexact,
@@ -35,7 +36,6 @@ from hornsing.exact import (
 )
 from hornsing.exprio import expr_to_ratfun, parse_expr
 from hornsing.horn import HornMaps, IdenticallyZeroResultant, eliminate
-from hornsing.odeguess import _poly_mul
 
 XY = ("x", "y")
 XYT = ("x", "y", "t")
@@ -283,8 +283,8 @@ def test_rational_roots_integer_test_matches_fraction_reference(monkeypatch):
             p, q = rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 6)
             roots.add(Fraction(p, q))
             for _ in range(rng.choice((1, 1, 2, 3))):
-                coeffs = _poly_mul(coeffs, [-p, q])
-        coeffs = _poly_mul(coeffs, [rng.choice((-5, 7, 12)), rng.randint(-3, 3), 1])
+                coeffs = _mul_trunc(coeffs, [-p, q], len(coeffs))
+        coeffs = _mul_trunc(coeffs, [rng.choice((-5, 7, 12)), rng.randint(-3, 3), 1], len(coeffs) + 1)
         content = math.gcd(*coeffs)
         cases.append([c // content for c in coeffs])
         planted.append(roots)

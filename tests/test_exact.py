@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,9 @@ from hornsing.exact import (
     MPoly,
     RatFun,
     ZeroInput,
+    _clear,
+    _mul_trunc,
+    _uni_coeff_ints,
     discriminant,
     divexact,
     factor_univariate,
@@ -760,3 +764,96 @@ def test_property_ratfun_products_match_full_gcd():
         quo = f / g
         want = RatFun(f.num * g.den, f.den * g.num)
         assert (quo.num.terms, quo.den.terms) == (want.num.terms, want.den.terms)
+
+
+# ---- the integer-coefficient toolkit -------------------------------------------
+
+
+def test_coeff_list_reads_one_variable():
+    assert MPoly.zero(XY).coeff_list("x") == [0]
+    p = P(XY, {(0, 0): 3, (2, 0): Fraction(-1, 2)})
+    assert p.coeff_list("x") == [3, 0, Fraction(-1, 2)]
+    assert P(XY, {(0, 3): 2}).coeff_list("y") == [0, 0, 0, 2]
+    assert MPoly.const(XY, 7).coeff_list("y") == [7]
+    with pytest.raises(ValueError):
+        p.coeff_list("y")
+    with pytest.raises(ValueError):
+        P(XY, {(1, 1): 1}).coeff_list("x")
+
+
+def _frac_gcd(a, b):
+    """gcd on rationals by the former pairwise fold: gcd of numerators over lcm of denominators."""
+    if a == 0 and b == 0:
+        return Fraction(0)
+    num = math.gcd(a.numerator, b.numerator)
+    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return Fraction(num, den)
+
+
+def _fold_content(values):
+    c = Fraction(0)
+    for v in values:
+        c = _frac_gcd(c, v)
+    return c
+
+
+def _seeded_rationals(rng, n):
+    """Rationals with zeros, negatives, shared factors and denominators above 2^200."""
+    bigs = [rng.getrandbits(210) | (1 << 205) for _ in range(3)]
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.2:
+            out.append(Fraction(0))
+            continue
+        den = rng.choice((1, 2, 6, 35)) * math.prod(rng.sample(bigs, rng.randint(0, 2)))
+        num = rng.choice((-1, 1)) * rng.randint(1, 10**6) * rng.choice((1, 12, bigs[0]))
+        out.append(Fraction(num, den))
+    return out
+
+
+def test_content_and_uni_coeff_ints_match_frac_gcd_fold():
+    rng = random.Random(1313)
+    T = ("t", "u")
+    t = MPoly.variable(T, "t")
+    big = 0
+    for _ in range(300):
+        values = _seeded_rationals(rng, rng.randint(0, 8))
+        l, ints = _clear(values)
+        assert [Fraction(c, l) for c in ints] == values
+        assert Fraction(math.gcd(*ints), l) == _fold_content(values)
+        p = MPoly(T, {(k, 0): c for k, c in enumerate(values)})
+        want = _fold_content(p.terms.values())
+        assert p.content() == want
+        big += any(c.denominator > 2**200 for c in p.terms.values())
+        if p.is_zero():
+            continue
+        prim = p * (1 / want)
+        want_ints = [int(c.constant_value()) for c in prim.as_univar("t")]
+        assert _uni_coeff_ints(p, "t") == (want, want_ints)
+        assert _uni_coeff_ints(-p * t, "t") == (want, [0] + [-c for c in want_ints])
+    assert big > 100
+    assert MPoly.zero(T).content() == 0
+
+
+def _poly_mul(a, b):
+    """Full product of coefficient lists, the former list product of odeguess."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def test_mul_trunc_at_full_length_matches_full_product():
+    rng = random.Random(1314)
+    for _ in range(300):
+        a, b = ([rng.choice((0, 0, 1, -3, 10**30, rng.randint(-9, 9)))
+                 for _ in range(rng.randint(1, 7))] for _ in range(2))
+        if rng.random() < 0.3:
+            a = [Fraction(c, rng.randint(1, 9)) for c in a]
+        got = _mul_trunc(a, b, len(a) + len(b) - 2)
+        assert got == _poly_mul(a, b)
+        assert len(got) == len(a) + len(b) - 1
+        order = rng.randint(0, len(a) + len(b))
+        assert _mul_trunc(a, b, order) == (_poly_mul(a, b) + [0] * order)[: order + 1]

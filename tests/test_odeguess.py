@@ -287,6 +287,16 @@ def test_local_basis_rejects_singular_point():
         local_basis(UniODE.from_text(C4_TEXT), 0, 5)
 
 
+def test_local_basis_rejects_n_below_order_minus_one():
+    ode = UniODE.from_text("ode-var: t\n0 : 1\n3 : 1\n")
+    for N in (0, 1):
+        with pytest.raises(InsufficientOrder) as err:
+            local_basis(ode, 0, N)
+        assert (err.value.needed, err.value.have) == (2, N)
+    sols = local_basis(ode, 0, 2)
+    assert [s.coeffs for s in sols] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_local_basis_backsubstitution():
     ode = UniODE.from_text(C4_TEXT)
     t0 = Fraction(1, 10)

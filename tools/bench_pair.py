@@ -15,7 +15,10 @@ sets.  The output holds every results row, and per workload and seed, for
 each end-to-end metric of BENCHMARK.json: the median and quartiles of each
 side, the number of pairs the change won (ties count for neither side), the
 relative change of the medians, whether that stays inside the metric's
-bound, and whether the gain rule holds (the change wins at least nine tenths
+bound, whether the metric is unresolved (the parent's interquartile range,
+relative to its median, exceeds the bound, so the bound check cannot tell a
+regression from the spread, and not every change run beats every parent
+run), and whether the gain rule holds (the change wins at least nine tenths
 of the pairs, the medians differ by more than the parent's interquartile
 range, and the change's share of failed jobs is no larger than the
 parent's).  It also gives the line count of src/**/*.py on each side, as
@@ -113,17 +116,17 @@ def quartiles(values):
 
 def summarize(rows, metrics):
     """Per metric: each side's median, quartiles, attempted and failed jobs, wins,
-    relative change, bound and gain checks."""
+    relative change, bound, unresolved and gain checks."""
     out = {}
     for m in metrics:
         name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
-        sides = {}
+        sides, values = {}, {}
         for side in ("parent", "change"):
-            values = [r["result"]["metrics"][name]["value"] for r in rows if r["side"] == side]
-            q1, med, q3 = quartiles(values)
+            values[side] = [r["result"]["metrics"][name]["value"] for r in rows if r["side"] == side]
+            q1, med, q3 = quartiles(values[side])
             attempted = sum(r["result"]["attempted"] for r in rows if r["side"] == side)
             failed = sum(r["result"]["failed"] for r in rows if r["side"] == side)
-            sides[side] = {"median": med, "q1": q1, "q3": q3, "n": len(values),
+            sides[side] = {"median": med, "q1": q1, "q3": q3, "n": len(values[side]),
                            "attempted": attempted, "failed": failed}
         by_pair = {}
         for r in rows:
@@ -136,6 +139,11 @@ def summarize(rows, metrics):
         rel = (chg - par) / par if par else 0.0
         worse = rel if lower else -rel
         gap = (par - chg) if lower else (chg - par)
+        spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+        if lower:
+            separated = max(values["change"]) < min(values["parent"])
+        else:
+            separated = min(values["change"]) > max(values["parent"])
         # raw failure counts mislead when the sides attempt different numbers of jobs
         share = {side: v["failed"] / max(v["attempted"], 1) for side, v in sides.items()}
         out[name] = {
@@ -147,8 +155,9 @@ def summarize(rows, metrics):
             "change_wins": wins,
             "rel_change": rel,
             "within_bound": worse <= bound,
+            "unresolved": spread > bound * abs(par) and not separated,
             "gain_rule_met": wins >= 0.9 * len(by_pair)
-            and gap > sides["parent"]["q3"] - sides["parent"]["q1"]
+            and gap > spread
             and share["change"] <= share["parent"],
         }
     return out
