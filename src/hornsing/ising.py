@@ -18,7 +18,7 @@ from .curves import (
     substitute_compare,
     verify_parametrization,
 )
-from .exact import MPoly, RatFun, divexact, poly_gcd
+from .exact import MPoly, RatFun, poly_gcd
 from .exprio import expr_to_mpoly, parse_expr
 
 KR = ("k", "r")

@@ -100,7 +100,11 @@ class UniODE:
         return [p.coeff_list(self.var) for p in self.coeffs]
 
     def apply(self, s):
-        """Exact image of a truncated series; the order drops by the ODE order."""
+        """Exact image of a truncated series; the order drops by the ODE order.
+
+        Each p_j * D^j term is an integer list product on the series cleared
+        once; one Fraction is built per output coefficient.
+        """
         r = self.order
         if s.order < r:
             raise InsufficientOrder(
@@ -109,16 +113,12 @@ class UniODE:
                 have=s.order,
             )
         out_ord = s.order - r
-        lists = self.coeff_lists()
-        out = [Fraction(0)] * (out_ord + 1)
-        for j, pj in enumerate(lists):
-            der = [s.coeffs[m + j] * math.perm(m + j, j) for m in range(out_ord + 1)]
-            for i, ci in enumerate(pj):
-                if not ci:
-                    continue
-                for k in range(i, out_ord + 1):
-                    out[k] += ci * der[k - i]
-        return UniSeries(out_ord, out)
+        den, ints = _clear(s.coeffs)
+        out = [0] * (out_ord + 1)
+        for j, pj in enumerate(self.coeff_lists()):
+            der = [ints[m + j] * math.perm(m + j, j) for m in range(out_ord + 1)]
+            _poly_add(out, _mul_trunc([int(c) for c in pj], der, out_ord), 1)
+        return UniSeries(out_ord, [Fraction(v, den) for v in out])
 
     def __eq__(self, other):
         if not isinstance(other, UniODE):
@@ -187,10 +187,6 @@ class SingularLocus:
 # Deterministic primes and modular linear algebra
 
 
-class _BadPrime(Exception):
-    pass
-
-
 # Primes any one retry loop draws before it gives up.
 _MAX_PRIMES = 60
 
@@ -202,16 +198,6 @@ def _prime_stream():
         if _is_probable_prime(n):
             yield n
         n += 2
-
-
-def _mod_frac(c, p):
-    den = c.denominator % p
-    if den == 0:
-        raise _BadPrime("denominator divisible by modulus")
-    num = c.numerator % p
-    if den == 1:
-        return num
-    return num * pow(den, p - 2, p) % p
 
 
 def _mod_echelon(rows, ncols, p):
@@ -336,20 +322,20 @@ def _primitive(vec):
 def _null_vector_exact(fr_rows, ncols):
     """Canonical exact null vector of a rational matrix, or None if full rank.
 
-    Works modulo a stream of 61-bit primes with CRT lifting and rational
-    reconstruction; every candidate is verified exactly against the rational
-    rows before being accepted, and a full-rank answer from any good prime is
-    already a proof of nonexistence over the rationals.  After _MAX_PRIMES
-    primes the exact nullspace decides.
+    Each row is cleared to integers once, which leaves the null space alone,
+    and reduced modulo a stream of 61-bit primes with CRT lifting and
+    rational reconstruction; every candidate is verified by integer dot
+    products with the integer rows.  Integer rank mod p is at most the rank
+    over Q, so full rank mod any prime proves nonexistence, and an unlucky
+    prime only gives candidates that fail the check.  After _MAX_PRIMES
+    primes the exact nullspace of the original rows decides.
     """
+    int_rows = [_clear(row)[1] for row in fr_rows]
     structure = None
     residues = None
     modulus = None
     for p in islice(_prime_stream(), _MAX_PRIMES):
-        try:
-            rows = [[_mod_frac(x, p) for x in row] for row in fr_rows]
-        except _BadPrime:
-            continue
+        rows = [[x % p for x in row] for row in int_rows]
         found = _mod_null_vector(rows, ncols, p)
         if found is None:
             return None
@@ -367,7 +353,7 @@ def _null_vector_exact(fr_rows, ncols):
             continue
         ints = _primitive(cand)
         if all(
-            sum(r * v for r, v in zip(row, ints) if v) == 0 for row in fr_rows
+            sum(r * v for r, v in zip(row, ints) if v) == 0 for row in int_rows
         ):
             return [Fraction(v) for v in ints]
     basis = nullspace(fr_rows)
@@ -424,11 +410,10 @@ def guess_ode(s, max_order, max_degree, var="t"):
         for i in range(max_order + 1)
         for a in range(max_degree + 1)
     ]
+    # A common scale leaves the null space unchanged.
+    _, ints = _clear(s.coeffs)
     for p in islice(_prime_stream(), _MAX_PRIMES):
-        try:
-            cm = [_mod_frac(c, p) for c in s.coeffs]
-        except _BadPrime:
-            continue
+        cm = [c % p for c in ints]
         weights = [
             [c * pow(k, i, p) % p for i in range(max_order + 1)]
             for k, c in enumerate(cm)
@@ -447,11 +432,9 @@ def guess_ode(s, max_order, max_degree, var="t"):
         d_star = _first_free_block(
             rows, (r_star + 1) * (max_degree + 1), r_star + 1, p
         )
-        exact = [
-            [c * k**i for i in range(r_star + 1)] for k, c in enumerate(s.coeffs)
-        ]
-        fr_rows = _theta_rows(exact, nrows, r_star, d_star)
-        vec = _null_vector_exact(fr_rows, (r_star + 1) * (d_star + 1))
+        exact = [[c * k**i for i in range(r_star + 1)] for k, c in enumerate(ints)]
+        rows = _theta_rows(exact, nrows, r_star, d_star)
+        vec = _null_vector_exact(rows, (r_star + 1) * (d_star + 1))
         if vec is None:
             continue
         tname = "t" + var

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import MPoly, RatFun, _clear, _eval_int, _mul_trunc, _poly_add
-from .exprio import EvaluationError, eval_expr, expr_to_ratfun
+from .exact import RatFun, _clear, _eval_int, _mul_trunc, _poly_add
+from .exprio import eval_expr, expr_to_ratfun
 
 NM = ("n", "m")
 
@@ -294,6 +294,16 @@ def ratfun_series(r, order):
     return out
 
 
+def _pairs_mul(pairs, b, order):
+    """Product of (degree <= order, value) pairs and a list through t^order."""
+    out = [0] * (order + 1)
+    for i, a in pairs:
+        for j, bj in enumerate(b[: order + 1 - i]):
+            if bj:
+                out[i + j] += a * bj
+    return out
+
+
 def restrict(b, xp, yp, order):
     """Coefficients of sum c_{n,m} xp(t)^n yp(t)^m through t^order.
 
@@ -302,10 +312,11 @@ def restrict(b, xp, yp, order):
     b.order >= ceil(order / min valuation), never silently truncated.
 
     The sum is taken in integers: each map's series is cleared to integers
-    over a denominator L, so its power k is an integer list over L^k, and
-    row n, sum_m c_{n,m} yp^m, is an integer list over l L_y^M, with l the
-    lcm of the den(c_{n,m}) and M the largest m in the row.  One Fraction is
-    built per t-coefficient.
+    over a denominator L, so its power k is an integer list over L^k, stored
+    as its nonzero (degree, value) pairs, and row n, sum_m c_{n,m} yp^m, is
+    an integer list over l L_y^M, with l the lcm of the den(c_{n,m}) and M
+    the largest m in the row; adding c_{n,m} yp^m touches only those pairs.
+    One Fraction is built per t-coefficient.
     """
     maps = []
     for r in (xp, yp):
@@ -327,9 +338,10 @@ def restrict(b, xp, yp, order):
     tables, scales = [], []
     for coeffs, val in zip(maps, vals):
         scale, ints = _clear(coeffs)
-        table = [[1] + [0] * order]
+        table = [[(0, 1)]]
         while val is not None and len(table) * val <= order:
-            table.append(_mul_trunc(table[-1], ints, order))
+            power = _pairs_mul(table[-1], ints, order)
+            table.append([(k, v) for k, v in enumerate(power) if v])
         tables.append(table)
         scales.append(scale)
     (xpow, ypow), (lx, ly) = tables, scales
@@ -346,8 +358,10 @@ def restrict(b, xp, yp, order):
         top = terms[-1][0]
         row = [0] * (order + 1)
         for (m, _), w in zip(terms, ws):
-            _poly_add(row, ypow[m], w * ly ** (top - m))
-        parts.append((_mul_trunc(xpow[n], row, order), lx**n * ly**top * den))
+            f = w * ly ** (top - m)
+            for k, v in ypow[m]:
+                row[k] += f * v
+        parts.append((_pairs_mul(xpow[n], row, order), lx**n * ly**top * den))
     common = math.lcm(*(d for _, d in parts))
     total = [0] * (order + 1)
     for part, d in parts:

@@ -6,9 +6,17 @@ from fractions import Fraction
 import pytest
 
 from hornsing.exact import nullspace, rref, solve_linear
-from hornsing.odeguess import _mod_echelon, _mod_frac, _mod_null_vector
+from hornsing.odeguess import _mod_echelon, _mod_null_vector
 
 P61 = 2**61 - 1
+
+
+def _residue(x, p):
+    """x mod p for a rational x; a denominator divisible by p is an error."""
+    den = x.denominator % p
+    if den == 0:
+        raise ZeroDivisionError("denominator divisible by modulus")
+    return x.numerator * pow(den, -1, p) % p
 
 
 def _random_matrix(rng, nrows, ncols, rank):
@@ -64,7 +72,7 @@ def test_mod_null_vector_is_canonical_nullspace_vector():
     for nrows, ncols, rank in _shapes():
         m = _random_matrix(rng, nrows, ncols, rank)
         _rows, want_pivots = rref(m)
-        mod_rows = [[_mod_frac(x, P61) for x in row] for row in m]
+        mod_rows = [[_residue(x, P61) for x in row] for row in m]
         got = _mod_null_vector(mod_rows, ncols, P61)
         basis = nullspace(m)
         if not basis:
@@ -72,7 +80,7 @@ def test_mod_null_vector_is_canonical_nullspace_vector():
             continue
         pivots, vec = got
         assert pivots == tuple(want_pivots)
-        assert vec == [_mod_frac(x, P61) for x in basis[0]]
+        assert vec == [_residue(x, P61) for x in basis[0]]
         hits += 1
     assert hits > 30
 

@@ -581,3 +581,125 @@ def test_guess_ode_prime_retries_are_bounded(monkeypatch):
     s = UniSeries(40, [Fraction(1, p)] + [Fraction(1)] * 40)
     with pytest.raises(RuntimeError):
         guess_ode(s, 1, 2)
+
+
+P61 = 2**61 - 1
+
+
+def _fraction_fit(s, max_order, max_degree, var="t"):
+    """The fit done over Q: exact nullspaces of the Fraction rows pick the
+    order r*, then the degree d*, then the canonical null vector."""
+
+    def rows(r, d):
+        return [
+            [
+                s.coeffs[n - a] * (n - a) ** i if n >= a else Fraction(0)
+                for a in range(d + 1)
+                for i in range(r + 1)
+            ]
+            for n in range(s.order + 1)
+        ]
+
+    r_star = next(r for r in range(max_order + 1) if nullspace(rows(r, max_degree)))
+    d_star = next(d for d in range(max_degree + 1) if nullspace(rows(r_star, d)))
+    vec = odeguess._primitive(nullspace(rows(r_star, d_star))[0])
+    terms = []
+    for a in range(d_star + 1):
+        q = MPoly(("t" + var,), {(i,): vec[a * (r_star + 1) + i] for i in range(r_star + 1)})
+        if not q.is_zero():
+            terms.append(((a,), q))
+    margin = s.order + 1 - (r_star + 1) * (d_star + 1)
+    return UniODE.from_theta(ThetaOp((var,), terms)), margin
+
+
+def _binomial_series(order, power, scale, shift):
+    """sum_k (C(2k, k)^power / scale^k + shift) t^k, exact through t^order."""
+    return UniSeries(
+        order,
+        [Fraction(math.comb(2 * k, k) ** power, scale**k) + shift for k in range(order + 1)],
+    )
+
+
+def _large_denominator_cases():
+    rng = random.Random(14)
+    for _ in range(3):
+        scale = rng.randrange(2**20, 2**24) | 1
+        yield _binomial_series(40, 1, scale, 0), 2, 3
+        yield _binomial_series(40, 2, scale, 0), 2, 3
+        shift = Fraction(rng.randrange(1, 50), rng.randrange(2**40, 2**41))
+        yield _binomial_series(40, 1, scale, shift), 2, 3
+    for _ in range(3):
+        den = [Fraction(rng.randrange(2**60, 2**61))] + [
+            Fraction(rng.randint(-9, 9)) for _ in range(2)
+        ]
+        num = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
+        num[0] = num[0] or Fraction(1)
+        poly_n = MPoly.from_univar("t", [MPoly.const(T, c) for c in num])
+        poly_d = MPoly.from_univar("t", [MPoly.const(T, c) for c in den])
+        yield UniSeries(40, ratfun_series(RatFun(poly_n, poly_d), 40)), 1, 5
+
+
+def test_guess_ode_matches_fraction_fit_on_large_denominators():
+    for s, max_order, max_degree in _large_denominator_cases():
+        assert math.lcm(*(c.denominator for c in s.coeffs)).bit_length() > 200
+        rep = guess_ode(s, max_order, max_degree)
+        ode, margin = _fraction_fit(s, max_order, max_degree)
+        assert rep.ode == ode
+        assert rep.checked_margin == margin
+
+
+def test_guess_ode_fits_over_the_first_prime_dividing_the_denominators(monkeypatch):
+    base = _binomial_series(40, 2, 1, 0)
+    want = guess_ode(base, 2, 3)
+    s = UniSeries(40, [c * Fraction(7, P61**2) for c in base.coeffs])
+    # Each prime loop may draw P61 once: a second draw fails the test.
+    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([P61], 1))
+    rep = guess_ode(s, 2, 3)
+    assert (rep.ode, rep.checked_margin) == (want.ode, want.checked_margin)
+    assert (rep.ode, rep.checked_margin) == _fraction_fit(s, 2, 3)
+
+
+def _apply_fraction_loop(ode, s):
+    """UniODE.apply as a Fraction loop over the operator's coefficient lists."""
+    out_ord = s.order - ode.order
+    out = [Fraction(0)] * (out_ord + 1)
+    for j, pj in enumerate(ode.coeff_lists()):
+        der = [s.coeffs[m + j] * math.perm(m + j, j) for m in range(out_ord + 1)]
+        for i, ci in enumerate(pj):
+            if not ci:
+                continue
+            for k in range(i, out_ord + 1):
+                out[k] += ci * der[k - i]
+    return UniSeries(out_ord, out)
+
+
+def test_apply_matches_fraction_loop_on_large_denominators():
+    rng = random.Random(1414)
+    for _ in range(40):
+        order = rng.randint(1, 4)
+        coeffs = [
+            MPoly.from_univar(
+                "t",
+                [
+                    MPoly.const(T, Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+                    for _ in range(rng.randint(1, 8))
+                ],
+            )
+            for _ in range(order + 1)
+        ]
+        if coeffs[-1].is_zero():
+            coeffs[-1] = MPoly.const(T, 1)
+        ode = UniODE("t", coeffs)
+        n = rng.randint(ode.order, 30)
+        s = UniSeries(
+            n,
+            [
+                Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40))
+                if rng.random() < 0.8
+                else Fraction(0)
+                for _ in range(n + 1)
+            ],
+        )
+        got = ode.apply(s)
+        assert got == _apply_fraction_loop(ode, s)
+        assert all(type(c) is Fraction for c in got.coeffs)
