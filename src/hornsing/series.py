@@ -139,9 +139,18 @@ class UniSeries:
 
 
 class BiSeries:
-    """Coefficients c_{n,m} of a double series, exact for all n+m <= order."""
+    """Coefficients c_{n,m} of a double series, exact for all n+m <= order.
 
-    __slots__ = ("order", "coeffs")
+    The series is stored as integer rows: rows[n] is (L_n, [w_{n,0}, ...,
+    w_{n,order-n}]), L_n the lcm of the reduced denominators in row n and
+    c_{n,m} = w_{n,m} / L_n.  `coeffs`, the dict of nonzero coefficients, is
+    a view of the rows.  A series built from the dict keeps it and builds
+    its rows on first use; one built from rows (expand_from_ratios,
+    theta.apply) builds the dict on first read.  Either is built once and
+    cached.
+    """
+
+    __slots__ = ("order", "_rows", "_coeffs")
 
     def __init__(self, order, coeffs):
         if order < 0:
@@ -154,7 +163,41 @@ class BiSeries:
             if value:
                 clean[(n, m)] = value
         self.order = order
-        self.coeffs = clean
+        self._rows = None
+        self._coeffs = clean
+
+    @classmethod
+    def _from_rows(cls, order, rows):
+        """The series with c_{n,m} = rows[n][1][m] / rows[n][0], integers, rows[n][0] > 0."""
+        self = object.__new__(cls)
+        self.order = order
+        self._rows = []
+        for den, ws in rows:
+            g = math.gcd(den, *ws)
+            self._rows.append((den // g, [w // g for w in ws]) if g > 1 else (den, ws))
+        self._coeffs = None
+        return self
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            get = self._coeffs.get
+            self._rows = [
+                _clear([get((n, m), 0) for m in range(self.order - n + 1)])
+                for n in range(self.order + 1)
+            ]
+        return self._rows
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = {
+                (n, m): Fraction(w, den)
+                for n, (den, ws) in enumerate(self._rows)
+                for m, w in enumerate(ws)
+                if w
+            }
+        return self._coeffs
 
     def coeff(self, n, m):
         if n < 0 or m < 0 or n + m > self.order:
@@ -213,47 +256,76 @@ def check_compatibility(s):
     return left == right
 
 
-def _int_slice(r, axis, value):
-    """r with variable number `axis` fixed at the integer value.
+def _int_ratio(r):
+    """The terms of r's numerator and denominator as (exponents, integer) lists.
 
-    Returns the numerator and denominator as integer coefficient lists in
-    the other variable, over one common denominator, so their quotient is r
-    along that lattice line.
+    Both are scaled by one common integer, so their quotient is still r.
     """
-    rows = []
-    for p in (r.num, r.den):
-        row = [Fraction(0)] * (max((e[1 - axis] for e in p.terms), default=0) + 1)
-        for e, c in p.terms.items():
-            row[e[1 - axis]] += c * value ** e[axis]
-        rows.append(row)
-    _, ints = _clear(rows[0] + rows[1])
-    return ints[: len(rows[0])], ints[len(rows[0]) :]
+    terms = list(r.num.terms.items()) + list(r.den.terms.items())
+    _, ints = _clear(c for _, c in terms)
+    pairs = [(e, w) for (e, _), w in zip(terms, ints)]
+    k = len(r.num.terms)
+    return pairs[:k], pairs[k:]
 
 
-def _ratio(num, den, x, n, m):
-    d = _eval_int(den, x)
-    if not d:
-        raise RatioPole("ratio denominator vanishes at (n, m) = (%d, %d)" % (n, m))
-    return Fraction(_eval_int(num, x), d)
+def _slice(ratio, axis, value):
+    """Integer coefficient lists of an _int_ratio's num and den at one lattice line.
+
+    Variable number `axis` is fixed at the integer value; the lists are in
+    the other variable.
+    """
+    out = []
+    for terms in ratio:
+        row = [0] * (max((e[1 - axis] for e, _ in terms), default=0) + 1)
+        for e, w in terms:
+            row[e[1 - axis]] += w * value ** e[axis]
+        out.append(row)
+    return out
+
+
+def _walk(p, q, num, den, steps, point):
+    """Running products of p/q with the ratio num/den at 0, 1, ..., steps - 1.
+
+    Returns the numerators and the denominators, starting with p and q.
+    Each product is in lowest terms; point(k) is the lattice point of step
+    k, named when the denominator vanishes there.
+    """
+    ps, qs = [p], [q]
+    for k in range(steps):
+        d = _eval_int(den, k)
+        if not d:
+            raise RatioPole("ratio denominator vanishes at (n, m) = (%d, %d)" % point(k))
+        p *= _eval_int(num, k)
+        q *= d
+        g = math.gcd(p, q)
+        p //= g
+        q //= g
+        ps.append(p)
+        qs.append(q)
+    return ps, qs
 
 
 def expand_from_ratios(s, order):
     """Walk (0,0) -> (n,0) -> (n,m), multiplying ratios along the way.
 
-    alpha1(n, 0) is evaluated along m = 0 and alpha2(n, m) along each row n,
-    as integer polynomials by Horner's rule.
+    Each ratio is cleared to integers once; alpha1(n, 0) is evaluated along
+    m = 0 and alpha2(n, m) along each row n, as integer polynomials by
+    Horner's rule.  Each coefficient is a running integer numerator and
+    denominator, reduced by one gcd per step, and each row is written as
+    integers over the lcm of its denominators.
     """
     if not check_compatibility(s):
         raise IncompatibleSpec("the two term ratios fail the mixed-step identity")
-    c = {(0, 0): Fraction(1)}
-    num, den = _int_slice(s.alpha1, 1, 0)
-    for n in range(order):
-        c[(n + 1, 0)] = c[(n, 0)] * _ratio(num, den, n, n, 0)
-    for n in range(order):
-        num, den = _int_slice(s.alpha2, 0, n)
-        for m in range(order - n):
-            c[(n, m + 1)] = c[(n, m)] * _ratio(num, den, m, n, m)
-    return BiSeries(order, c)
+    a1, a2 = _int_ratio(s.alpha1), _int_ratio(s.alpha2)
+    num, den = _slice(a1, 1, 0)
+    column = zip(*_walk(1, 1, num, den, order, lambda k: (k, 0)))
+    rows = []
+    for n, (p, q) in enumerate(column):
+        num, den = _slice(a2, 0, n)
+        ps, qs = _walk(p, q, num, den, order - n, lambda k: (n, k))
+        l = math.lcm(*qs)
+        rows.append((l, [x * (l // y) for x, y in zip(ps, qs)]))
+    return BiSeries._from_rows(order, rows)
 
 
 def expand_from_formula(f, order, consts=None, vars=NM):
@@ -307,23 +379,29 @@ def _pairs_mul(pairs, b, order):
 def restrict(b, xp, yp, order):
     """Coefficients of sum c_{n,m} xp(t)^n yp(t)^m through t^order.
 
-    xp and yp are rational functions of one variable vanishing at 0.  The
-    input order of b must cover every lattice point that can contribute:
-    b.order >= ceil(order / min valuation), never silently truncated.
+    xp and yp are rational functions of the same one variable vanishing at
+    0.  The input order of b must cover every lattice point that can
+    contribute: b.order >= ceil(order / min valuation), never silently
+    truncated.
 
     The sum is taken in integers: each map's series is cleared to integers
     over a denominator L, so its power k is an integer list over L^k, stored
-    as its nonzero (degree, value) pairs, and row n, sum_m c_{n,m} yp^m, is
-    an integer list over l L_y^M, with l the lcm of the den(c_{n,m}) and M
-    the largest m in the row; adding c_{n,m} yp^m touches only those pairs.
-    One Fraction is built per t-coefficient.
+    as its nonzero (degree, value) pairs.  Row n of b is already integers
+    w_{n,m} over one denominator L_n (b.rows, built once per series), so
+    sum_m c_{n,m} yp^m is an integer list over L_n L_y^M, M the largest m
+    in the row with w_{n,m} != 0; adding w_{n,m} yp^m touches only those
+    pairs.  One Fraction is built per t-coefficient.
     """
     maps = []
     for r in (xp, yp):
         coeffs = ratfun_series(r, order)
-        if coeffs[0] != 0:
+        if r.num.evaluate({r.num.vars[0]: 0}):
             raise NonzeroAtOrigin("substitution map does not vanish at t = 0")
         maps.append(coeffs)
+    if xp.num.vars != yp.num.vars:
+        raise ValueError(
+            "maps in different variables: %r and %r" % (xp.num.vars, yp.num.vars)
+        )
     vals = [next((k for k, c in enumerate(coeffs) if c), None) for coeffs in maps]
     live = [v for v in vals if v is not None]
     if live:
@@ -346,21 +424,18 @@ def restrict(b, xp, yp, order):
         scales.append(scale)
     (xpow, ypow), (lx, ly) = tables, scales
     parts = []
-    for n in range(len(xpow)):
-        terms = []
-        for m in range(min(len(ypow), b.order - n + 1)):
-            c = b.coeffs.get((n, m))
-            if c:
-                terms.append((m, c))
-        if not terms:
+    for n, (den, ws) in enumerate(b.rows[: len(xpow)]):
+        top = min(len(ws), len(ypow)) - 1
+        while top >= 0 and not ws[top]:
+            top -= 1
+        if top < 0:
             continue
-        den, ws = _clear(c for _, c in terms)
-        top = terms[-1][0]
         row = [0] * (order + 1)
-        for (m, _), w in zip(terms, ws):
-            f = w * ly ** (top - m)
-            for k, v in ypow[m]:
-                row[k] += f * v
+        for m in range(top + 1):
+            if ws[m]:
+                f = ws[m] * ly ** (top - m)
+                for k, v in ypow[m]:
+                    row[k] += f * v
         parts.append((_pairs_mul(xpow[n], row, order), lx**n * ly**top * den))
     common = math.lcm(*(d for _, d in parts))
     total = [0] * (order + 1)

@@ -11,7 +11,7 @@ space of formal log-series solutions of a system.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, lcm, perm, prod
 
 from .exact import MPoly, _clear, rref
 from .exprio import format_operator_text, parse_operator_text
@@ -136,49 +136,71 @@ def _series_is_zero(s):
     return all(c == 0 for c in s.coeffs)
 
 
-def _theta_env(theta_vars, point):
-    return {tv: Fraction(p) for tv, p in zip(theta_vars, point)}
+def _int_table(q):
+    """(den, [(exponents, w)]) with integers w and q = sum w * theta^exponents / den."""
+    den, ints = _clear(q.terms.values())
+    return den, list(zip(q.terms, ints))
+
+
+def _table_sum(table, point):
+    """den * q(point) at an integer point, for table = _int_table(q)."""
+    total = 0
+    for exps, w in table[1]:
+        for x, e in zip(point, exps):
+            if e:
+                w *= x**e
+        total += w
+    return total
+
+
+def _int_value(table, point):
+    """q(point) for table = _int_table(q); raises ValueError unless it is an integer."""
+    value, rem = divmod(_table_sum(table, point), table[0])
+    if rem:
+        raise ValueError("theta polynomial is not integral at %r" % (point,))
+    return value
 
 
 def apply(op, s):
-    """Apply op to a plain series; the result order shrinks by max shift."""
+    """Apply op to a plain series; the result order shrinks by max shift.
+
+    Each theta polynomial is evaluated in integers from its _int_table, and
+    each output row or list is summed in integers over one denominator.
+    """
     if len(op.vars) == 2:
         if not isinstance(s, BiSeries):
             raise TypeError("two-variable operator needs a BiSeries")
-        out_order = s.order - op.max_shift
-        if out_order < 0:
-            raise InsufficientOrder(
-                "series order below the operator shift", needed=op.max_shift, have=s.order
-            )
-        out = {}
-        for exps, q in op.terms:
-            a, b = exps
-            for (n, m), c in s.coeffs.items():
-                p, r = n + a, m + b
-                if p + r > out_order:
-                    continue
-                w = q.evaluate(_theta_env(op.theta_vars, (n, m)))
-                if w:
-                    key = (p, r)
-                    out[key] = out.get(key, Fraction(0)) + w * c
-        return BiSeries(out_order, out)
-    if not isinstance(s, UniSeries):
+    elif not isinstance(s, UniSeries):
         raise TypeError("one-variable operator needs a UniSeries")
     out_order = s.order - op.max_shift
     if out_order < 0:
         raise InsufficientOrder(
             "series order below the operator shift", needed=op.max_shift, have=s.order
         )
-    out = [Fraction(0)] * (out_order + 1)
-    for exps, q in op.terms:
-        a = exps[0]
-        for n, c in enumerate(s.coeffs):
-            if not c or n + a > out_order:
-                continue
-            w = q.evaluate(_theta_env(op.theta_vars, (n,)))
-            if w:
-                out[n + a] += w * c
-    return UniSeries(out_order, out)
+    tables = [(exps, _int_table(q)) for exps, q in op.terms]
+    if len(op.vars) == 1:
+        den, ints = _clear(s.coeffs)
+        common = lcm(*(table[0] for _, table in tables))
+        out = [0] * (out_order + 1)
+        for (a,), table in tables:
+            f = common // table[0]
+            for n in range(out_order - a + 1):
+                if ints[n]:
+                    out[n + a] += f * _table_sum(table, (n,)) * ints[n]
+        return UniSeries(out_order, [Fraction(v, common * den) for v in out])
+    rows = []
+    for p in range(out_order + 1):
+        feeds = [(a, b, table, s.rows[p - a]) for (a, b), table in tables if a <= p]
+        common = lcm(*(table[0] * den for _, _, table, (den, _) in feeds))
+        row = [0] * (out_order - p + 1)
+        for a, b, table, (den, ws) in feeds:
+            f = common // (table[0] * den)
+            for r in range(b, out_order - p + 1):
+                w = ws[r - b]
+                if w:
+                    row[r] += f * _table_sum(table, (p - a, r - b)) * w
+        rows.append((common, row))
+    return BiSeries._from_rows(out_order, rows)
 
 
 def annihilates(sys, s):
@@ -364,29 +386,44 @@ def log_basis(sys, order, max_log):
 
     The elimination is over the integers.  Each operator is scaled by the
     lcm of its coefficient denominators, so its scaled partials take integer
-    values at the integer source monomials.  Each unknown is an integer
+    values at the integer source monomials.  Each scaled partial is kept,
+    once per operator, as an integer table (den, [(exponents, w)]) and its
+    value at a source monomial is the integer sum divided exactly by den; a
+    nonzero remainder raises ValueError.  Each unknown is an integer
     vector over the free parameters with a positive denominator, in lowest
     terms, and each equation row is built over the lcm of the denominators
     that feed it: a multiple of the rational row, with the same support.
     The pivot is the largest parameter of the row; it is substituted only in
     the unknowns that hold it, which an index from parameter to unknowns
-    lists.
+    lists.  The 2-variable basis elements are BiSeries built from their
+    coefficient dicts; their integer rows are built only when read.
     """
     if max_log < 0:
         raise ValueError("max_log must be nonnegative")
     width = len(sys.vars)
     theta_vars = sys.ops[0].theta_vars
     logidx = _log_indices(width, max_log)
-    logset = set(logidx)
     partials = []
     for op in sys.ops:
         scale, _ = _clear(c for _, q in op.terms for c in q.terms.values())
         partials.append(
-            [(exps, _scaled_partials(q * scale, theta_vars, max_log)) for exps, q in op.terms]
+            [
+                (exps, [(sidx, _int_table(poly)) for sidx, poly in
+                        _scaled_partials(q * scale, theta_vars, max_log).items()])
+                for exps, q in op.terms
+            ]
         )
 
-    # falling[l][s] = l (l-1) ... (l-s+1), the weight theta^s puts on ln^l
-    falling = [[perm(l, s) for s in range(max_log + 1)] for l in range(max_log + 1)]
+    # lifts[li][sidx] = (src, f): through its partial sidx, a term feeds the
+    # unknown at log index src = li + sidx into the equation for li, with
+    # weight f = prod l (l-1) ... (l-s+1) over the components l of src and s
+    # of sidx, what theta^s puts on ln^l; an src past max_log feeds nothing
+    lifts = {li: {} for li in logidx}
+    for li in logidx:
+        for sidx in logidx:
+            src = tuple(l + s for l, s in zip(li, sidx))
+            if max(src) <= max_log:
+                lifts[li][sidx] = (src, prod(perm(l, s) for l, s in zip(src, sidx)))
 
     # coeffs[(li, mono)] = (vec, den): the unknown is sum vec[pid] * pid / den.
     # holders[pid]: the keys whose vec holds pid; its keys are the free pids.
@@ -408,26 +445,23 @@ def log_basis(sys, order, max_log):
             sources = {}
             for mono in monos:
                 found = []
-                for exps, table in op_terms:
+                for exps, tables in op_terms:
                     src_mono = tuple(p - a for p, a in zip(mono, exps))
                     if any(v < 0 for v in src_mono):
                         continue
-                    env = _theta_env(theta_vars, src_mono)
-                    values = [(sidx, poly.evaluate(env).numerator) for sidx, poly in table.items()]
+                    values = [(sidx, _int_value(t, src_mono)) for sidx, t in tables]
                     found.append((src_mono, [(sidx, w) for sidx, w in values if w]))
                 sources[mono] = found
             for li in logidx:
+                lift = lifts[li]
                 for mono in monos:
                     feeds = []
                     for src_mono, values in sources[mono]:
                         for sidx, w in values:
-                            src_log = tuple(l + s for l, s in zip(li, sidx))
-                            if src_log not in logset:
-                                continue
-                            for l, s in zip(src_log, sidx):
-                                w *= falling[l][s]
-                            feeds.append((w, coeffs[(src_log, src_mono)]))
-                    den = lcm(*(d for _, (_, d) in feeds))
+                            if sidx in lift:
+                                src_log, f = lift[sidx]
+                                feeds.append((w * f, coeffs[(src_log, src_mono)]))
+                    den = lcm(*[d for _, (_, d) in feeds])
                     row = {}
                     for w, (vec, d) in feeds:
                         w *= den // d

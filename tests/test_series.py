@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -495,8 +496,8 @@ alpha2 = (1/2+m)^3*(1/2+n+m)/((1+n+m)^3*(m+1))
 POLE_IN_ALPHA2 = HyperSpec(rf_nm("(n*m-3)/(n*m+m-3)"), rf_nm("(n*m-3)/(n*m+n-3)"))
 
 
-def test_expand_from_ratios_matches_fraction_reference():
-    specs = [
+def _expand_specs():
+    return [
         hyper_from_spec(H2),
         hyper_from_spec(BAT16),
         hyper_from_spec(KDF3),
@@ -509,6 +510,10 @@ def test_expand_from_ratios_matches_fraction_reference():
         HyperSpec(rf_nm("(n*m-3)/((n*m+m-3)*(n-2))"), POLE_IN_ALPHA2.alpha2),
         HyperSpec(rf_nm("(n+m+1)/(n+1)"), rf_nm("1")),
     ]
+
+
+def test_expand_from_ratios_matches_fraction_reference():
+    specs = _expand_specs()
     for s in specs:
         for order in (0, 1, 2, 3, 6, 12):
             want = _outcome(_ref_expand_from_ratios, s, order)
@@ -554,3 +559,45 @@ def test_insufficient_order_attributes(call, message, needed, have):
     assert (info.value.needed, info.value.have) == (needed, have)
     assert info.value.dims is None
     assert str(info.value) == message
+
+
+def test_biseries_from_ratios_and_from_dict_agree():
+    # expand_from_ratios builds integer rows; BiSeries(order, coeffs) builds
+    # the dict.  Both must read the same through every view and every user.
+    rng = random.Random(1505)
+    maps = [rf_t(text) for text in ODD_MAPS[:10]]
+    built = 0
+    for s in _expand_specs():
+        for order in (0, 1, 2, 3, 6, 12):
+            try:
+                b = expand_from_ratios(s, order)
+            except (RatioPole, IncompatibleSpec):
+                continue
+            built += 1
+            c = BiSeries(order, b.coeffs)
+            assert b == c and c == b
+            assert b.rows == c.rows
+            for den, ws in b.rows:
+                assert den > 0 and math.gcd(den, *ws) == 1
+            scaled = [(6 * den, [6 * w for w in ws]) for den, ws in b.rows]
+            assert BiSeries._from_rows(order, scaled).rows == b.rows
+            assert diagonal(b) == diagonal(c)
+            for _ in range(6):
+                xp, yp = rng.choice(maps), rng.choice(maps)
+                t_order = rng.randrange(0, 2 * order + 2)
+                assert _outcome(restrict, b, xp, yp, t_order) == _outcome(
+                    restrict, c, xp, yp, t_order
+                )
+    assert built == 40
+
+
+def test_restrict_rejects_maps_in_different_variables():
+    b = expand_from_ratios(hyper_from_spec(H2), 5)
+    s_map = expr_to_ratfun(parse_expr("s", ("s",)), ("s",))
+    with pytest.raises(ValueError, match=r"\('t',\) and \('s',\)"):
+        restrict(b, rf_t("t"), s_map, 5)
+    with pytest.raises(ValueError, match=r"\('s',\) and \('t',\)"):
+        restrict(b, s_map, rf_t("2*t"), 5)
+    # a univariate check still comes first
+    with pytest.raises(ValueError, match="univariate"):
+        restrict(b, rf_t("t"), rf_nm("n"), 5)

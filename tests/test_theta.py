@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,10 @@ from hornsing.exact import MPoly
 from hornsing.exprio import parse_expr, expr_to_mpoly, expr_to_ratfun, parse_spec_text
 from hornsing.series import BiSeries, InsufficientOrder, UniSeries, expand_from_ratios, hyper_from_spec
 from hornsing.theta import (
+    _int_table,
+    _int_value,
+    _scaled_partials,
+    _table_sum,
     LogSeries,
     PdeSystem,
     ThetaOp,
@@ -458,3 +463,52 @@ def test_theta_dform_round_trips_random():
         while len(back) < len(expected):
             back.append(MPoly.zero(("t",)))
         assert back == expected
+
+
+def _source_points(width, order):
+    return [
+        (n,) if width == 1 else (n, d - n)
+        for d in range(order + 1)
+        for n in range(d + 1)
+        if width == 2 or n == d
+    ]
+
+
+@pytest.mark.parametrize(
+    "sys, order, max_log",
+    [
+        (picard_system(), 14, 2),
+        (PdeSystem([theta_from_dform("t", c3_dform())]), 12, 3),
+    ],
+    ids=["picard", "c3"],
+)
+def test_int_tables_match_evaluate(sys, order, max_log):
+    # what log_basis and apply evaluate: each theta polynomial and each
+    # scaled partial of the operator cleared to integer coefficients
+    theta_vars = sys.ops[0].theta_vars
+    width = len(theta_vars)
+    points = _source_points(width, order)
+    checked = 0
+    for op in sys.ops:
+        scale = math.lcm(*(c.denominator for _, q in op.terms for c in q.terms.values()))
+        for _, q in op.terms:
+            table = _int_table(q)
+            partials = _scaled_partials(q * scale, theta_vars, max_log)
+            for point in points:
+                env = dict(zip(theta_vars, map(Fraction, point)))
+                assert Fraction(_table_sum(table, point), table[0]) == q.evaluate(env)
+                for poly in partials.values():
+                    assert _int_value(_int_table(poly), point) == poly.evaluate(env)
+                    checked += 1
+    assert checked > 100
+
+
+def test_int_value_rejects_a_non_integral_table():
+    tx = MPoly.variable(("tx",), "tx")
+    table = _int_table(tx * Fraction(1, 2) + Fraction(1, 3))
+    assert table[0] == 6
+    assert _table_sum(table, (3,)) == 11
+    with pytest.raises(ValueError, match="not integral"):
+        _int_value(table, (3,))
+    # integer-valued although its coefficients are not
+    assert _int_value(_int_table(tx * (tx - 1) * Fraction(1, 2)), (5,)) == 10
