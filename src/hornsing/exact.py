@@ -43,10 +43,12 @@ class MPoly:
 
     `vars` is an ordered tuple of variable names; `terms` maps exponent
     tuples to nonzero Fraction coefficients.  Two polynomials interoperate
-    only when their variable tuples agree (use with_vars to embed).
+    only when their variable tuples agree (use with_vars to embed).  A
+    polynomial is never changed after it is built, so its integer form
+    (int_form) is kept once built.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_int_form")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
@@ -215,6 +217,20 @@ class MPoly:
                 t[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
         return MPoly._trusted(self.vars, t)
 
+    def int_form(self):
+        """(l, t, degs): _int_terms(self) and the degree in each variable.
+
+        Built on first use and kept, so a polynomial evaluated many times
+        clears its coefficients once.
+        """
+        try:
+            return self._int_form
+        except AttributeError:
+            l, t = _int_terms(self)
+            degs = tuple(max((e[i] for e in t), default=0) for i in range(len(self.vars)))
+            self._int_form = (l, t, degs)
+            return self._int_form
+
     def evaluate(self, env) -> Fraction:
         """Value at the point env (name -> rational).
 
@@ -222,22 +238,16 @@ class MPoly:
         (the lcm of the coefficient denominators times each point
         denominator to its degree), so only the result is reduced.
         """
-        point = [Fraction(env[v]) for v in self.vars]
-        terms = self.terms
-        if not terms:
-            return Fraction(0)
-        den, ints = _clear(terms.values())
-        tables = []
-        for i, x in enumerate(point):
-            num, xden, deg = x.numerator, x.denominator, max(e[i] for e in terms)
-            tables.append([num**k * xden ** (deg - k) for k in range(deg + 1)])
+        den, t, degs = self.int_form()
+        powers = []
+        for v, deg in zip(self.vars, degs):
+            x = env[v]
+            if type(x) is not int:
+                x = Fraction(x)
+            num, xden = x.numerator, x.denominator
+            powers.append([num**k * xden ** (deg - k) for k in range(deg + 1)])
             den *= xden**deg
-        total = 0
-        for e, term in zip(terms, ints):
-            for table, k in zip(tables, e):
-                term *= table[k]
-            total += term
-        return Fraction(total, den)
+        return Fraction(_term_sum(t, powers), den)
 
     def substitute(self, mapping, target_vars=None):
         """Map variables to polynomials (identity for unmapped names)."""
@@ -634,6 +644,20 @@ def _int_terms(p):
     """(l, t): l the lcm of p's coefficient denominators, t = l*p as an {exponents: int} dict."""
     l, ints = _clear(p.terms.values())
     return l, dict(zip(p.terms, ints))
+
+
+def _term_sum(t, powers):
+    """sum of t[e] * prod_i powers[i][e_i] over an {exponents: int} dict t.
+
+    powers[i][k] stands for the k-th power of variable i, so at an integer
+    point this is the value of the integer polynomial t there.
+    """
+    total = 0
+    for e, w in t.items():
+        for table, k in zip(powers, e):
+            w *= table[k]
+        total += w
+    return total
 
 
 def _sylvester_det(ca, cb, nvars):

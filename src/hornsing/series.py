@@ -143,14 +143,13 @@ class BiSeries:
 
     The series is stored as integer rows: rows[n] is (L_n, [w_{n,0}, ...,
     w_{n,order-n}]), L_n the lcm of the reduced denominators in row n and
-    c_{n,m} = w_{n,m} / L_n.  `coeffs`, the dict of nonzero coefficients, is
-    a view of the rows.  A series built from the dict keeps it and builds
-    its rows on first use; one built from rows (expand_from_ratios,
-    theta.apply) builds the dict on first read.  Either is built once and
-    cached.
+    c_{n,m} = w_{n,m} / L_n, so gcd(L_n, w_{n,0}, ...) = 1 and equal series
+    have equal rows.  `coeffs`, the dict of nonzero coefficients, is a view
+    of the rows, built on first read and cached; a series built from the
+    dict keeps it as that view.
     """
 
-    __slots__ = ("order", "_rows", "_coeffs")
+    __slots__ = ("order", "rows", "_coeffs")
 
     def __init__(self, order, coeffs):
         if order < 0:
@@ -163,7 +162,16 @@ class BiSeries:
             if value:
                 clean[(n, m)] = value
         self.order = order
-        self._rows = None
+        self.rows = [(1, [0] * (order - n + 1)) for n in range(order + 1)]
+        by_row = {}
+        for (n, m), value in clean.items():
+            by_row.setdefault(n, []).append((m, value))
+        for n, entries in by_row.items():
+            den, ws = _clear(value for _, value in entries)
+            row = self.rows[n][1]
+            for (m, _), w in zip(entries, ws):
+                row[m] = w
+            self.rows[n] = (den, row)
         self._coeffs = clean
 
     @classmethod
@@ -171,29 +179,19 @@ class BiSeries:
         """The series with c_{n,m} = rows[n][1][m] / rows[n][0], integers, rows[n][0] > 0."""
         self = object.__new__(cls)
         self.order = order
-        self._rows = []
+        self.rows = []
         for den, ws in rows:
             g = math.gcd(den, *ws)
-            self._rows.append((den // g, [w // g for w in ws]) if g > 1 else (den, ws))
+            self.rows.append((den // g, [w // g for w in ws]) if g > 1 else (den, ws))
         self._coeffs = None
         return self
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            get = self._coeffs.get
-            self._rows = [
-                _clear([get((n, m), 0) for m in range(self.order - n + 1)])
-                for n in range(self.order + 1)
-            ]
-        return self._rows
 
     @property
     def coeffs(self):
         if self._coeffs is None:
             self._coeffs = {
                 (n, m): Fraction(w, den)
-                for n, (den, ws) in enumerate(self._rows)
+                for n, (den, ws) in enumerate(self.rows)
                 for m, w in enumerate(ws)
                 if w
             }
@@ -209,7 +207,7 @@ class BiSeries:
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.rows == other.rows
 
     def __repr__(self):
         return "BiSeries(order=%d, %d nonzero terms)" % (
@@ -395,7 +393,7 @@ def restrict(b, xp, yp, order):
     maps = []
     for r in (xp, yp):
         coeffs = ratfun_series(r, order)
-        if r.num.evaluate({r.num.vars[0]: 0}):
+        if coeffs[0] != 0:
             raise NonzeroAtOrigin("substitution map does not vanish at t = 0")
         maps.append(coeffs)
     if xp.num.vars != yp.num.vars:

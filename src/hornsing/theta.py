@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
 
-from .exact import MPoly, _clear, rref
+from .exact import MPoly, _clear, _term_sum, rref
 from .exprio import format_operator_text, parse_operator_text
 from .series import BiSeries, InsufficientOrder, UniSeries
 
@@ -136,36 +136,20 @@ def _series_is_zero(s):
     return all(c == 0 for c in s.coeffs)
 
 
-def _int_table(q):
-    """(den, [(exponents, w)]) with integers w and q = sum w * theta^exponents / den."""
-    den, ints = _clear(q.terms.values())
-    return den, list(zip(q.terms, ints))
-
-
-def _table_sum(table, point):
-    """den * q(point) at an integer point, for table = _int_table(q)."""
-    total = 0
-    for exps, w in table[1]:
-        for x, e in zip(point, exps):
-            if e:
-                w *= x**e
-        total += w
-    return total
-
-
-def _int_value(table, point):
-    """q(point) for table = _int_table(q); raises ValueError unless it is an integer."""
-    value, rem = divmod(_table_sum(table, point), table[0])
-    if rem:
-        raise ValueError("theta polynomial is not integral at %r" % (point,))
-    return value
+def _int_value(q, env):
+    """q at env as an int; raises ValueError when the value is not an integer."""
+    value = q.evaluate(env)
+    if value.denominator != 1:
+        raise ValueError("theta polynomial is not integral at %r" % (env,))
+    return value.numerator
 
 
 def apply(op, s):
     """Apply op to a plain series; the result order shrinks by max shift.
 
-    Each theta polynomial is evaluated in integers from its _int_table, and
-    each output row or list is summed in integers over one denominator.
+    Each theta polynomial is summed in integers from its MPoly.int_form at
+    tabulated integer powers, and each output row or list is summed in
+    integers over one denominator.
     """
     if len(op.vars) == 2:
         if not isinstance(s, BiSeries):
@@ -177,28 +161,31 @@ def apply(op, s):
         raise InsufficientOrder(
             "series order below the operator shift", needed=op.max_shift, have=s.order
         )
-    tables = [(exps, _int_table(q)) for exps, q in op.terms]
+    forms = [(exps, q.int_form()) for exps, q in op.terms]
+    top = max((d for _, (_, _, degs) in forms for d in degs), default=0)
+    # powers[k][j] = k**j, the j-th power of theta at lattice coordinate k
+    powers = [[k**j for j in range(top + 1)] for k in range(out_order + 1)]
     if len(op.vars) == 1:
         den, ints = _clear(s.coeffs)
-        common = lcm(*(table[0] for _, table in tables))
+        common = lcm(*(l for _, (l, _, _) in forms))
         out = [0] * (out_order + 1)
-        for (a,), table in tables:
-            f = common // table[0]
+        for (a,), (l, t, _) in forms:
+            f = common // l
             for n in range(out_order - a + 1):
                 if ints[n]:
-                    out[n + a] += f * _table_sum(table, (n,)) * ints[n]
+                    out[n + a] += f * _term_sum(t, (powers[n],)) * ints[n]
         return UniSeries(out_order, [Fraction(v, common * den) for v in out])
     rows = []
     for p in range(out_order + 1):
-        feeds = [(a, b, table, s.rows[p - a]) for (a, b), table in tables if a <= p]
-        common = lcm(*(table[0] * den for _, _, table, (den, _) in feeds))
+        feeds = [(a, b, l, t, s.rows[p - a]) for (a, b), (l, t, _) in forms if a <= p]
+        common = lcm(*(l * den for _, _, l, _, (den, _) in feeds))
         row = [0] * (out_order - p + 1)
-        for a, b, table, (den, ws) in feeds:
-            f = common // (table[0] * den)
+        for a, b, l, t, (den, ws) in feeds:
+            f = common // (l * den)
             for r in range(b, out_order - p + 1):
                 w = ws[r - b]
                 if w:
-                    row[r] += f * _table_sum(table, (p - a, r - b)) * w
+                    row[r] += f * _term_sum(t, (powers[p - a], powers[r - b])) * w
         rows.append((common, row))
     return BiSeries._from_rows(out_order, rows)
 
@@ -386,17 +373,17 @@ def log_basis(sys, order, max_log):
 
     The elimination is over the integers.  Each operator is scaled by the
     lcm of its coefficient denominators, so its scaled partials take integer
-    values at the integer source monomials.  Each scaled partial is kept,
-    once per operator, as an integer table (den, [(exponents, w)]) and its
-    value at a source monomial is the integer sum divided exactly by den; a
-    nonzero remainder raises ValueError.  Each unknown is an integer
+    values at the integer source monomials.  The scaled partials are built
+    once per operator and evaluated with MPoly.evaluate, which clears each
+    one to integers on its first call (MPoly.int_form); a value that is not
+    an integer raises ValueError.  Each unknown is an integer
     vector over the free parameters with a positive denominator, in lowest
     terms, and each equation row is built over the lcm of the denominators
     that feed it: a multiple of the rational row, with the same support.
     The pivot is the largest parameter of the row; it is substituted only in
     the unknowns that hold it, which an index from parameter to unknowns
     lists.  The 2-variable basis elements are BiSeries built from their
-    coefficient dicts; their integer rows are built only when read.
+    coefficient dicts, each cleared to integer rows as it is built.
     """
     if max_log < 0:
         raise ValueError("max_log must be nonnegative")
@@ -408,8 +395,7 @@ def log_basis(sys, order, max_log):
         scale, _ = _clear(c for _, q in op.terms for c in q.terms.values())
         partials.append(
             [
-                (exps, [(sidx, _int_table(poly)) for sidx, poly in
-                        _scaled_partials(q * scale, theta_vars, max_log).items()])
+                (exps, list(_scaled_partials(q * scale, theta_vars, max_log).items()))
                 for exps, q in op.terms
             ]
         )
@@ -445,11 +431,12 @@ def log_basis(sys, order, max_log):
             sources = {}
             for mono in monos:
                 found = []
-                for exps, tables in op_terms:
+                for exps, polys in op_terms:
                     src_mono = tuple(p - a for p, a in zip(mono, exps))
                     if any(v < 0 for v in src_mono):
                         continue
-                    values = [(sidx, _int_value(t, src_mono)) for sidx, t in tables]
+                    env = dict(zip(theta_vars, src_mono))
+                    values = [(sidx, _int_value(poly, env)) for sidx, poly in polys]
                     found.append((src_mono, [(sidx, w) for sidx, w in values if w]))
                 sources[mono] = found
             for li in logidx:

@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hornsing.exact import MPoly
+from hornsing.exact import MPoly, _term_sum
 from hornsing.exprio import parse_expr, expr_to_mpoly, expr_to_ratfun, parse_spec_text
 from hornsing.series import BiSeries, InsufficientOrder, UniSeries, expand_from_ratios, hyper_from_spec
 from hornsing.theta import (
-    _int_table,
     _int_value,
     _scaled_partials,
-    _table_sum,
     LogSeries,
     PdeSystem,
     ThetaOp,
@@ -484,31 +482,43 @@ def _source_points(width, order):
 )
 def test_int_tables_match_evaluate(sys, order, max_log):
     # what log_basis and apply evaluate: each theta polynomial and each
-    # scaled partial of the operator cleared to integer coefficients
+    # scaled partial of the operator, summed from its integer form, against
+    # a term-by-term evaluation over Fractions
     theta_vars = sys.ops[0].theta_vars
     width = len(theta_vars)
     points = _source_points(width, order)
+
+    def by_terms(poly, point):
+        return sum(
+            (c * math.prod(Fraction(x) ** e for x, e in zip(point, exps))
+             for exps, c in poly.terms.items()),
+            Fraction(0),
+        )
+
     checked = 0
     for op in sys.ops:
         scale = math.lcm(*(c.denominator for _, q in op.terms for c in q.terms.values()))
         for _, q in op.terms:
-            table = _int_table(q)
+            l, t, degs = q.int_form()
             partials = _scaled_partials(q * scale, theta_vars, max_log)
             for point in points:
-                env = dict(zip(theta_vars, map(Fraction, point)))
-                assert Fraction(_table_sum(table, point), table[0]) == q.evaluate(env)
+                env = dict(zip(theta_vars, point))
+                powers = [[x**k for k in range(d + 1)] for x, d in zip(point, degs)]
+                want = by_terms(q, point)
+                assert Fraction(_term_sum(t, powers), l) == want == q.evaluate(env)
                 for poly in partials.values():
-                    assert _int_value(_int_table(poly), point) == poly.evaluate(env)
+                    assert _int_value(poly, env) == by_terms(poly, point)
                     checked += 1
     assert checked > 100
 
 
 def test_int_value_rejects_a_non_integral_table():
     tx = MPoly.variable(("tx",), "tx")
-    table = _int_table(tx * Fraction(1, 2) + Fraction(1, 3))
-    assert table[0] == 6
-    assert _table_sum(table, (3,)) == 11
+    q = tx * Fraction(1, 2) + Fraction(1, 3)
+    l, t, degs = q.int_form()
+    assert (l, degs) == (6, (1,))
+    assert _term_sum(t, ([1, 3],)) == 11
     with pytest.raises(ValueError, match="not integral"):
-        _int_value(table, (3,))
+        _int_value(q, {"tx": 3})
     # integer-valued although its coefficients are not
-    assert _int_value(_int_table(tx * (tx - 1) * Fraction(1, 2)), (5,)) == 10
+    assert _int_value(tx * (tx - 1) * Fraction(1, 2), {"tx": 5}) == 10
