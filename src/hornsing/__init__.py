@@ -5,8 +5,7 @@ series, expands and restricts the series themselves, guesses and verifies
 annihilating differential operators (including log-solution bases of theta
 operator systems and exterior/symmetric square orders), and carries an exact
 catalog of anisotropic Ising susceptibility singularities with elliptic-curve
-bookkeeping.  All arithmetic is exact rational; the one inexact path is
-ising.nickelian_poly(mode="float"), which rounds cosines to floats first.
+bookkeeping.  All arithmetic is exact rational.
 """
 
 __version__ = "0.1.0"

@@ -700,7 +700,9 @@ def _bareiss(M):
     Works in place, column by column, skipping a column with no nonzero
     entry at or below the current row.  Each division by the previous
     pivot is exact by Sylvester's identity (E. H. Bareiss, Math. Comp. 22,
-    1968).  Yields (column, swapped) for each pivot, after clearing below it.
+    1968).  Yields (column, swapped) for each pivot, after updating the rows
+    below it right of its column only: their entries in that column and left
+    of it stay stale, not zero, so rref takes each row as zero left of its pivot.
     """
     nrows, ncols = len(M), len(M[0]) if M else 0
     r, prev = 0, 1
@@ -846,28 +848,26 @@ def rref(rows):
     """Reduced row echelon form of a rational matrix (list of row lists).
 
     Returns (rows, pivots): the nonzero rows of the reduced form as Fraction
-    lists, ordered by pivot column, and the pivot column of each row.
+    lists, ordered by pivot column, and the pivot column of each row.  The
+    input is left unchanged: its rows are cleared to integers, echelonized by
+    _bareiss and back-substituted in integers from the last pivot row up, and
+    each nonzero entry becomes one Fraction over its row's pivot.
     """
-    rows = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    m = [_clear(row)[1] for row in rows]
+    pivots = [k for k, _ in _bareiss(m)]
+    m = m[: len(pivots)]
+    for i in reversed(range(len(pivots))):
+        row = m[i]
+        row[: pivots[i]] = [0] * pivots[i]  # stale entries left by _bareiss
+        for below, k in zip(m[i + 1 :], pivots[i + 1 :]):
+            if f := row[k]:
+                pk = below[k]
+                row = [pk * x - f * y for x, y in zip(row, below)]
+        g = math.gcd(*row)
+        m[i] = [x // g for x in row]
+    zero = Fraction(0)
+    out = [[Fraction(x, row[k]) if x else zero for x in row] for row, k in zip(m, pivots)]
+    return out, pivots
 
 
 def nullspace(matrix):

@@ -9,7 +9,6 @@ for every catalog factor.
 
 from fractions import Fraction
 from itertools import combinations
-import math
 
 from .curves import (
     Curve,
@@ -90,20 +89,14 @@ def isotropic_location_allowed(n, j, l):
 def _cos_pair(idx, mode):
     if mode == "exact":
         return rational_cos(idx.j, idx.n), rational_cos(idx.l, idx.n)
-    if mode == "float":
-        u = Fraction(math.cos(2 * math.pi * idx.j / idx.n))
-        v = Fraction(math.cos(2 * math.pi * idx.l / idx.n))
-        return u, v
-    raise ValueError("mode must be exact, symbolic or float")
+    raise ValueError("mode must be exact or symbolic")
 
 
 def nickelian_poly(idx, mode="exact"):
     """Raw expansion (r+k)(kr+1) - k(rU + sign*V)^2, no normalization.
 
-    mode "exact" needs rational cosines, "symbolic" keeps U and V as
-    variables, and "float" takes U and V as the exact Fractions of the
-    floating-point cosines.  "float" is the package's one inexact path: its
-    curve is near, not on, the true one.
+    mode "exact" needs rational cosines and "symbolic" keeps U and V as
+    variables; any other mode raises ValueError.
     """
     if mode == "symbolic":
         vars = ("k", "r", "U", "V")

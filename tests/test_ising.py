@@ -135,13 +135,10 @@ def test_nickelian_symbolic_specializes_to_exact():
     assert spec == nickelian_poly(NickelianIndex(4, 1, 4, 1))
 
 
-def test_nickelian_float_close_to_exact():
-    idx = NickelianIndex(4, 1, 4, 1)
-    pf = nickelian_poly(idx, mode="float")
-    pe = nickelian_poly(idx)
-    at = {"k": MPoly.const(KR, Fraction(3, 2)), "r": MPoly.const(KR, Fraction(2, 3))}
-    diff = pf.substitute(at).constant_value() - pe.substitute(at).constant_value()
-    assert abs(diff) < Fraction(1, 10**12)
+def test_nickelian_rejects_unknown_mode():
+    for mode in ("float", "numeric"):
+        with pytest.raises(ValueError, match="exact or symbolic"):
+            nickelian_poly(NickelianIndex(4, 1, 4, 1), mode=mode)
 
 
 def test_isotropic_examples():
