@@ -4,6 +4,10 @@ The expression grammar is plain infix arithmetic over exact rationals with
 precedence ^ > unary minus > * / > + -, where the right operand of ^ must be
 a nonnegative integer literal.  Four combinatorial atoms are recognized:
 fact(e), binom(e, e), poch(e, e), and sum(index, lower, upper, body).
+Evaluation caps the fact argument, the binom lower index, the poch count and
+the length of a sum range at _MAX_COUNT, and a ^ exponent at _MAX_EXPONENT;
+past a cap it raises EvaluationError before any factorial, product, loop or
+power runs, so no input can ask for a hang or a MemoryError.
 
 File formats are line oriented, with # comments and blank lines ignored:
 
@@ -395,10 +399,18 @@ def parse_expr(text, vars):
 # Evaluation
 
 
-def _as_integer(value, what):
+# Caps on the sizes named in the module docstring.  fact(3000) and ^12 are
+# the largest a fixture, test or benchmark job asks for.
+_MAX_COUNT = 10**4
+_MAX_EXPONENT = 10**3
+
+
+def _as_integer(value, what, cap=None):
     value = Fraction(value)
     if value.denominator != 1:
         raise EvaluationError("%s is not an integer: %s" % (what, value))
+    if cap is not None and value > cap:
+        raise EvaluationError("%s %s is above the cap %d" % (what, value, cap))
     return int(value)
 
 
@@ -421,7 +433,8 @@ def _fold(node, leaf):
     if isinstance(node, Neg):
         acc = -_fold(node.arg, leaf)
     elif isinstance(node, Pow):
-        acc = _fold(node.base, leaf) ** node.exponent
+        exponent = _as_integer(node.exponent, "exponent", _MAX_EXPONENT)
+        acc = _fold(node.base, leaf) ** exponent
     else:
         acc = leaf(node)
     for op in reversed(spine):
@@ -444,26 +457,27 @@ def eval_expr(node, env):
             except KeyError:
                 raise EvaluationError("unbound variable %r" % node.name) from None
         if isinstance(node, Fact):
-            arg = _as_integer(_fold(node.arg, leaf), "factorial argument")
+            arg = _as_integer(_fold(node.arg, leaf), "factorial argument", _MAX_COUNT)
             if arg < 0:
                 raise EvaluationError("factorial of a negative integer")
             return Fraction(math.factorial(arg))
         if isinstance(node, Binom):
             top = _fold(node.top, leaf)
-            k = _as_integer(_fold(node.bottom, leaf), "binomial lower index")
+            k = _as_integer(_fold(node.bottom, leaf), "binomial lower index", _MAX_COUNT)
             if k < 0:
                 return Fraction(0)
             falling = math.prod((top - i for i in range(k)), start=Fraction(1))
             return falling / math.factorial(k)
         if isinstance(node, Poch):
             base = _fold(node.base, leaf)
-            count = _as_integer(_fold(node.count, leaf), "pochhammer count")
+            count = _as_integer(_fold(node.count, leaf), "pochhammer count", _MAX_COUNT)
             if count < 0:
                 raise EvaluationError("pochhammer count is negative")
             return math.prod((base + i for i in range(count)), start=Fraction(1))
         if isinstance(node, Sum):
             lo = _as_integer(_fold(node.lower, leaf), "sum lower bound")
             hi = _as_integer(_fold(node.upper, leaf), "sum upper bound")
+            _as_integer(hi - lo + 1, "sum range length", _MAX_COUNT)
             total = Fraction(0)
             inner = dict(env)
             for i in range(lo, hi + 1):

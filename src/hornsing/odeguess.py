@@ -256,33 +256,21 @@ def _mod_echelon(rows, ncols, p):
         rank += 1
 
 
-def _first_free_block(rows, ncols, block, p):
-    """Index of the first column block containing a pivot-free column.
+def _first_null_vector(rows, ncols, p):
+    """First pivot-free column f and the null vector mod p with a 1 at f and
+    zeros past f, or None at full column rank.
 
-    None means full column rank, so no annihilator exists in any of the
-    nested column prefixes.  Destroys rows.
+    The elimination stops at f, where rows[:f] are the pivot rows of columns
+    0..f-1, and the vector is back-substituted from them.  Destroys rows.
     """
-    free = next(_mod_echelon(rows, ncols, p), None)
-    return None if free is None else free // block
-
-
-def _mod_null_vector(rows, ncols, p):
-    """Pivot columns and canonical null vector mod p, or None at full rank.
-
-    The vector has a 1 at the first free column and 0 at the other free
-    columns.  Destroys rows.
-    """
-    free = list(_mod_echelon(rows, ncols, p))
-    if not free:
+    f = next(_mod_echelon(rows, ncols, p), None)
+    if f is None:
         return None
-    # Columns before the first free one are the pivots of rows[0..f-1].
-    f = free[0]
-    vec = [0] * ncols
-    vec[f] = 1
+    vec = [0] * f + [1]
     for i in range(f - 1, -1, -1):
         row = rows[i]
         vec[i] = -sum(row[j] * vec[j] for j in range(i + 1, f + 1)) % p
-    return tuple(sorted(set(range(ncols)).difference(free))), vec
+    return f, vec
 
 
 def _crt(r1, m1, r2, m2):
@@ -319,49 +307,6 @@ def _primitive(vec):
     return [v // g for v in ints]
 
 
-def _null_vector_exact(fr_rows, ncols):
-    """Canonical exact null vector of a rational matrix, or None if full rank.
-
-    Each row is cleared to integers once, which leaves the null space alone,
-    and reduced modulo a stream of 61-bit primes with CRT lifting and
-    rational reconstruction; every candidate is verified by integer dot
-    products with the integer rows.  Integer rank mod p is at most the rank
-    over Q, so full rank mod any prime proves nonexistence, and an unlucky
-    prime only gives candidates that fail the check.  After _MAX_PRIMES
-    primes the exact nullspace of the original rows decides.
-    """
-    int_rows = [_clear(row)[1] for row in fr_rows]
-    structure = None
-    residues = None
-    modulus = None
-    for p in islice(_prime_stream(), _MAX_PRIMES):
-        rows = [[x % p for x in row] for row in int_rows]
-        found = _mod_null_vector(rows, ncols, p)
-        if found is None:
-            return None
-        pivots, vec = found
-        key = (len(pivots), pivots)
-        if structure is None or key[0] > structure[0]:
-            structure, residues, modulus = key, vec, p
-        elif key != structure:
-            continue
-        else:
-            residues = [_crt(r, modulus, v, p) for r, v in zip(residues, vec)]
-            modulus *= p
-        cand = [_rat_recon(u, modulus) for u in residues]
-        if any(c is None for c in cand):
-            continue
-        ints = _primitive(cand)
-        if all(
-            sum(r * v for r, v in zip(row, ints) if v) == 0 for row in int_rows
-        ):
-            return [Fraction(v) for v in ints]
-    basis = nullspace(fr_rows)
-    if not basis:
-        return None
-    return [Fraction(v) for v in _primitive(basis[0])]
-
-
 # ---------------------------------------------------------------------------
 # Guessing
 
@@ -391,6 +336,14 @@ def guess_ode(s, max_order, max_degree, var="t"):
     the whole bounded rectangle is exhausted (a certificate by full modular
     column rank) and InsufficientOrder when the series is too short to leave
     a ten-row verification margin.
+
+    Per prime, the first free theta-major column gives r*, and the degree
+    pass stops at its first free column f with the null vector mod p.  Rank
+    mod p never exceeds rank over Q on a column prefix, so an unlucky prime
+    only lowers the key (r*, f).  Residues of the largest key are combined by
+    CRT, reconstructed and verified against the exact (r*, d*) rows; after
+    _MAX_PRIMES primes the exact nullspace of those rows decides, and if it
+    is empty the RuntimeError carries the primes drawn as `primes`.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError("bounds must allow a nonzero operator")
@@ -412,7 +365,10 @@ def guess_ode(s, max_order, max_degree, var="t"):
     ]
     # A common scale leaves the null space unchanged.
     _, ints = _clear(s.coeffs)
+    primes = []
+    best = None
     for p in islice(_prime_stream(), _MAX_PRIMES):
+        primes.append(p)
         cm = [c % p for c in ints]
         weights = [
             [c * pow(k, i, p) % p for i in range(max_order + 1)]
@@ -420,33 +376,51 @@ def guess_ode(s, max_order, max_degree, var="t"):
         ]
         rows = _theta_rows(weights, nrows, max_order, max_degree)
         rows = [[row[j] for j in theta_major] for row in rows]
-        r_star = _first_free_block(rows, ncols, max_degree + 1, p)
-        if r_star is None:
+        free = next(_mod_echelon(rows, ncols, p), None)
+        if free is None:
             raise NotFound(
                 "no operator within order %d and degree %d" % (max_order, max_degree),
                 max_order,
                 max_degree,
             )
+        r_star = free // (max_degree + 1)
         rows = _theta_rows(weights, nrows, r_star, max_degree)
         # never None: the r* pass found these columns (same prime, reordered) rank-deficient
-        d_star = _first_free_block(
-            rows, (r_star + 1) * (max_degree + 1), r_star + 1, p
-        )
-        exact = [[c * k**i for i in range(r_star + 1)] for k, c in enumerate(ints)]
-        rows = _theta_rows(exact, nrows, r_star, d_star)
-        vec = _null_vector_exact(rows, (r_star + 1) * (d_star + 1))
-        if vec is None:
+        f, vec = _first_null_vector(rows, (r_star + 1) * (max_degree + 1), p)
+        key = (r_star, f)
+        if best is None or key > best:
+            best, residues, modulus = key, vec, p
+            exact = [[c * k**i for i in range(r_star + 1)] for k, c in enumerate(ints)]
+            int_rows = _theta_rows(exact, nrows, r_star, f // (r_star + 1))
+        elif key < best:
             continue
-        tname = "t" + var
-        terms = []
-        for a in range(d_star + 1):
-            q = MPoly((tname,), {(i,): vec[a * (r_star + 1) + i] for i in range(r_star + 1)})
-            if not q.is_zero():
-                terms.append(((a,), q))
-        ode = UniODE.from_theta(ThetaOp((var,), terms))
-        margin = nrows - (r_star + 1) * (d_star + 1)
-        return GuessReport(ode, margin)
-    raise RuntimeError("no usable prime among the first %d" % _MAX_PRIMES)
+        else:
+            residues = [_crt(r, modulus, v, p) for r, v in zip(residues, vec)]
+            modulus *= p
+        cand = [_rat_recon(u, modulus) for u in residues]
+        if any(c is None for c in cand):
+            continue
+        vec = _primitive(cand)
+        if all(sum(r * v for r, v in zip(row, vec) if v) == 0 for row in int_rows):
+            break
+    else:
+        basis = nullspace(int_rows)
+        if not basis:
+            err = RuntimeError("no usable prime among the first %d" % _MAX_PRIMES)
+            err.primes = primes
+            raise err
+        vec = _primitive(basis[0])
+    r_star, f = best
+    d_star = f // (r_star + 1)
+    tname = "t" + var
+    terms = []
+    for a in range(d_star + 1):
+        block = vec[a * (r_star + 1) : (a + 1) * (r_star + 1)]
+        q = MPoly((tname,), {(i,): c for i, c in enumerate(block)})
+        if not q.is_zero():
+            terms.append(((a,), q))
+    ode = UniODE.from_theta(ThetaOp((var,), terms))
+    return GuessReport(ode, nrows - (r_star + 1) * (d_star + 1))
 
 
 def annihilates_series(ode, s):

@@ -483,12 +483,17 @@ def log_basis(sys, order, max_log):
         for d in range(order + 1)
         for mono in sorted(_monos(width, d))
     ]
-    slot = {pid: i for i, pid in enumerate(sorted(holders))}
-    rows = [[Fraction(0)] * len(columns) for _ in slot]
+    # Each row is built over the lcm of the denominators of the unknowns that
+    # hold its parameter: a scaling, which leaves the reduced form unchanged.
+    pids = sorted(holders)
+    slot = {pid: i for i, pid in enumerate(pids)}
+    row_den = [lcm(*[coeffs[key][1] for key in holders[pid]]) for pid in pids]
+    rows = [[0] * len(columns) for _ in pids]
     for col, key in enumerate(columns):
         vec, den = coeffs[key]
         for pid, c in vec.items():
-            rows[slot[pid]][col] = Fraction(c, den)
+            i = slot[pid]
+            rows[i][col] = c * (row_den[i] // den)
     rows, _pivots = rref(rows)
 
     basis = []

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from hornsing import exprio
 from hornsing.exact import MPoly
 from hornsing.exprio import (
     Div,
@@ -121,6 +123,61 @@ def test_evaluation_errors():
         ev("poch(2,n)", n=-3)
     with pytest.raises(EvaluationError):
         ev("fact(n)", n=Fraction(1, 2))
+
+
+@pytest.fixture
+def no_big_work(monkeypatch):
+    """Fail the test, rather than hang, if a factorial or a loop past the
+    count cap starts."""
+    factorial = math.factorial
+
+    def guarded_factorial(n):
+        assert n <= exprio._MAX_COUNT, "factorial past the cap"
+        return factorial(n)
+
+    def guarded_range(*args):
+        r = range(*args)
+        assert len(r) <= exprio._MAX_COUNT, "loop past the cap"
+        return r
+
+    monkeypatch.setattr(math, "factorial", guarded_factorial)
+    monkeypatch.setattr(exprio, "range", guarded_range, raising=False)
+
+
+def test_size_caps_raise_before_any_work(no_big_work):
+    for text in (
+        "fact(10^9)",
+        "fact(n)*fact(2^100)",
+        "binom(n, 10^9)",
+        "poch(1/2, 10^9)",
+        "sum(k, 0, 10^9, k)",
+        "sum(k, -10^12, 10^12, 1)",
+        "sum(k, 0, 3, fact(10^9 + k))",
+        "2^1000000000",
+        "n^(123456789)",
+    ):
+        with pytest.raises(EvaluationError, match="above the cap"):
+            ev(text, n=3)
+    with pytest.raises(EvaluationError, match="above the cap"):
+        expr_to_ratfun(parse_expr("x^1000000000 + y", XY), XY)
+    with pytest.raises(EvaluationError, match="above the cap"):
+        expr_to_ratfun(parse_expr("fact(10^9)*x", XY), XY)
+    with pytest.raises(ValidationError, match="above the cap"):
+        parse_ode_text("ode-var: t\n0 : 1\n1 : t^100000000\n")
+    with pytest.raises(ValidationError, match="above the cap"):
+        parse_operator_text("op-vars: x\n0 : tx^100000000\n")
+
+
+def test_size_caps_admit_values_at_the_cap(no_big_work):
+    cap = exprio._MAX_COUNT
+    assert ev("fact(%d)/fact(%d)" % (cap, cap - 1), n=0) == cap
+    assert ev("binom(n, %d)" % cap, n=cap + 1) == cap + 1
+    assert ev("poch(1, %d)/fact(%d)" % (cap, cap), n=0) == 1
+    assert ev("sum(k, 1, %d, 1)" % cap, n=0) == cap
+    assert ev("2^%d" % exprio._MAX_EXPONENT, n=0) == 2**exprio._MAX_EXPONENT
+    for text in ("fact(%d)" % (cap + 1), "sum(k, 0, %d, 1)" % cap, "2^%d" % (exprio._MAX_EXPONENT + 1)):
+        with pytest.raises(EvaluationError, match="above the cap"):
+            ev(text, n=0)
 
 
 def test_sum_bounds_must_be_affine():

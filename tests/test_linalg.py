@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hornsing.exact import nullspace, rref, solve_linear
-from hornsing.odeguess import _mod_echelon, _mod_null_vector
+from hornsing.odeguess import _first_null_vector, _mod_echelon
 
 P61 = 2**61 - 1
 
@@ -52,7 +52,7 @@ def test_rref_matches_sympy():
     for nrows, ncols, rank in _shapes():
         m = _random_matrix(rng, nrows, ncols, rank)
         # Odd rows hold their integral entries as ints, even rows as Fractions:
-        # log_basis passes Fractions, the _null_vector_exact fallback ints.
+        # Fraction and int entries mix; the guess_ode fallback passes ints.
         m = [
             [int(x) if i % 2 and x.denominator == 1 else x for x in row]
             for i, row in enumerate(m)
@@ -75,21 +75,25 @@ def test_rref_of_empty_and_zero_matrices():
     assert rref([[0, 0], [0, 0]]) == ([], [])
 
 
-def test_mod_null_vector_is_canonical_nullspace_vector():
+def test_first_null_vector_is_canonical_nullspace_vector():
     rng = random.Random(4242)
     hits = 0
     for nrows, ncols, rank in _shapes():
         m = _random_matrix(rng, nrows, ncols, rank)
-        _rows, want_pivots = rref(m)
+        _rows, pivots = rref(m)
         mod_rows = [[_residue(x, P61) for x in row] for row in m]
-        got = _mod_null_vector(mod_rows, ncols, P61)
+        got = _first_null_vector(mod_rows, ncols, P61)
         basis = nullspace(m)
         if not basis:
             assert got is None
             continue
-        pivots, vec = got
-        assert pivots == tuple(want_pivots)
-        assert vec == [_residue(x, P61) for x in basis[0]]
+        f, vec = got
+        assert f == min(set(range(ncols)).difference(pivots))
+        # The canonical vector has a 1 at the first free column and is zero
+        # past it, so the reader returns exactly its first f + 1 entries.
+        want = [_residue(x, P61) for x in basis[0]]
+        assert vec == want[: f + 1]
+        assert not any(want[f + 1 :])
         hits += 1
     assert hits > 30
 
@@ -120,7 +124,7 @@ def _assert_echelon_matches_reference(m, ncols, p):
     want_rows = [list(r) for r in m]
     got = _mod_echelon(got_rows, ncols, p)
     want = _reference_echelon(want_rows, ncols, p)
-    # At the first free column, where _first_free_block stops, the pivot rows
+    # At the first free column, where _first_null_vector stops, the pivot rows
     # found so far already agree.
     first = next(got, None)
     assert first == next(want, None)

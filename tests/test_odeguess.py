@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hornsing import odeguess
-from hornsing.exact import MPoly, RatFun, ZeroInput, nullspace, poly_gcd
+from hornsing.exact import MPoly, RatFun, ZeroInput, _is_probable_prime, nullspace, poly_gcd
 from hornsing.exprio import expr_to_mpoly, expr_to_ratfun, parse_expr, parse_spec_text
 from hornsing.odeguess import (
     GuessReport,
@@ -553,12 +554,25 @@ def _guarded_stream(primes, limit=10**4):
     return stream
 
 
-def test_null_vector_exact_falls_back_to_nullspace(monkeypatch):
-    # Three small primes leave a modulus near 10^6, far too small to
-    # reconstruct null-vector entries near 10^12, so every modular candidate
-    # is rejected and the exact nullspace decides.
-    rows = [[1000003, -1999993, 7], [3, 5, -999983]]
-    frows = [[Fraction(x) for x in row] for row in rows]
+def _key_spy(monkeypatch, max_degree):
+    """Record the key (r*, f) of each degree pass guess_ode runs."""
+    keys = []
+    reader = odeguess._first_null_vector
+
+    def spy(rows, ncols, p):
+        found = reader(rows, ncols, p)
+        keys.append((ncols // (max_degree + 1) - 1, found[0]))
+        return found
+
+    monkeypatch.setattr(odeguess, "_first_null_vector", spy)
+    return keys
+
+
+def test_guess_ode_falls_back_to_nullspace(monkeypatch):
+    # Three small primes leave a modulus near 10^6, too small to reconstruct
+    # the coefficient 1000003 of the operator, so every modular candidate is
+    # rejected and the exact nullspace of the (r*, d*) rows decides.
+    s = _binomial_series(40, 1, 1000003, 0)
     calls = []
 
     def spy(matrix):
@@ -568,19 +582,65 @@ def test_null_vector_exact_falls_back_to_nullspace(monkeypatch):
     monkeypatch.setattr(odeguess, "_MAX_PRIMES", 3)
     monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([101, 103, 107], 3))
     monkeypatch.setattr(odeguess, "nullspace", spy)
-    vec = odeguess._null_vector_exact(frows, 3)
-    assert calls == [frows]
-    assert vec == [Fraction(v) for v in odeguess._primitive(nullspace(frows)[0])]
-    assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in rows)
-    assert max(abs(v) for v in vec) > 10**11
+    rep = guess_ode(s, 2, 3)
+    ode, margin = _fraction_fit(s, 2, 3)
+    assert (rep.ode, rep.checked_margin) == (ode, margin)
+    bound = math.isqrt(101 * 103 * 107 // 2)
+    assert max(abs(c) for p in ode.coeffs for c in p.terms.values()) > bound
+    r = ode.order
+    d = (s.order + 1 - margin) // (r + 1) - 1
+    den = math.lcm(*(c.denominator for c in s.coeffs))
+    ints = [int(c * den) for c in s.coeffs]
+    want = [
+        [ints[n - a] * (n - a) ** i if n >= a else 0 for a in range(d + 1) for i in range(r + 1)]
+        for n in range(s.order + 1)
+    ]
+    assert calls == [want]
+    assert all(type(x) is int for row in calls[0] for x in row)
+
+
+def test_guess_ode_drops_unlucky_primes(monkeypatch):
+    # C(2k, k)^2 / scale^k has an order-2 operator whose head carries the
+    # 41-bit scale, so two 61-bit primes are needed to reconstruct it.  Search
+    # the small primes for one whose key (r*, f) is below the true key, then
+    # run a stream of it, P61, it again and the next 61-bit prime: its first
+    # residues are dropped when P61 raises the key, its second draw is
+    # skipped, and the second 61-bit prime is combined with P61 by CRT.
+    scale = 2**40 + 15
+    s = _binomial_series(40, 2, scale, 0)
+    p2 = next(itertools.islice(odeguess._prime_stream(), 1, None))
+    keys = _key_spy(monkeypatch, 3)
+    monkeypatch.setattr(odeguess, "_MAX_PRIMES", 1)
+
+    def key_of(p):
+        keys.clear()
+        monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([p], 1))
+        # One prime leaves the exact nullspace to decide, which may find none.
+        with contextlib.suppress(RuntimeError):
+            guess_ode(s, 2, 3)
+        return keys[0]
+
+    true_key = key_of(P61)
+    q = next(q for q in range(3, 200) if _is_probable_prime(q) and key_of(q) < true_key)
+    unlucky_key = key_of(q)
+    keys.clear()
+    monkeypatch.setattr(odeguess, "_MAX_PRIMES", 4)
+    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([q, P61, q, p2], 4))
+    rep = guess_ode(s, 2, 3)
+    assert keys == [unlucky_key, true_key, unlucky_key, true_key]
+    ode, margin = _fraction_fit(s, 2, 3)
+    assert (rep.ode, rep.checked_margin) == (ode, margin)
+    assert scale in ode.head.terms.values()
 
 
 def test_guess_ode_prime_retries_are_bounded(monkeypatch):
     p = 2**61 - 1
-    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([p]))
+    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([p], odeguess._MAX_PRIMES))
     s = UniSeries(40, [Fraction(1, p)] + [Fraction(1)] * 40)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError) as info:
         guess_ode(s, 1, 2)
+    assert str(info.value) == "no usable prime among the first %d" % odeguess._MAX_PRIMES
+    assert info.value.primes == [p] * odeguess._MAX_PRIMES
 
 
 P61 = 2**61 - 1
