@@ -542,7 +542,7 @@ def test_guess_random_rational_functions():
         assert not any(rep.ode.apply(s).coeffs)
 
 
-def _guarded_stream(primes, limit=10**4):
+def _guarded_stream(primes, limit):
     """A prime stream cycling through `primes` that fails after `limit` draws."""
 
     def stream():
@@ -626,6 +626,7 @@ def test_guess_ode_drops_unlucky_primes(monkeypatch):
     keys.clear()
     monkeypatch.setattr(odeguess, "_MAX_PRIMES", 4)
     monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([q, P61, q, p2], 4))
+    monkeypatch.setattr(odeguess, "nullspace", None)  # the CRT must decide, not the fallback
     rep = guess_ode(s, 2, 3)
     assert keys == [unlucky_key, true_key, unlucky_key, true_key]
     ode, margin = _fraction_fit(s, 2, 3)
@@ -712,7 +713,7 @@ def test_guess_ode_fits_over_the_first_prime_dividing_the_denominators(monkeypat
     base = _binomial_series(40, 2, 1, 0)
     want = guess_ode(base, 2, 3)
     s = UniSeries(40, [c * Fraction(7, P61**2) for c in base.coeffs])
-    # Each prime loop may draw P61 once: a second draw fails the test.
+    # The prime loop may draw P61 once: a second draw fails the test.
     monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([P61], 1))
     rep = guess_ode(s, 2, 3)
     assert (rep.ode, rep.checked_margin) == (want.ode, want.checked_margin)
