@@ -34,6 +34,26 @@ def _clear(values):
     return l, [v.numerator * (l // v.denominator) for v in values]
 
 
+def _num(c):
+    """A rational as a terms dict stores it: an int when integral, else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _coefficient(c):
+    """_num(c) for an int or a Fraction; TypeError for anything else."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient must be an int or a Fraction, not %s" % type(c).__name__)
+    return _num(c)
+
+
+def _quo(a, b):
+    """a/b for two stored coefficients, stored the same way (never a float)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _num(a / b)
+
+
 def _glex_key(exps):
     return (sum(exps), exps)
 
@@ -42,10 +62,15 @@ class MPoly:
     """Sparse multivariate polynomial over Q.
 
     `vars` is an ordered tuple of variable names; `terms` maps exponent
-    tuples to nonzero Fraction coefficients.  Two polynomials interoperate
-    only when their variable tuples agree (use with_vars to embed).  A
-    polynomial is never changed after it is built, so its integer form
-    (int_form) is kept once built.
+    tuples to nonzero coefficients, each an int when it is integral and
+    otherwise a Fraction with denominator > 1, so integer work builds no
+    Fraction.  The accessors (constant_value, leading_coeff, coeff,
+    coeff_list, content) return Fractions all the same, and equality and
+    hashing do not see the difference, since Fraction(3) == 3 and both hash
+    alike.  Coefficients other than int and Fraction raise TypeError.  Two
+    polynomials interoperate only when their variable tuples agree (use
+    with_vars to embed).  A polynomial is never changed after it is built,
+    so its integer form (int_form) is kept once built.
     """
 
     __slots__ = ("vars", "terms", "_int_form")
@@ -54,21 +79,22 @@ class MPoly:
         self.vars = tuple(vars)
         clean = {}
         for exps, c in terms.items():
-            c = Fraction(c)
+            c = _coefficient(c)
             if c:
                 t = tuple(int(e) for e in exps)
                 if len(t) != len(self.vars) or any(e < 0 for e in t):
                     raise ValueError("bad exponent tuple %r" % (t,))
-                clean[t] = clean.get(t, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+                clean[t] = clean.get(t, 0) + c
+        self.terms = {e: _num(c) for e, c in clean.items() if c}
 
     @classmethod
     def _trusted(cls, vars, terms):
         """Wrap a vars tuple and a terms dict that already hold the invariant.
 
         The keys are int tuples of length len(vars) and the values nonzero
-        Fractions; nothing is checked, coerced or copied, so only internal
-        paths whose inputs are valid polynomials build results this way.
+        ints, or Fractions with denominator > 1 where not integral; nothing
+        is checked, coerced or copied, so only internal paths whose inputs
+        are valid polynomials build results this way.
         """
         p = object.__new__(cls)
         p.vars = vars
@@ -83,7 +109,7 @@ class MPoly:
 
     @classmethod
     def const(cls, vars, c):
-        c = Fraction(c)
+        c = _coefficient(c)
         vars = tuple(vars)
         return cls._trusted(vars, {(0,) * len(vars): c} if c else {})
 
@@ -93,7 +119,7 @@ class MPoly:
         i = vars.index(name)
         e = [0] * len(vars)
         e[i] = 1
-        return cls._trusted(vars, {tuple(e): Fraction(1)})
+        return cls._trusted(vars, {tuple(e): 1})
 
     # ---- basic queries -------------------------------------------------
 
@@ -106,7 +132,7 @@ class MPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.terms.values()), 0))
 
     def total_degree(self):
         if not self.terms:
@@ -125,10 +151,10 @@ class MPoly:
         return max(self.terms, key=_glex_key)
 
     def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_exps()]
+        return Fraction(self.terms[self.leading_exps()])
 
     def coeff(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(tuple(exps), 0))
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -138,7 +164,9 @@ class MPoly:
 
     def _plus(self, other, sign):
         """self + sign*other for sign 1 or -1: one dict copy, cancelled terms deleted."""
-        if not isinstance(other, MPoly) and isinstance(other, (int, Fraction)):
+        if not isinstance(other, MPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = MPoly.const(self.vars, other)
         self._check(other)
         t = dict(self.terms)
@@ -161,13 +189,15 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, MPoly) and isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, MPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _num(other)
             if c == 1:
                 return self
             if not c:
                 return MPoly.zero(self.vars)
-            return MPoly._trusted(self.vars, {e: v * c for e, v in self.terms.items()})
+            return MPoly._trusted(self.vars, {e: _num(v * c) for e, v in self.terms.items()})
         self._check(other)
         t = {}
         right = list(other.terms.items())
@@ -176,7 +206,9 @@ class MPoly:
                 e = tuple(map(_add, e1, e2))
                 s = t.get(e)
                 t[e] = c1 * c2 if s is None else s + c1 * c2
-        return MPoly._trusted(self.vars, {e: c for e, c in t.items() if c})
+        return MPoly._trusted(
+            self.vars, {e: c if type(c) is int else _num(c) for e, c in t.items() if c}
+        )
 
     __rmul__ = __mul__
 
@@ -214,7 +246,7 @@ class MPoly:
         for e, c in self.terms.items():
             if e[i]:
                 # lowering e[i] by one maps distinct exponents to distinct ones
-                t[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+                t[e[:i] + (e[i] - 1,) + e[i + 1 :]] = _num(c * e[i])
         return MPoly._trusted(self.vars, t)
 
     def int_form(self):
@@ -285,7 +317,7 @@ class MPoly:
                     if pos[i] is None:
                         raise ValueError("cannot drop used variable %r" % self.vars[i])
                     ne[pos[i]] = k
-            t[tuple(ne)] = t.get(tuple(ne), Fraction(0)) + c
+            t[tuple(ne)] = t.get(tuple(ne), 0) + c
         return MPoly(newvars, t)
 
     # ---- univariate views ------------------------------------------------
@@ -308,7 +340,7 @@ class MPoly:
         for e, c in self.terms.items():
             if any(e[:i]) or any(e[i + 1 :]):
                 raise ValueError("polynomial has a variable other than %r" % var)
-            out[e[i]] = c
+            out[e[i]] = Fraction(c)
         return out
 
     @classmethod
@@ -337,11 +369,7 @@ class MPoly:
         """Divide out the content and fix a positive graded-lex leading coefficient."""
         if not self.terms:
             return self
-        c = self.content()
-        p = self * (1 / c)
-        if p.leading_coeff() < 0:
-            p = -p
-        return p
+        return self * _primitive_scale(self)
 
     # ---- printing ----------------------------------------------------------
 
@@ -381,6 +409,16 @@ class MPoly:
         return "MPoly[%s](%s)" % (",".join(self.vars), self.to_str())
 
 
+def _primitive_scale(p):
+    """The rational s, stored as a coefficient, with s*p primitive of positive
+    leading coefficient; p is nonzero."""
+    l, ints = _clear(p.terms.values())
+    g = math.gcd(*ints)
+    if p.terms[p.leading_exps()] < 0:
+        g = -g
+    return _quo(l, g)
+
+
 def _add_term(t, e, c):
     """t[e] += c in a terms dict, deleting the entry when the sum is zero."""
     s = t.get(e)
@@ -389,7 +427,7 @@ def _add_term(t, e, c):
     else:
         s += c
         if s:
-            t[e] = s
+            t[e] = _num(s)
         else:
             del t[e]
 
@@ -406,10 +444,10 @@ def _compose(p, tables, tvars):
     """Sum over the terms c*x^e of p of c * prod tables[i][e_i]; an empty table skips x_i."""
     out = MPoly.zero(tvars)
     for e, c in p.terms.items():
-        term = MPoly.const(tvars, c)
+        term = c
         for table, k in zip(tables, e):
             if table:
-                term = term * table[k]
+                term = table[k] * term
         out = out + term
     return out
 
@@ -422,7 +460,7 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
         return a
     a._check(b)
     if b.is_constant():
-        return a * (1 / b.constant_value())
+        return a * Fraction(1, b.constant_value())
     rem = dict(a.terms)
     q = {}
     lb = b.leading_exps()
@@ -434,7 +472,7 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
         diff = tuple(x - y for x, y in zip(la, lb))
         if any(d < 0 for d in diff):
             raise ValueError("inexact polynomial division")
-        c = rem.pop(la) / cb
+        c = _quo(rem.pop(la), cb)
         q[diff] = c
         for e, v in tail:
             _add_term(rem, tuple(map(_add, diff, e)), -c * v)
@@ -449,9 +487,9 @@ def _list_primitive(coeffs):
         return cont, coeffs
     prim = [divexact(c, cont) for c in coeffs]
     l, ints = _clear(v for c in prim for v in c.terms.values())
-    fc = Fraction(math.gcd(*ints), l)
-    if fc and fc != 1:
-        prim = [c * (1 / fc) for c in prim]
+    g = math.gcd(*ints)
+    if g and g != l:
+        prim = [c * Fraction(l, g) for c in prim]
     return cont, prim
 
 
@@ -515,7 +553,7 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return MPoly.const(a.vars, 1)
     g = _heu_gcd(_int_terms(a)[1], _int_terms(b)[1])
     if g is not None:
-        return MPoly._trusted(a.vars, {e: Fraction(c) for e, c in g.items()}).primitive_positive()
+        return MPoly._trusted(a.vars, g).primitive_positive()
     contA, A = _list_primitive(a.as_univar(main))
     contB, B = _list_primitive(b.as_univar(main))
     gc = poly_gcd(contA, contB)
@@ -628,7 +666,7 @@ def resultant(a: MPoly, b: MPoly, var: str) -> MPoly:
     lb, cb = _int_coeff_lists(b, i, n)
     scale = la**n * lb**m
     det = _sylvester_det(ca, cb, len(a.vars))
-    return MPoly(a.vars, {e: Fraction(c, scale) for e, c in det.items()})
+    return MPoly._trusted(a.vars, {e: _quo(c, scale) for e, c in det.items()})
 
 
 def _int_coeff_lists(p, i, d):
@@ -1178,10 +1216,9 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
     for v in p.vars:
         if v != var and p.degree(v) > 0:
             raise ValueError("factor_univariate got a multivariate input")
-    unit = p.content()
-    if p.leading_coeff() < 0:
-        unit = -unit
-    work = p * (1 / unit)
+    scale = _primitive_scale(p)
+    unit = Fraction(1, scale)
+    work = p * scale
     factors = []
     x = MPoly.variable(p.vars, var)
     (xe,) = x.terms
@@ -1254,10 +1291,8 @@ def squarefree_decomposition(p, var):
 
 def _unit_den(num, den):
     """Scale num and den alike so den is primitive with positive leading coefficient."""
-    c = den.content()
-    if den.leading_coeff() < 0:
-        c = -c
-    return num * (1 / c), den * (1 / c)
+    s = _primitive_scale(den)
+    return num * s, den * s
 
 
 def _cross_gcd(p, q):

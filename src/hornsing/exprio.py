@@ -4,10 +4,13 @@ The expression grammar is plain infix arithmetic over exact rationals with
 precedence ^ > unary minus > * / > + -, where the right operand of ^ must be
 a nonnegative integer literal.  Four combinatorial atoms are recognized:
 fact(e), binom(e, e), poch(e, e), and sum(index, lower, upper, body).
-Evaluation caps the fact argument, the binom lower index, the poch count and
-the length of a sum range at _MAX_COUNT, and a ^ exponent at _MAX_EXPONENT;
-past a cap it raises EvaluationError before any factorial, product, loop or
-power runs, so no input can ask for a hang or a MemoryError.
+Evaluation caps the fact argument, the binom lower index and the poch count
+at _MAX_COUNT, and a ^ exponent at _MAX_EXPONENT.  The sums of one
+evaluation share one budget of _MAX_COUNT body evaluations, so nested sums
+cannot multiply their ranges past it; each range is charged in full before
+it starts.  Past a cap it raises EvaluationError before any factorial,
+product, loop or power runs, so no input can ask for a hang or a
+MemoryError.
 
 File formats are line oriented, with # comments and blank lines ignored:
 
@@ -447,6 +450,11 @@ def _fold(node, leaf):
 
 def eval_expr(node, env):
     """Exact value of node with env mapping every free name to a rational."""
+    return _evaluate(node, env, [_MAX_COUNT])
+
+
+def _evaluate(node, env, budget):
+    """eval_expr, charging every sum range to budget[0], the body evaluations left."""
 
     def leaf(node):
         if isinstance(node, Int):
@@ -477,12 +485,13 @@ def eval_expr(node, env):
         if isinstance(node, Sum):
             lo = _as_integer(_fold(node.lower, leaf), "sum lower bound")
             hi = _as_integer(_fold(node.upper, leaf), "sum upper bound")
-            _as_integer(hi - lo + 1, "sum range length", _MAX_COUNT)
+            if hi >= lo:
+                budget[0] -= _as_integer(hi - lo + 1, "sum range length", budget[0])
             total = Fraction(0)
             inner = dict(env)
             for i in range(lo, hi + 1):
                 inner[node.index] = Fraction(i)
-                total += eval_expr(node.body, inner)
+                total += _evaluate(node.body, inner, budget)
             return total
         raise TypeError("not an Expr node: %r" % (node,))
 

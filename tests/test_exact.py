@@ -642,12 +642,16 @@ XYZ = ("x", "y", "z")
 
 
 def _assert_invariant(p, vars):
-    """Keys are int tuples of length len(vars), values nonzero Fractions."""
+    """Keys are int tuples of length len(vars); values are nonzero ints, or
+    Fractions with denominator > 1 (never a float or an integral Fraction)."""
     assert p.vars == vars
     for e, c in p.terms.items():
         assert type(e) is tuple and len(e) == len(vars)
         assert all(type(k) is int and k >= 0 for k in e)
-        assert type(c) is Fraction and c != 0
+        if type(c) is int:
+            assert c != 0
+        else:
+            assert type(c) is Fraction and c.denominator > 1
 
 
 def _small_poly(rng, vars, nterms=5):
@@ -732,7 +736,7 @@ def test_public_constructor_validates_and_coerces():
         MPoly(XY, {(1,): 1})
     with pytest.raises(ValueError, match="bad exponent tuple"):
         MPoly(XY, {(1, 0, 0): 1})
-    p = MPoly(["x", "y"], {(1, 0): 2, ("1", "0"): Fraction(1, 2), (0, 2): 0, ("0", 1): "3/4"})
+    p = MPoly(["x", "y"], {(1, 0): 2, ("1", "0"): Fraction(1, 2), (0, 2): 0, ("0", 1): Fraction(3, 4)})
     assert p.vars == XY
     assert p.terms == {(1, 0): Fraction(5, 2), (0, 1): Fraction(3, 4)}
     _assert_invariant(p, XY)
@@ -764,6 +768,82 @@ def test_property_ratfun_products_match_full_gcd():
         quo = f / g
         want = RatFun(f.num * g.den, f.den * g.num)
         assert (quo.num.terms, quo.den.terms) == (want.num.terms, want.den.terms)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    x, y = x_(), y_()
+    half = Fraction(1, 2)
+    cases = [
+        ((x * half) * (2 * y), {(1, 1): 1}),
+        (x * half + x * half, {(1, 0): 1}),
+        ((x**2 * half).derivative("x"), {(1, 0): 1}),
+        (divexact(2 * x + 4 * y, MPoly.const(XY, 2)), {(1, 0): 1, (0, 1): 2}),
+        (divexact(6 * x - 4, MPoly.const(XY, Fraction(2, 3))), {(1, 0): 9, (0, 0): -6}),
+        (divexact((3 * y + 2) * (2 * x + 1), 3 * y + 2), {(1, 0): 2, (0, 0): 1}),
+        (divexact(x + 1, 2 * x + 2), {(0, 0): half}),
+        ((x * Fraction(2, 3) + Fraction(4, 3)).primitive_positive(), {(1, 0): 1, (0, 0): 2}),
+        ((-x * Fraction(5, 2) + 5).primitive_positive(), {(1, 0): 1, (0, 0): -2}),
+    ]
+    for p, want in cases:
+        _assert_invariant(p, XY)
+        assert p.terms == want
+        assert {e: type(c) for e, c in p.terms.items()} == {e: type(c) for e, c in want.items()}
+    # resultant of an input with a denominator: la^n scales it back exactly
+    a, b = x * half + y, x**2 - y
+    r = resultant(a, b, "x")
+    _assert_invariant(r, XY)
+    assert r * 4 == resultant(2 * a, b, "x")
+    r = resultant(x * Fraction(1, 3) + y, x * Fraction(1, 5) + 1, "x")
+    _assert_invariant(r, XY)
+    assert r.terms == {(0, 1): Fraction(-1, 5), (0, 0): Fraction(1, 3)}
+    # the RatFun constructor rescales num and den by the den content
+    f = RatFun(2 * x + 4, 2 * y)
+    assert (f.num.terms, f.den.terms) == ({(1, 0): 1, (0, 0): 2}, {(0, 1): 1})
+    f = RatFun(x * Fraction(3, 2) + 3, MPoly.const(XY, 6))
+    assert (f.num.terms, f.den.terms) == ({(1, 0): Fraction(1, 4), (0, 0): half}, {(0, 0): 1})
+    for p in (f.num, f.den, RatFun(x * y + 3, -3 * x - 6).den):
+        _assert_invariant(p, XY)
+    # an int-built and a Fraction-built polynomial are equal and hash alike
+    ints = MPoly(XY, {(1, 0): 3, (0, 0): -2})
+    fracs = MPoly(XY, {(1, 0): Fraction(3), (0, 0): Fraction(-2)})
+    wrapped = MPoly._trusted(XY, {(1, 0): Fraction(3), (0, 0): Fraction(-2)})
+    assert ints.terms == fracs.terms and type(fracs.terms[(1, 0)]) is int
+    assert ints == fracs == wrapped and hash(ints) == hash(fracs) == hash(wrapped)
+    assert ints == 3 * x - 2 and MPoly.const(XY, Fraction(4)) == 4
+    # the accessors still return Fractions
+    p = 3 * x**2 + half * y - 2
+    assert type(p.leading_coeff()) is Fraction and p.leading_coeff() == 3
+    assert type(p.coeff((0, 0))) is Fraction and p.coeff((0, 0)) == -2
+    assert type(p.coeff((5, 5))) is Fraction and p.coeff((5, 5)) == 0
+    assert type(MPoly.const(XY, 7).constant_value()) is Fraction
+    assert type(MPoly.zero(XY).constant_value()) is Fraction
+    assert all(type(c) is Fraction for c in (x**2 - 2).coeff_list("x"))
+    assert type(p.content()) is Fraction and p.content() == half
+    assert type((2 * x + 4).content()) is Fraction
+
+
+def test_non_rational_coefficients_raise_type_error():
+    x = x_()
+    for bad in (0.1, 0.5, 0.0, "1/3", 1j, None):
+        with pytest.raises(TypeError):
+            MPoly(XY, {(1, 0): bad})
+        with pytest.raises(TypeError):
+            MPoly.const(XY, bad)
+        with pytest.raises(TypeError):
+            RatFun.const(XY, bad)
+        for op in (
+            lambda: x * bad, lambda: bad * x, lambda: x + bad, lambda: bad + x,
+            lambda: x - bad, lambda: bad - x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+    assert MPoly.const(XY, True).terms == {(0, 0): 1}
+    assert type(MPoly.const(XY, True).terms[(0, 0)]) is int
+    # a RatFun operand is no longer read as a polynomial: RatFun's reflected
+    # operator takes over
+    r = RatFun(x, y_() + 1)
+    assert x + r == RatFun(x * y_() + 2 * x, y_() + 1)
+    assert x * r == RatFun(x**2, y_() + 1)
 
 
 # ---- the integer-coefficient toolkit -------------------------------------------

@@ -180,6 +180,29 @@ def test_size_caps_admit_values_at_the_cap(no_big_work):
             ev(text, n=0)
 
 
+def test_nested_sums_share_one_evaluation_budget(no_big_work, monkeypatch):
+    assert ev("sum(k,0,n,sum(j,0,k,1))", n=2) == 6
+    # 100 outer plus 100 * 99 inner body evaluations use the budget exactly,
+    # and each top-level call starts with a full budget
+    for _ in range(2):
+        assert ev("sum(k,1,100,sum(j,1,99,1))", n=0) == 9900
+    with pytest.raises(EvaluationError, match="above the cap"):
+        ev("sum(k,1,100,sum(j,1,100,1))", n=0)
+    calls = []
+    evaluate = exprio._evaluate
+
+    def counting(node, env, budget):
+        calls.append(node)
+        return evaluate(node, env, budget)
+
+    monkeypatch.setattr(exprio, "_evaluate", counting)
+    with pytest.raises(EvaluationError, match="above the cap"):
+        ev("sum(k,0,199,sum(j,0,199,1))", n=0)
+    assert 0 < len(calls) <= exprio._MAX_COUNT
+    # an empty range is charged nothing
+    assert ev("sum(k,0,%d,sum(j,1,0,k))" % (exprio._MAX_COUNT - 1), n=0) == 0
+
+
 def test_sum_bounds_must_be_affine():
     with pytest.raises(ExprSyntaxError):
         parse_expr("sum(k,0,n*m,1)", NM)
