@@ -138,12 +138,6 @@ def verify_parametrization(curve, param):
     return image.is_zero()
 
 
-def identity_map(vars):
-    """Substitution sending each variable to itself."""
-    vars = tuple(vars)
-    return {v: RatFun.from_poly(MPoly.variable(vars, v)) for v in vars}
-
-
 class MatchReport:
     """Outcome of comparing two curves pulled back to common variables.
 

@@ -64,10 +64,10 @@ class MPoly:
     `vars` is an ordered tuple of variable names; `terms` maps exponent
     tuples to nonzero coefficients, each an int when it is integral and
     otherwise a Fraction with denominator > 1, so integer work builds no
-    Fraction.  The accessors (constant_value, leading_coeff, coeff,
-    coeff_list, content) return Fractions all the same, and equality and
-    hashing do not see the difference, since Fraction(3) == 3 and both hash
-    alike.  Coefficients other than int and Fraction raise TypeError.  Two
+    Fraction.  The accessors (constant_value, leading_coeff, coeff and
+    coeff_list) return Fractions all the same, and equality and hashing do
+    not see the difference, since Fraction(3) == 3 and both hash alike.
+    Coefficients other than int and Fraction raise TypeError.  Two
     polynomials interoperate only when their variable tuples agree (use
     with_vars to embed).  A polynomial is never changed after it is built,
     so its integer form (int_form) is kept once built.
@@ -213,15 +213,12 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self**n as n products with self, each cheaper than squaring the partial power."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -359,11 +356,6 @@ class MPoly:
         return cls._trusted(vars, t)
 
     # ---- normalization ----------------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational content (0 for the zero polynomial)."""
-        l, ints = _clear(self.terms.values())
-        return Fraction(math.gcd(*ints), l)
 
     def primitive_positive(self):
         """Divide out the content and fix a positive graded-lex leading coefficient."""

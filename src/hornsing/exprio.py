@@ -8,7 +8,9 @@ Evaluation caps the fact argument, the binom lower index and the poch count
 at _MAX_COUNT, and a ^ exponent at _MAX_EXPONENT.  The sums of one
 evaluation share one budget of _MAX_COUNT body evaluations, so nested sums
 cannot multiply their ranges past it; each range is charged in full before
-it starts.  Past a cap it raises EvaluationError before any factorial,
+it starts.  Conversion to a rational function also caps, before each
+product or power, a bound on the terms of every polynomial it forms at
+_MAX_COUNT.  Past a cap it raises EvaluationError before any factorial,
 product, loop or power runs, so no input can ask for a hang or a
 MemoryError.
 
@@ -422,28 +424,33 @@ _BINARY = {
 }
 
 
-def _fold(node, leaf):
+def _fold(node, leaf, check=lambda op, a, b: None):
     """Value of node: + - * / ^ and unary minus applied here, leaf(n) for the rest.
 
     The left spine of a + - * / chain is walked by a loop, so a flat sum or
     product of any length costs no stack; only parentheses, call arguments
     and unary minus recurse, and the parser caps those at _MAX_DEPTH.
+    check(type, a, b) is called before each a + - * / b and check(Pow, a, k)
+    before each a^k.
     """
     spine = []
     while type(node) in _BINARY:
         spine.append(node)
         node = node.left
     if isinstance(node, Neg):
-        acc = -_fold(node.arg, leaf)
+        acc = -_fold(node.arg, leaf, check)
     elif isinstance(node, Pow):
         exponent = _as_integer(node.exponent, "exponent", _MAX_EXPONENT)
-        acc = _fold(node.base, leaf) ** exponent
+        acc = _fold(node.base, leaf, check)
+        check(Pow, acc, exponent)
+        acc = acc**exponent
     else:
         acc = leaf(node)
     for op in reversed(spine):
-        rhs = _fold(op.right, leaf)
+        rhs = _fold(op.right, leaf, check)
         if type(op) is Div and rhs == 0:
             raise EvaluationError("division by zero")
+        check(type(op), acc, rhs)
         acc = _BINARY[type(op)](acc, rhs)
     return acc
 
@@ -519,7 +526,34 @@ def expr_to_ratfun(node, vars, consts=None):
             )
         return RatFun.const(vars, eval_expr(node, consts))
 
-    return _fold(node, leaf)
+    return _fold(node, leaf, _check_size)
+
+
+def _check_size(op, a, b):
+    """EvaluationError when the RatFun a op b could form a polynomial of more
+    than _MAX_COUNT terms; for op Pow, b is the exponent.
+
+    A monomial factor only shifts exponents, so a monomial times one
+    polynomial has that polynomial's terms.  Any other product has at most
+    the monomials of its total degree or lower in the variables it involves.
+    """
+    if op is Pow:
+        k, products = b, [(a.num,), (a.den,)]
+    elif op is Mul:
+        k, products = 1, [(a.num, b.num), (a.den, b.den)]
+    else:
+        # a / b forms these two products; a + b and a - b also a.den * b.den
+        k, products = 1, [(a.num, b.den), (a.den, b.num)] + [(a.den, b.den)] * (op is not Div)
+    for factors in products:
+        rest = [p for p in factors if len(p.terms) > 1]
+        if k * len(rest) > 1:
+            degree = k * sum(p.total_degree() for p in rest)
+            used = sum(map(any, zip(*(e for p in rest for e in p.terms))))
+            bound = math.comb(degree + used, used)
+            if bound > _MAX_COUNT:
+                raise EvaluationError(
+                    "a polynomial of up to %d terms is above the cap %d" % (bound, _MAX_COUNT)
+                )
 
 
 def expr_to_mpoly(node, vars, consts=None):
@@ -756,12 +790,6 @@ class SpecFile:
     alpha1_text: str = ""
     alpha2_text: str = ""
     coeff_text: str = ""
-
-    def eval_env(self, point):
-        env = dict(self.params)
-        for name, value in zip(self.vars, point):
-            env[name] = Fraction(value)
-        return env
 
 
 _SPEC_KEYS = ("name", "kind", "vars", "params", "alpha1", "alpha2", "coeff")

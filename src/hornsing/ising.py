@@ -86,10 +86,9 @@ def isotropic_location_allowed(n, j, l):
     return True
 
 
-def _cos_pair(idx, mode):
-    if mode == "exact":
-        return rational_cos(idx.j, idx.n), rational_cos(idx.l, idx.n)
-    raise ValueError("mode must be exact or symbolic")
+def _cos_pair(idx):
+    """(cos(2*pi*j/n), cos(2*pi*l/n)) of the index as Fractions."""
+    return rational_cos(idx.j, idx.n), rational_cos(idx.l, idx.n)
 
 
 def nickelian_poly(idx, mode="exact"):
@@ -104,12 +103,14 @@ def nickelian_poly(idx, mode="exact"):
         r = MPoly.variable(vars, "r")
         u = MPoly.variable(vars, "U")
         v = MPoly.variable(vars, "V")
-    else:
-        uval, vval = _cos_pair(idx, mode)
+    elif mode == "exact":
+        uval, vval = _cos_pair(idx)
         k = MPoly.variable(KR, "k")
         r = MPoly.variable(KR, "r")
         u = MPoly.const(KR, uval)
         v = MPoly.const(KR, vval)
+    else:
+        raise ValueError("mode must be exact or symbolic")
     branch = r * u + v if idx.sign == 1 else r * u - v
     return (r + k) * (k * r + 1) - k * branch * branch
 
@@ -121,7 +122,7 @@ def nickelian_curve(idx, mode="exact"):
 
 def nickelian_isotropic(idx):
     """The r = 1 member in s = sinh 2K: (1 + s^2) - s*(U + sign*V)."""
-    uval, vval = _cos_pair(idx, "exact")
+    uval, vval = _cos_pair(idx)
     s = MPoly.variable(("s",), "s")
     total = uval + vval if idx.sign == 1 else uval - vval
     return Curve(1 + s * s - s * total)

@@ -21,7 +21,7 @@ from .exact import (
 )
 from .exprio import format_ode_text, parse_ode_text
 from .series import InsufficientOrder, UniSeries
-from .theta import ThetaOp, dform_from_theta, theta_from_dform
+from .theta import ThetaOp, dform_from_theta
 
 
 class NotFound(Exception):
@@ -83,9 +83,6 @@ class UniODE:
         if not g.is_constant():
             coeffs = [divexact(p, g) for p in coeffs]
         return cls(var, coeffs)
-
-    def to_theta(self):
-        return theta_from_dform(self.var, list(self.coeffs))
 
     @classmethod
     def from_text(cls, text):

@@ -3,7 +3,7 @@
 Double series come from two-direction term ratios (alpha1, alpha2) or from a
 closed-form coefficient expression; they can be restricted along rational
 curves t -> (x(t), y(t)) through the origin.  Univariate series support
-Hadamard products and composition with rational maps fixing the origin.
+ring arithmetic, derivatives and theta = t d/dt.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class InsufficientOrder(Exception):
         self.dims = dims
 
 
-class OrderMismatch(Exception):
-    """Termwise operations need operands of identical order."""
-
-
 class UniSeries:
     """Coefficients a_0..a_N of a series known exactly through t^N."""
 
@@ -61,34 +57,10 @@ class UniSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, order):
-        return cls(order, [Fraction(0)] * (order + 1))
-
-    @classmethod
-    def geometric(cls, order):
-        return cls(order, [Fraction(1)] * (order + 1))
-
     def coeff(self, k):
         if not 0 <= k <= self.order:
             raise ValueError("coefficient %d beyond order %d" % (k, self.order))
         return self.coeffs[k]
-
-    def truncate(self, new_order):
-        if new_order > self.order:
-            raise InsufficientOrder(
-                "have order %d, asked for %d" % (self.order, new_order),
-                needed=new_order,
-                have=self.order,
-            )
-        return UniSeries(new_order, self.coeffs[: new_order + 1])
-
-    def valuation(self):
-        """Index of the first nonzero coefficient, None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
@@ -440,47 +412,6 @@ def restrict(b, xp, yp, order):
     for part, d in parts:
         _poly_add(total, part, common // d)
     return UniSeries(order, [Fraction(v, common) for v in total])
-
-
-def hadamard(a, b):
-    """Termwise product of two series of identical order."""
-    if a.order != b.order:
-        raise OrderMismatch("orders %d and %d differ" % (a.order, b.order))
-    return UniSeries(a.order, [x * y for x, y in zip(a.coeffs, b.coeffs)])
-
-
-def compose_rational(a, g, order):
-    """a(g(t)) through t^order for a rational g with g(0) = 0."""
-    gc = ratfun_series(g, order)
-    if gc[0] != 0:
-        raise NonzeroAtOrigin("inner map does not vanish at t = 0")
-    val = next((k for k, c in enumerate(gc) if c), None)
-    if val is None:
-        out = [Fraction(0)] * (order + 1)
-        out[0] = a.coeff(0)
-        return UniSeries(order, out)
-    kmax = order // val
-    if a.order < kmax:
-        raise InsufficientOrder(
-            "composition to order %d needs %d outer coefficients, have %d"
-            % (order, kmax, a.order),
-            needed=kmax,
-            have=a.order,
-        )
-    acc = [Fraction(0)] * (order + 1)
-    acc[0] = a.coeffs[kmax]
-    for k in range(kmax - 1, -1, -1):
-        acc = _mul_trunc(acc, gc, order)
-        acc[0] += a.coeffs[k]
-    return UniSeries(order, acc)
-
-
-def diagonal(b):
-    """The single-variable diagonal sums a_k = sum_{n+m=k} c_{n,m}."""
-    out = [Fraction(0)] * (b.order + 1)
-    for (n, m), c in b.coeffs.items():
-        out[n + m] += c
-    return UniSeries(b.order, out)
 
 
 def uniseries_from_entries(entries):

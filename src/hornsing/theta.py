@@ -3,9 +3,9 @@
 An operator is a sum of terms x^a y^b * Q(theta_x, theta_y) with the
 monomial factors on the left (normal form); theta_v = v d/dv acts on
 monomials as an eigenvalue and on powers of ln(v) by lowering.  The module
-applies operators to series, converts them to lattice recurrences, converts
-univariate operators between D-form and theta-form, and computes the finite
-space of formal log-series solutions of a system.
+applies operators to series, converts univariate operators between D-form
+and theta-form, and computes the finite space of formal log-series solutions
+of a system.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from math import gcd, lcm, perm, prod
 from .exact import MPoly, _clear, _term_sum, rref
 from .exprio import format_operator_text, parse_operator_text
 from .series import BiSeries, InsufficientOrder, UniSeries
-
-NM = ("n", "m")
 
 
 class ThetaOp:
@@ -118,9 +116,6 @@ class LogSeries:
             raise ValueError("log index %r has the wrong arity" % (key,))
         return None
 
-    def log_support(self):
-        return sorted(self.parts)
-
     def __eq__(self, other):
         if not isinstance(other, LogSeries):
             return NotImplemented
@@ -203,26 +198,6 @@ def annihilates(sys, s):
             have=s.order,
         )
     return all(_series_is_zero(apply(op, s)) for op in sys.ops)
-
-
-def to_recurrence(op):
-    """Lattice relation sum Q_{a,b}(n-a, m-b) c_{n-a,m-b} = 0 equivalent to op."""
-    if len(op.vars) == 2:
-        idx = tuple(MPoly.variable(NM, v) for v in NM)
-        out = []
-        for (a, b), q in op.terms:
-            mapping = {
-                op.theta_vars[0]: idx[0] - a,
-                op.theta_vars[1]: idx[1] - b,
-            }
-            out.append((a, b, q.substitute(mapping, NM)))
-        return out
-    nvar = ("n",)
-    n = MPoly.variable(nvar, "n")
-    out = []
-    for (a,), q in op.terms:
-        out.append((a, q.substitute({op.theta_vars[0]: n - a}, nvar)))
-    return out
 
 
 # ---------------------------------------------------------------------------

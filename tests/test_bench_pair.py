@@ -82,3 +82,20 @@ def test_resolved_when_parent_spread_is_inside_bound():
     out = bench_pair.summarize(_rows((2.0, 6, 0), (2.1, 6, 0)), METRICS)["wall_ref_s"]
     assert not out["unresolved"]
     assert out["within_bound"]
+
+
+def test_runs_do_not_inherit_the_peak_rss_of_bench_pair(tmp_path):
+    # a stand-in perfbench/run.py whose two result lines carry its own peak RSS
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, resource\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps({'peak_rss_mb': peak}))\n"
+        "print(json.dumps({'peak_rss_mb': peak}))\n"
+    )
+    with bench_pair.launcher() as pool:
+        held = b"x" * (80 << 20)  # the rows a long session holds, touched
+        row, _ = bench_pair.run_once(pool, tmp_path, "curve", 1, 1)
+        del held
+    # started from this process, the run would report at least the 80 MB held
+    assert row["peak_rss_mb"] < 60

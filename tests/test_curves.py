@@ -11,7 +11,6 @@ from hornsing.curves import (
     Param,
     affine_singular_points,
     genus_quadratic_fiber,
-    identity_map,
     nickelian_j,
     substitute_compare,
     verify_parametrization,
@@ -27,6 +26,9 @@ def xy(vars=XY):
 
 def rf(p):
     return RatFun.from_poly(p)
+
+
+IDENTITY = {v: rf(MPoly.variable(XY, v)) for v in XY}
 
 
 def cand_poly():
@@ -181,7 +183,7 @@ def test_reciprocal_involution_relates_quadratic_and_biquadratic():
     rhs = image * rf(4096 * x**2 * y**2)
     assert rhs.is_poly()
     assert rhs.num == tilde_s2_poly()
-    rep = substitute_compare(Curve(tilde_s2_poly()), identity_map(XY), Curve(s2_poly()), inv)
+    rep = substitute_compare(Curve(tilde_s2_poly()), IDENTITY, Curve(s2_poly()), inv)
     assert rep.kind == "proportional"
     assert rep.constant == 4096
 
@@ -247,7 +249,7 @@ def test_random_reparametrizations_preserve_membership():
 
 def test_substitute_compare_equal_under_identity():
     rep = substitute_compare(
-        Curve(cand_poly()), identity_map(XY), Curve(cand_poly()), identity_map(XY)
+        Curve(cand_poly()), IDENTITY, Curve(cand_poly()), IDENTITY
     )
     assert rep.kind == "equal"
     assert rep.constant == 1
@@ -257,7 +259,7 @@ def test_substitute_compare_equal_under_identity():
 def test_substitute_compare_distinct_with_gcd():
     x, y = xy()
     rep = substitute_compare(
-        Curve((x - y) * (x + 2 * y)), identity_map(XY), Curve((x - y) * (x - 3 * y)), identity_map(XY)
+        Curve((x - y) * (x + 2 * y)), IDENTITY, Curve((x - y) * (x - 3 * y)), IDENTITY
     )
     assert rep.kind == "distinct"
     assert rep.common == x - y

@@ -1,6 +1,8 @@
 import math
 import random
+import timeit
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from hornsing.exprio import (
     format_series_text,
     format_spec_text,
     free_vars,
+    load_ode,
+    load_operator,
     load_spec,
     parse_expr,
     parse_ode_text,
@@ -33,6 +37,8 @@ from hornsing.exprio import (
 
 NM = ("n", "m")
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 
 def ev(text, **point):
@@ -201,6 +207,38 @@ def test_nested_sums_share_one_evaluation_budget(no_big_work, monkeypatch):
     assert 0 < len(calls) <= exprio._MAX_COUNT
     # an empty range is charged nothing
     assert ev("sum(k,0,%d,sum(j,1,0,k))" % (exprio._MAX_COUNT - 1), n=0) == 0
+
+
+def test_polynomial_size_cap_raises_before_the_product():
+    for text in (
+        "(x+y+z)^48",
+        "*".join(["(x+y+z)"] * 60),
+        "1/(x+y+z)^20 + 1/(x+y-z)^20",
+    ):
+        node = parse_expr(text, XYZ)
+        with pytest.raises(EvaluationError, match="above the cap"):
+            expr_to_ratfun(node, XYZ)
+
+        def convert():
+            with pytest.raises(EvaluationError):
+                expr_to_ratfun(node, XYZ)
+
+        assert min(timeit.repeat(convert, number=1, repeat=3)) < 0.1, text
+    x, y, z = (MPoly.variable(XYZ, v) for v in XYZ)
+    assert expr_to_ratfun(parse_expr("(x+y+z)^24", XYZ), XYZ) == (x + y + z) ** 24
+    assert expr_to_mpoly(parse_expr("(x*y*z+1)^2", XYZ), XYZ) == (x * y * z + 1) ** 2
+
+
+def test_every_fixture_converts():
+    for path in sorted(FIXTURES.glob("*.spec")):
+        spec = load_spec(path)
+        for node in (spec.alpha1, spec.alpha2):
+            if node is not None:
+                assert not expr_to_ratfun(node, spec.vars, spec.params).is_zero()
+    for path in sorted(FIXTURES.glob("*.op")):
+        assert load_operator(path)[1]
+    for path in sorted(FIXTURES.glob("*.ode")):
+        assert load_ode(path)[1]
 
 
 def test_sum_bounds_must_be_affine():
@@ -449,8 +487,8 @@ def test_spec_file_ratio():
     assert spec.name == "h2"
     assert spec.kind == "ratio"
     assert spec.vars == ("n", "m")
-    assert eval_expr(spec.alpha1, spec.eval_env((0, 0))) == 6
-    assert eval_expr(spec.alpha2, spec.eval_env((1, 0))) == 120
+    assert eval_expr(spec.alpha1, {"n": 0, "m": 0}) == 6
+    assert eval_expr(spec.alpha2, {"n": 1, "m": 0}) == 120
     again = parse_spec_text(format_spec_text(spec))
     assert again == spec
 
@@ -466,7 +504,7 @@ alpha2 = (alpha+m)*(betap+n+m)/(gamma+n+m)^3
 """
     spec = parse_spec_text(text)
     assert spec.params["gamma"] == 1
-    env = spec.eval_env((0, 0))
+    env = {**spec.params, "n": 0, "m": 0}
     assert eval_expr(spec.alpha1, env) == Fraction(1, 16)
 
 
@@ -478,7 +516,7 @@ vars = n m
 coeff = fact(n+m)/(fact(n)*fact(m))
 """
     spec = parse_spec_text(text)
-    assert eval_expr(spec.coeff, spec.eval_env((2, 2))) == 6
+    assert eval_expr(spec.coeff, {"n": 2, "m": 2}) == 6
 
 
 def test_spec_file_errors():

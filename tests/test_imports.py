@@ -1,12 +1,16 @@
-"""Every name a hornsing module imports is used in that module, and every
-module-level private function or class is referenced by some module."""
+"""Every name a hornsing module imports is used in that module, every
+module-level private function or class is referenced by some module, and
+every public function, class or method has a caller or a stated reason."""
 
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hornsing"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hornsing"
 
 
 def unused_imports(source):
@@ -69,3 +73,79 @@ def test_dead_helpers_detects_an_unread_helper():
 def test_no_dead_helpers():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert dead_helpers(sources) == []
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of each public module-level function or class of
+    tree, and of each public method of its module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield node.name + "." + sub.name, sub
+
+
+def names_without_caller(sources, readers, extra_reads=()):
+    """(module, line, qualified name) of each public definition in sources, a
+    {module: source} dict, whose name no source in readers reads outside its
+    own body; extra_reads are names that count as read."""
+    reads = Counter(extra_reads)
+    for source in readers:
+        reads.update(_names_read(ast.parse(source)))
+    out = []
+    for module, source in sources.items():
+        for qualified, node in _public_definitions(ast.parse(source)):
+            name = qualified.rsplit(".", 1)[-1]
+            if reads[name] <= sum(n == name for n in _names_read(node)):
+                out.append((module, node.lineno, qualified))
+    return out
+
+
+def test_names_without_caller_detects_an_unread_name():
+    a = (
+        "def used():\n    pass\n\ndef dead(n):\n    return dead(n - 1)\n\n"
+        "class Box:\n    def open(self):\n        pass\n\n    def shut(self):\n        pass\n"
+    )
+    b = "from a import used, Box\n\nBox().open()\n"
+    assert names_without_caller({"a": a}, [a, b]) == [("a", 4, "dead"), ("a", 11, "Box.shut")]
+    assert names_without_caller({"a": a}, [a, b], ["shut"]) == [("a", 4, "dead")]
+
+
+# Public names that nothing in src/ or perfbench/ calls, each with its reason:
+# "CLI" for what the planned hornsing command (ROADMAP item 1) will call, or
+# "test reference" for what the tests use as an oracle.
+NO_CALLER = {
+    "curves.nickelian_j": "CLI: the j-invariant of the Nickelian family (hornsing ising)",
+    "exact.solve_linear": "test reference: _ref_interp_int solves its systems with it",
+    "exprio.format_series_text": "CLI: writes series files",
+    "exprio.format_spec_text": "CLI: writes spec files",
+    "exprio.print_canonical": "CLI: prints canonical polynomials",
+    "ising.NickelianIndex": "CLI: indexes the Nickelian family (hornsing ising)",
+    "ising.isotropic_location_allowed": "CLI: the isotropic index filter (hornsing ising)",
+    "ising.nickelian_curve": "CLI: Nickelian curves in exact and symbolic mode (hornsing ising)",
+    "ising.nickelian_isotropic": "CLI: the isotropic Nickelian member (hornsing ising)",
+    "odeguess.UniODE.to_text": "CLI: writes ODE files",
+    "odeguess.local_basis": "test reference: the L2 and C3 symmetric-square checks",
+    "series.expand_spec": "CLI: expands formula specs (hornsing guess)",
+    "series.uniseries_from_entries": "CLI: reads univariate series files (hornsing guess)",
+    "theta.ThetaOp.to_text": "CLI: writes operator files",
+    "theta.annihilates": "CLI: checks a series against an operator system",
+}
+
+
+def test_no_public_name_without_caller():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    targets = [t.rsplit(".", 1)[-1] for layer in layers.LAYERS for t in layer.targets]
+    unread = {
+        "%s.%s" % (module, name)
+        for module, _, name in names_without_caller(sources, list(sources.values()) + bench, targets)
+    }
+    assert sorted(unread - set(NO_CALLER)) == []
+    # an entry whose name has gained a caller, or is gone, is stale
+    assert sorted(set(NO_CALLER) - unread) == []

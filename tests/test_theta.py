@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hornsing.exact import MPoly, _term_sum
-from hornsing.exprio import parse_expr, expr_to_mpoly, expr_to_ratfun, parse_spec_text
+from hornsing.exprio import parse_expr, expr_to_mpoly, parse_spec_text
 from hornsing.series import BiSeries, InsufficientOrder, UniSeries, expand_from_ratios, hyper_from_spec
 from hornsing.theta import (
     _int_value,
@@ -18,10 +18,8 @@ from hornsing.theta import (
     dform_from_theta,
     log_basis,
     theta_from_dform,
-    to_recurrence,
 )
 
-NM = ("n", "m")
 TXY = ("tx", "ty")
 
 PICARD_X = """op-vars: x y
@@ -135,41 +133,6 @@ def test_pde13_annihilates_bat16():
     assert annihilates(pde13_system(), b)
 
 
-def test_to_recurrence_picard():
-    rec = to_recurrence(ThetaOp.from_text(PICARD_X))
-    n = MPoly.variable(NM, "n")
-    m = MPoly.variable(NM, "m")
-    assert rec == [
-        (0, 0, n**3),
-        (1, 0, -(3 * n + 3 * m - 2) * (3 * n + 3 * m - 1) * (3 * n + 3 * m)),
-    ]
-
-
-def test_to_recurrence_theta_minus_one():
-    tx = MPoly.variable(TXY, "tx")
-    op = ThetaOp(("x", "y"), [((0, 0), tx - 1)])
-    n = MPoly.variable(NM, "n")
-    assert to_recurrence(op) == [(0, 0, n - 1)]
-
-
-def test_to_recurrence_pde13_matches_ratio():
-    rec = to_recurrence(ThetaOp.from_text(PDE13_Y))
-    by_shift = {(a, b): q for a, b, q in rec}
-    q0 = by_shift[(0, 0)]
-    q1 = by_shift[(0, 1)]
-    alpha2 = expr_to_ratfun(
-        parse_expr("2*(2*n+2*m+1)*(2*n+2*m+2)*(2*m+1)/(m+1)^3", NM), NM
-    )
-    rng = random.Random(31)
-    for _ in range(10):
-        n = rng.randrange(0, 20)
-        m = rng.randrange(0, 20)
-        # Relation at (n, m+1): q0(n,m+1) c_{n,m+1} + q1(n,m+1) c_{n,m} = 0.
-        env = {"n": Fraction(n), "m": Fraction(m + 1)}
-        ratio = -q1.evaluate(env) / q0.evaluate(env)
-        assert ratio == alpha2.evaluate({"n": Fraction(n), "m": Fraction(m)})
-
-
 def rand_biseries(rng, order):
     return BiSeries(
         order,
@@ -204,15 +167,15 @@ def test_recurrence_matches_apply_random():
         op = rand_theta_op(rng)
         s = rand_biseries(rng, rng.randrange(op.max_shift, op.max_shift + 5))
         out = apply(op, s)
-        rec = to_recurrence(op)
+        # the lattice relation: sum Q_{a,b}(n-a, m-b) c_{n-a,m-b} at (n, m)
         for n in range(out.order + 1):
             for m in range(out.order + 1 - n):
                 total = Fraction(0)
-                for a, b, q in rec:
+                for (a, b), q in op.terms:
                     if n - a < 0 or m - b < 0:
                         continue
                     total += q.evaluate(
-                        {"n": Fraction(n), "m": Fraction(m)}
+                        {"tx": Fraction(n - a), "ty": Fraction(m - b)}
                     ) * s.coeff(n - a, m - b)
                 assert total == out.coeff(n, m)
 
@@ -265,7 +228,7 @@ def test_log_basis_univariate_double_root():
     sys = PdeSystem([ThetaOp(("x",), [((0,), tx**2)])])
     dim, basis = log_basis(sys, 5, 2)
     assert dim == 2
-    supports = sorted(tuple(e.log_support()) for e in basis)
+    supports = sorted(tuple(sorted(e.parts)) for e in basis)
     assert supports == [(((0,),)), (((1,),))]
     for e in basis:
         for part in e.parts.values():
@@ -288,7 +251,7 @@ def test_log_basis_univariate_simple():
     sys = PdeSystem([ThetaOp(("x",), [((0,), tx)])])
     dim, basis = log_basis(sys, 5, 2)
     assert dim == 1
-    assert basis[0].log_support() == [(0,)]
+    assert sorted(basis[0].parts) == [(0,)]
 
 
 def c3_dform():
@@ -411,7 +374,7 @@ def test_theta_form_geometric():
     op = theta_from_dform("t", [minus_one, 1 - t])
     tt = MPoly.variable(("tt",), "tt")
     assert op == ThetaOp(("t",), [((0,), tt), ((1,), -tt - 1)])
-    geo = UniSeries.geometric(12)
+    geo = UniSeries(12, [1] * 13)
     assert apply(op, geo).coeffs == [Fraction(0)] * 12
     assert annihilates(PdeSystem([op]), geo)
 

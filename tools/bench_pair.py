@@ -28,10 +28,16 @@ Each --traced WORKLOAD:SEED entry adds one `perfbench/run.py --trace 1` run
 per side, and the output keeps its rows and, for each per-layer metric of
 BENCHMARK.json, the parent and change values side by side, so a gain can be
 traced to the layers it came from.
+
+Every run is started by a one-process pool spawned before any rows are
+held, because Linux carries the peak RSS of a process into the children it
+starts: runs started by this process would report its own peak as their
+peak_rss_mb, and that grows with the rows it holds.
 """
 
 import argparse
 import json
+import multiprocessing
 import statistics
 import subprocess
 import sys
@@ -93,13 +99,19 @@ def src_lines(tree):
     return sum(f.read_bytes().count(b"\n") for f in Path(tree).glob("src/**/*.py"))
 
 
-def run_once(tree, workload, seed, seconds, trace=0):
-    """One perfbench run; returns (results row, result line) parsed from its last two lines."""
+def launcher():
+    """The pool that starts every run: one worker, spawned small (see the module docstring)."""
+    return multiprocessing.get_context("spawn").Pool(1)
+
+
+def run_once(pool, tree, workload, seed, seconds, trace=0):
+    """One perfbench run, started by pool's worker; returns (results row, result
+    line) parsed from its last two lines."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = pool.apply(subprocess.run, (cmd,), {"cwd": tree, "capture_output": True, "text": True})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit("bench_pair: %s in %s failed (code %d): %s"
@@ -163,11 +175,11 @@ def summarize(rows, metrics):
     return out
 
 
-def traced_pair(trees, shas, workload, seed, seconds, per_layer):
+def traced_pair(pool, trees, shas, workload, seed, seconds, per_layer):
     """One --trace 1 run per side; the rows and each per-layer metric side by side."""
     rows, values = [], {}
     for side in ("parent", "change"):
-        row, result = run_once(trees[side], workload, seed, seconds, trace=1)
+        row, result = run_once(pool, trees[side], workload, seed, seconds, trace=1)
         row["commit"] = shas[side]
         rows.append({"side": side, "row": row, "result": result})
         values[side] = result["metrics"]
@@ -189,7 +201,7 @@ def main():
     seconds = bench["run_seconds"]
     rows = []
     summary = {}
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+    with launcher() as pool, tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees, shas = {}, {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
             (Path(tmp) / side).mkdir()
@@ -201,7 +213,7 @@ def main():
             for pair in range(pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    row, result = run_once(trees[side], workload, seed, seconds)
+                    row, result = run_once(pool, trees[side], workload, seed, seconds)
                     row["commit"] = shas[side]
                     group.append({"workload": workload, "seed": seed, "pair": pair,
                                   "side": side, "first": side == order[0],
@@ -213,7 +225,7 @@ def main():
             summary["%s@%d" % (workload, seed)] = summarize(group, bench["end_to_end"])
         traced = {
             "%s@%d" % (workload, seed): traced_pair(
-                trees, shas, workload, seed, seconds, bench["per_layer"])
+                pool, trees, shas, workload, seed, seconds, bench["per_layer"])
             for workload, seed in args.traced_plan
         }
     doc = {
