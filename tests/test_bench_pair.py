@@ -94,7 +94,7 @@ def test_runs_do_not_inherit_the_peak_rss_of_bench_pair(tmp_path):
         "print(json.dumps({'peak_rss_mb': peak}))\n"
     )
     with bench_pair.launcher() as pool:
-        held = b"x" * (80 << 20)  # the rows a long session holds, touched
+        held = b"x" * (80 << 20)  # stands for the rows a long bench_pair run holds
         row, _ = bench_pair.run_once(pool, tmp_path, "curve", 1, 1)
         del held
     # started from this process, the run would report at least the 80 MB held
