@@ -178,10 +178,22 @@ def _pullback(curve, mapping):
     return image.num
 
 
-def substitute_compare(c1, map1, c2, map2):
-    """Compare the numerators of two curves pulled back through rational maps."""
-    n1 = _pullback(c1, map1)
-    n2 = _pullback(c2, map2)
+def substitute_compare(c1, map1, c2, map2, pulled=None):
+    """Compare the numerators of two curves pulled back through rational maps.
+
+    pulled, a dict the caller may own, keeps each pullback under the curve's
+    polynomial and the map's items, so calls with an equal curve and map
+    share one entry.
+    """
+    if pulled is None:
+        pulled = {}
+    numerators = []
+    for curve, mapping in ((c1, map1), (c2, map2)):
+        key = (curve.poly, frozenset(mapping.items()))
+        if key not in pulled:
+            pulled[key] = _pullback(curve, mapping)
+        numerators.append(pulled[key])
+    n1, n2 = numerators
     if n1.vars != n2.vars:
         raise ValueError("substitutions target different variable sets")
     if n1 == n2:

@@ -8,6 +8,7 @@ for every catalog factor.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .curves import (
@@ -168,11 +169,6 @@ _CM_FACTOR_TEXT = "r^2 - 4*r + 4 + 3*w^2*r^2 - 4*w^2*r + 16*w^4*r"
 _CM_PARAM = ("(u^2+1)/(2*u)", "-4/(u^2*(u^2+3))")
 
 
-def _factor_curve(text, coords):
-    vars = KR if coords == "kr" else WR
-    return Curve(expr_to_mpoly(parse_expr(text, vars), vars))
-
-
 class ChiCatalog:
     """Factor list, with multiplicities, of one susceptibility singular set."""
 
@@ -198,13 +194,17 @@ class ChiCatalog:
         )
 
 
+@cache
+def _chi_factors(n, coords):
+    """The parsed factors of one table, built on first use and kept per process."""
+    vars = KR if coords == "kr" else WR
+    return tuple((Curve.from_text(text, vars), mult) for text, mult in _CHI_TEXTS[(n, coords)])
+
+
 def chi_catalog(n, coords):
     if (n, coords) not in _CHI_TEXTS:
         raise ValueError("no catalog for chi^(%r) in coordinates %r" % (n, coords))
-    factors = [
-        (_factor_curve(text, coords), mult) for text, mult in _CHI_TEXTS[(n, coords)]
-    ]
-    return ChiCatalog(n, coords, factors)
+    return ChiCatalog(n, coords, _chi_factors(n, coords))
 
 
 def chi_gcd(coords):
@@ -264,20 +264,24 @@ def kr_wr_report(n):
     wr_factors = [c for c, _ in chi_catalog(n, "wr").factors]
     kmap = _kr_map()
     wmap = _wr_map()
+    # each pair curve and each pullback is built once per report
+    pairs = {}
+    pulled = {}
     matched = []
     free = list(range(len(kr_factors)))
     unmatched_wr = []
     for wc in wr_factors:
         hit = None
         for i in free:
-            rep = substitute_compare(kr_factors[i], kmap, wc, wmap)
+            rep = substitute_compare(kr_factors[i], kmap, wc, wmap, pulled)
             if rep.kind in ("equal", "proportional"):
                 hit = ((i,), rep.constant)
                 break
         if hit is None:
             for i, j in combinations(free, 2):
-                prod = Curve(kr_factors[i].poly * kr_factors[j].poly)
-                rep = substitute_compare(prod, kmap, wc, wmap)
+                if (i, j) not in pairs:
+                    pairs[i, j] = Curve(kr_factors[i].poly * kr_factors[j].poly)
+                rep = substitute_compare(pairs[i, j], kmap, wc, wmap, pulled)
                 if rep.kind in ("equal", "proportional"):
                     hit = ((i, j), rep.constant)
                     break
@@ -340,6 +344,7 @@ def _audit_genus(curve, coords):
 def elliptic_audit():
     """Genus of every catalog factor that is quadratic or linear in a variable."""
     cm_param = Param.from_text(*_CM_PARAM)
+    cm_curve = Curve.from_text(_CM_FACTOR_TEXT, WR)
     entries = []
     for n in (3, 4):
         for coords in ("kr", "wr"):
@@ -347,7 +352,7 @@ def elliptic_audit():
             for curve, mult in cat.factors:
                 genus, cert = _audit_genus(curve, coords)
                 param = None
-                if coords == "wr" and curve == _factor_curve(_CM_FACTOR_TEXT, "wr"):
+                if coords == "wr" and curve == cm_curve:
                     if not verify_parametrization(curve, cm_param):
                         raise ValueError("stored parametrization fails on %s" % curve)
                     param = cm_param

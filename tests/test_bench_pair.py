@@ -50,6 +50,21 @@ def test_gain_rule_compares_shares_not_counts():
     assert out["gain_rule_met"]
 
 
+def test_unscaled_frac_counts_passes_returned_raw_per_side():
+    def row(side, raw, ref):
+        return {"side": side, "row": {"pass_s": raw, "pass_ref_s": ref}}
+
+    rows = [
+        # rescaled passes, then one returned raw
+        row("parent", [0.12, 0.11], [0.06, 0.05]),
+        row("parent", [0.04], [0.04]),
+        row("change", [0.03, 0.04], [0.03, 0.04]),
+        row("change", [0.05, 0.20], [0.05, 0.10]),
+    ]
+    assert bench_pair.unscaled_frac(rows) == {"parent": 1 / 3, "change": 0.75}
+    assert bench_pair.unscaled_frac(rows[:2]) == {"parent": 1 / 3, "change": 0.0}
+
+
 def test_src_lines_counts_python_files_under_src(tmp_path):
     pkg = tmp_path / "src" / "pkg" / "sub"
     pkg.mkdir(parents=True)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hornsing import curves
 from hornsing.curves import (
     DEGENERATE,
     Curve,
@@ -298,6 +299,61 @@ def test_lattice_factor_correspondence_on_section():
     )
     assert n1.kind == "proportional"
     assert n1.constant == Fraction(1, 4)
+
+
+def _lattice_maps():
+    sr = ("s", "r")
+    s, r = MPoly.variable(sr, "s"), MPoly.variable(sr, "r")
+    return {"k": rf(s**2), "r": rf(r)}, {"w": rf(1 + s**2) / rf(2 * s), "r": rf(r)}
+
+
+def _fields(rep):
+    return rep.kind, rep.constant, rep.left, rep.right
+
+
+def test_substitute_compare_memo_keeps_answers():
+    x, y = xy()
+    kr_map, wr_map = _lattice_maps()
+    cases = [
+        (Curve(factor2_poly()), kr_map, Curve(factor1_poly()), wr_map),
+        (Curve(cand_poly()), IDENTITY, Curve(cand_poly()), IDENTITY),
+        (Curve((x - y) * (x + 2 * y)), IDENTITY, Curve((x - y) * (x - 3 * y)), IDENTITY),
+    ]
+    pulled = {}
+    for case in cases + cases:
+        assert _fields(substitute_compare(*case, pulled=pulled)) == _fields(substitute_compare(*case))
+    assert len(pulled) == 5
+
+
+def test_substitute_compare_memo_shares_equal_maps(monkeypatch):
+    calls = []
+    pullback = curves._pullback
+
+    def counting(curve, mapping):
+        calls.append(curve)
+        return pullback(curve, mapping)
+
+    monkeypatch.setattr(curves, "_pullback", counting)
+    pulled = {}
+    (kr1, wr1), (kr2, wr2) = _lattice_maps(), _lattice_maps()
+    first = substitute_compare(Curve(factor2_poly()), kr1, Curve(factor1_poly()), wr1, pulled)
+    again = substitute_compare(Curve(factor2_poly()), kr2, Curve(factor1_poly()), wr2, pulled)
+    assert _fields(first) == _fields(again)
+    assert len(calls) == 2 and len(pulled) == 2
+
+
+def test_substitute_compare_memo_degenerate_map():
+    x, y = xy()
+    t = rf(t_poly())
+    collapse = {"x": t, "y": t}
+    with pytest.raises(DegenerateMap) as plain:
+        substitute_compare(Curve(x - y), collapse, Curve(x + y), collapse)
+    pulled = {}
+    for _ in range(2):
+        with pytest.raises(DegenerateMap) as memo:
+            substitute_compare(Curve(x - y), collapse, Curve(x + y), collapse, pulled)
+        assert str(memo.value) == str(plain.value)
+    assert pulled == {}
 
 
 # ---- singular points ----------------------------------------------------------

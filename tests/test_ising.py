@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hornsing import curves, ising
 from hornsing.curves import Curve
 from hornsing.exact import (
     MPoly,
@@ -248,8 +249,7 @@ def test_isotropic_reduction_hits_cm_quadratics():
 # ---- (k,r) <-> (w,r) correspondence ----------------------------------------------
 
 
-def test_report_chi3_matching():
-    rep = kr_wr_report(3)
+def check_chi3_report(rep):
     pairs = {
         w.to_str(): (tuple(k.to_str() for k in ks), const)
         for w, ks, const in rep.matched
@@ -279,8 +279,7 @@ def test_report_chi3_matching():
     assert sorted(c.to_str() for c in rep.unmatched_wr) == ["w", "w^2 - 1"]
 
 
-def test_report_chi4_matching():
-    rep = kr_wr_report(4)
+def check_chi4_report(rep):
     assert len(rep.matched) == 2
     assert {w.to_str() for w, _, _ in rep.matched} == {
         Curve(wr("4*w^2-2+r")).to_str(),
@@ -289,6 +288,47 @@ def test_report_chi4_matching():
     assert all(const == 1 for _, _, const in rep.matched)
     assert [c.to_str() for c in rep.unmatched_kr] == [Curve(kr("k^2-1")).to_str()]
     assert sorted(c.to_str() for c in rep.unmatched_wr) == ["w", "w^2 - 1"]
+
+
+def test_report_chi3_matching():
+    check_chi3_report(kr_wr_report(3))
+
+
+def test_report_chi4_matching():
+    check_chi4_report(kr_wr_report(4))
+
+
+def test_report_pulls_each_curve_back_once(monkeypatch):
+    seen = []
+    pullback = curves._pullback
+
+    def counting(curve, mapping):
+        seen.append((curve.poly, frozenset(mapping.items())))
+        return pullback(curve, mapping)
+
+    monkeypatch.setattr(curves, "_pullback", counting)
+    for n, check in ((3, check_chi3_report), (4, check_chi4_report)):
+        seen.clear()
+        check(kr_wr_report(n))
+        assert seen
+        assert len(seen) == len(set(seen))
+
+
+def test_repeat_catalog_parses_nothing(monkeypatch):
+    first = {key: chi_catalog(*key) for key in DISPLAY_PRODUCTS}
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_expr(*args, **kwargs)
+
+    for module in (ising, curves):
+        monkeypatch.setattr(module, "parse_expr", counting)
+    for key, cat in first.items():
+        again = chi_catalog(*key)
+        assert again is not cat
+        assert (again.n, again.coords, again.factors) == (cat.n, cat.coords, cat.factors)
+    assert calls == []
 
 
 # ---- genus audit -----------------------------------------------------------------

@@ -21,8 +21,12 @@ regression from the spread, and not every change run beats every parent
 run), and whether the gain rule holds (the change wins at least nine tenths
 of the pairs, the medians differ by more than the parent's interquartile
 range, and the change's share of failed jobs is no larger than the
-parent's).  It also gives the line count of src/**/*.py on each side, as
-src_lines, so the net change of src/ can be read off it.
+parent's).  Per workload and seed it also gives each side's unscaled_frac,
+the share of passes whose reference-speed time is their raw time, because
+the speed probe returns a pass too short to sample every part unscaled
+(perfbench/speed.py); medians of sides that differ there mix raw and
+rescaled seconds.  It also gives the line count of src/**/*.py on each side,
+as src_lines, so the net change of src/ can be read off it.
 
 Each --traced WORKLOAD:SEED entry adds one `perfbench/run.py --trace 1` run
 per side, and the output keeps its rows and, for each per-layer metric of
@@ -175,6 +179,19 @@ def summarize(rows, metrics):
     return out
 
 
+def unscaled_frac(rows):
+    """Per side, the share of its passes whose pass_ref_s equals its pass_s."""
+    out = {}
+    for side in ("parent", "change"):
+        passes = [
+            (raw, ref)
+            for r in rows if r["side"] == side
+            for raw, ref in zip(r["row"]["pass_s"], r["row"]["pass_ref_s"])
+        ]
+        out[side] = sum(raw == ref for raw, ref in passes) / len(passes) if passes else 0.0
+    return out
+
+
 def traced_pair(pool, trees, shas, workload, seed, seconds, per_layer):
     """One --trace 1 run per side; the rows and each per-layer metric side by side."""
     rows, values = [], {}
@@ -201,6 +218,7 @@ def main():
     seconds = bench["run_seconds"]
     rows = []
     summary = {}
+    unscaled = {}
     with launcher() as pool, tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees, shas = {}, {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -223,6 +241,7 @@ def main():
                         result["metrics"]["wall_ref_s"]["value"]), file=sys.stderr)
             rows.extend(group)
             summary["%s@%d" % (workload, seed)] = summarize(group, bench["end_to_end"])
+            unscaled["%s@%d" % (workload, seed)] = unscaled_frac(group)
         traced = {
             "%s@%d" % (workload, seed): traced_pair(
                 pool, trees, shas, workload, seed, seconds, bench["per_layer"])
@@ -235,6 +254,7 @@ def main():
         "command": bench["command"],
         "src_lines": src_counts,
         "summary": summary,
+        "unscaled_frac": unscaled,
         "rows": rows,
         "traced": traced,
     }
