@@ -223,10 +223,7 @@ class MPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
-            if isinstance(other, (int, Fraction)):
-                other = MPoly.const(self.vars, other)
-            else:
-                return NotImplemented
+            return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
@@ -732,7 +729,7 @@ def _bareiss(M):
     pivot is exact by Sylvester's identity (E. H. Bareiss, Math. Comp. 22,
     1968).  Yields (column, swapped) for each pivot, after updating the rows
     below it right of its column only: their entries in that column and left
-    of it stay stale, not zero, so rref takes each row as zero left of its pivot.
+    of it stay stale, not zero, so rref zeroes each row left of its pivot.
     """
     nrows, ncols = len(M), len(M[0]) if M else 0
     r, prev = 0, 1
@@ -877,11 +874,12 @@ def strip_monomials(p: MPoly):
 def rref(rows):
     """Reduced row echelon form of a rational matrix (list of row lists).
 
-    Returns (rows, pivots): the nonzero rows of the reduced form as Fraction
-    lists, ordered by pivot column, and the pivot column of each row.  The
-    input is left unchanged: its rows are cleared to integers, echelonized by
-    _bareiss and back-substituted in integers from the last pivot row up, and
-    each nonzero entry becomes one Fraction over its row's pivot.
+    Returns (rows, pivots): the nonzero rows of the reduced form, ordered by
+    pivot column, and the pivot column of each row.  Each row is a list of
+    ints with content 1 and a positive pivot entry, so the reduced entry is
+    x / row[pivot].  The input is left unchanged: its rows are cleared to
+    integers, echelonized by _bareiss and back-substituted in integers from
+    the last pivot row up.
     """
     m = [_clear(row)[1] for row in rows]
     pivots = [k for k, _ in _bareiss(m)]
@@ -894,17 +892,19 @@ def rref(rows):
                 pk = below[k]
                 row = [pk * x - f * y for x, y in zip(row, below)]
         g = math.gcd(*row)
+        if row[pivots[i]] < 0:
+            g = -g
         m[i] = [x // g for x in row]
-    zero = Fraction(0)
-    out = [[Fraction(x, row[k]) if x else zero for x in row] for row, k in zip(m, pivots)]
-    return out, pivots
+    return m, pivots
 
 
 def nullspace(matrix):
     """Right-nullspace basis of a rational matrix (list of row lists).
 
-    Returns a list of Fraction vectors; empty iff the matrix has full
-    column rank.  Basis vectors follow the unit-free-variable convention.
+    Returns one primitive int vector per free column, in column order; empty
+    iff the matrix has full column rank.  The vector of a free column is
+    positive there and zero at the other free columns: the unit-free-variable
+    vector scaled by the lcm of the pivots it touches, over its content.
     """
     if not matrix:
         return []
@@ -915,27 +915,14 @@ def nullspace(matrix):
     for fc in range(ncols):
         if fc in pivset:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        scale = math.lcm(*[row[pc] for row, pc in zip(rows, pivots) if row[fc]])
+        vec = [0] * ncols
+        vec[fc] = scale
         for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
+            vec[pc] = -row[fc] * (scale // row[pc])
+        g = math.gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
-
-
-def solve_linear(matrix, rhs):
-    """One exact solution of matrix * x = rhs, or None if inconsistent.
-
-    Free unknowns are set to zero.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(rows, pivots):
-        x[pc] = row[ncols]
-    return x
 
 
 # ---- univariate factorization ------------------------------------------------
@@ -1414,14 +1401,15 @@ class RatFun:
         return RatFun.const(self.vars, other)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
-            other = self._coerce(other)
         if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
+
+    def __bool__(self):
+        return bool(self.num)
 
     def evaluate(self, env) -> Fraction:
         d = self.den.evaluate(env)

@@ -448,7 +448,7 @@ def _fold(node, leaf, check=lambda op, a, b: None):
         acc = leaf(node)
     for op in reversed(spine):
         rhs = _fold(op.right, leaf, check)
-        if type(op) is Div and rhs == 0:
+        if type(op) is Div and not rhs:
             raise EvaluationError("division by zero")
         check(type(op), acc, rhs)
         acc = _BINARY[type(op)](acc, rhs)

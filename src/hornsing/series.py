@@ -148,7 +148,12 @@ class BiSeries:
 
     @classmethod
     def _from_rows(cls, order, rows):
-        """The series with c_{n,m} = rows[n][1][m] / rows[n][0], integers, rows[n][0] > 0."""
+        """The series with c_{n,m} = rows[n][1][m] / rows[n][0].
+
+        rows holds one (den, ints) pair per n = 0..order: den a positive int
+        and ints order - n + 1 ints.  Each pair is divided by its gcd here,
+        so the caller need not reduce it.
+        """
         self = object.__new__(cls)
         self.order = order
         self.rows = []

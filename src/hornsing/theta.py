@@ -127,7 +127,7 @@ class LogSeries:
 
 def _series_is_zero(s):
     if isinstance(s, BiSeries):
-        return not s.coeffs
+        return not any(any(ws) for _, ws in s.rows)
     return all(c == 0 for c in s.coeffs)
 
 
@@ -469,22 +469,22 @@ def log_basis(sys, order, max_log):
         for pid, c in vec.items():
             i = slot[pid]
             rows[i][col] = c * (row_den[i] // den)
-    rows, _pivots = rref(rows)
+    rows, pivots = rref(rows)
 
+    index = {key: i for i, key in enumerate(columns)}
     basis = []
-    for row in rows:
-        parts = {}
-        for value, (li, mono) in zip(row, columns):
-            if value:
-                parts.setdefault(li, {})[mono] = value
+    for row, pc in zip(rows, pivots):
+        den = row[pc]
         built = {}
-        for li, data in parts.items():
+        for li in li_order:
             if width == 2:
-                built[li] = BiSeries(order, data)
+                built[li] = BiSeries._from_rows(order, [
+                    (den, [row[index[(li, (n, m))]] for m in range(order - n + 1)])
+                    for n in range(order + 1)
+                ])
             else:
-                coeff_list = [Fraction(0)] * (order + 1)
-                for (k,), v in data.items():
-                    coeff_list[k] = v
-                built[li] = UniSeries(order, coeff_list)
+                built[li] = UniSeries(
+                    order, [Fraction(row[index[(li, (k,))]], den) for k in range(order + 1)]
+                )
         basis.append(LogSeries(order, built))
     return len(basis), basis

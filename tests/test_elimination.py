@@ -5,8 +5,9 @@ Each kernel is checked against an outside oracle (sympy, skipped when it is
 not installed) on seeded random inputs, and the resultant also against the
 fraction-free Bareiss determinant of the MPoly Sylvester matrix written out
 below as the reference.  The integer interpolation of the Kronecker split is
-checked against the Fraction Vandermonde solve it replaced, and the integer
-rank against the rank rref reports.  The heuristic gcd is checked against
+checked against the Fraction Vandermonde solve it replaced (`solve_linear`
+below, a reference built on rref), and the integer rank against the rank
+rref reports.  The heuristic gcd is checked against
 the PRS it falls back to, and the integer rational-root test against the
 Fraction evaluation it replaced.
 """
@@ -32,7 +33,6 @@ from hornsing.exact import (
     poly_gcd,
     resultant,
     rref,
-    solve_linear,
 )
 from hornsing.exprio import expr_to_ratfun, parse_expr
 from hornsing.horn import HornMaps, IdenticallyZeroResultant, eliminate
@@ -496,6 +496,39 @@ def test_ratfun_inverse_matches_constructor():
     assert str(got.value) == str(ref.value) == "rational function with zero denominator"
     with pytest.raises(ZeroDivisionError, match="zero denominator"):
         zero**-2
+
+
+def solve_linear(matrix, rhs):
+    """One exact solution of matrix * x = rhs, or None if inconsistent.
+
+    Reduces the augmented matrix with rref: a pivot in the last column means
+    inconsistent.  Free unknowns are set to zero.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(rows, pivots):
+        x[pc] = Fraction(row[ncols], row[pc])
+    return x
+
+
+def test_solve_linear_inconsistent_system():
+    m = [[1, 1], [2, 2]]
+    assert solve_linear(m, [1, 3]) is None
+    assert solve_linear([[0, 0]], [5]) is None
+
+
+def test_solve_linear_underdetermined_system():
+    m = [[1, 2, 3], [2, 4, 7]]
+    rhs = [6, 13]
+    x = solve_linear(m, rhs)
+    assert x is not None
+    for row, b in zip(m, rhs):
+        assert sum(a * v for a, v in zip(row, x)) == b
+    # the free unknown (column 1) is set to zero
+    assert x == [Fraction(3), Fraction(0), Fraction(1)]
 
 
 def _ref_interp_int(xs, ys, deg):

@@ -19,6 +19,7 @@ from hornsing.exact import (
     nullspace,
     poly_gcd,
     resultant,
+    rref,
     squarefree_primitive,
 )
 
@@ -214,6 +215,23 @@ def test_squarefree_primitive_idempotent_on_example():
     x, y = x_(), y_()
     p = squarefree_primitive((x + y) ** 3 * (x - y))
     assert squarefree_primitive(p) == p
+
+
+def test_equal_values_hash_equal():
+    # == holds only between values of one type, so equal values hash equal
+    # and a set or dict never holds an MPoly and its RatFun or constant apart.
+    x = x_()
+    assert RatFun.from_poly(x) != x and x != RatFun.from_poly(x)
+    assert MPoly.const(XY, 3) != 3 and RatFun.const(XY, 3) != MPoly.const(XY, 3)
+    assert len({RatFun.from_poly(x), x}) == 2
+    pairs = [
+        (MPoly.const(XY, Fraction(3)), MPoly.const(XY, 3)),
+        (x * x - 1, (x - 1) * (x + 1)),
+        (RatFun(x * x - 1, x - 1), RatFun.from_poly(x + 1)),
+        (RatFun(2 * x, 4 * x * x), RatFun(MPoly.const(XY, Fraction(1, 2)), x)),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
 
 
 # ---- nullspace -----------------------------------------------------------------
@@ -459,7 +477,13 @@ def test_property_nullspace_exactness():
             for _ in range(nrows)
         ]
         basis = nullspace(m)
-        for vec in basis:
+        free = sorted(set(range(ncols)).difference(rref(m)[1]))
+        assert len(basis) == len(free)
+        for vec, f in zip(basis, free):
+            assert all(type(v) is int for v in vec)
+            assert math.gcd(*vec) == 1
+            # positive at its own free column, zero at the others
+            assert vec[f] > 0 and not any(vec[g] for g in free if g != f)
             for row in m:
                 assert sum(c * v for c, v in zip(row, vec)) == 0
         # rank-nullity: dim(kernel) = ncols - rank
@@ -809,7 +833,7 @@ def test_integral_coefficients_are_stored_as_int():
     wrapped = MPoly._trusted(XY, {(1, 0): Fraction(3), (0, 0): Fraction(-2)})
     assert ints.terms == fracs.terms and type(fracs.terms[(1, 0)]) is int
     assert ints == fracs == wrapped and hash(ints) == hash(fracs) == hash(wrapped)
-    assert ints == 3 * x - 2 and MPoly.const(XY, Fraction(4)) == 4
+    assert ints == 3 * x - 2 and MPoly.const(XY, Fraction(4)) == MPoly.const(XY, 4)
     # the accessors still return Fractions
     p = 3 * x**2 + half * y - 2
     assert type(p.leading_coeff()) is Fraction and p.leading_coeff() == 3

@@ -118,7 +118,6 @@ def test_names_without_caller_detects_an_unread_name():
 # "test reference" for what the tests use as an oracle.
 NO_CALLER = {
     "curves.nickelian_j": "CLI: the j-invariant of the Nickelian family (hornsing ising)",
-    "exact.solve_linear": "test reference: _ref_interp_int solves its systems with it",
     "exprio.format_series_text": "CLI: writes series files",
     "exprio.format_spec_text": "CLI: writes spec files",
     "exprio.print_canonical": "CLI: prints canonical polynomials",

@@ -1,11 +1,12 @@
 """The row-echelon kernels over Q and Z/p against independent references."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hornsing.exact import nullspace, rref, solve_linear
+from hornsing.exact import nullspace, rref
 from hornsing.odeguess import _first_null_vector, _mod_echelon
 
 P61 = 2**61 - 1
@@ -34,6 +35,18 @@ def _random_matrix(rng, nrows, ncols, rank):
         coef = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
         rows.append([sum(c * b[j] for c, b in zip(coef, basis)) for j in range(ncols)])
     return rows
+
+
+def _assert_reduces_to(rows, pivots, want):
+    """rows hold primitive ints with a positive pivot, and x / row[pivot] is
+    the sympy reduced form want."""
+    assert len(rows) == len(pivots)
+    for i, (row, k) in enumerate(zip(rows, pivots)):
+        assert all(type(x) is int for x in row)
+        assert row[k] > 0 and math.gcd(*row) == 1
+        assert [Fraction(x, row[k]) for x in row] == [
+            Fraction(int(x.p), int(x.q)) for x in want.row(i)
+        ]
 
 
 def _shapes():
@@ -65,9 +78,7 @@ def test_rref_matches_sympy():
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]
         ).rref()
         assert tuple(pivots) == tuple(want_pivots)
-        assert len(rows) == len(pivots)
-        for i, row in enumerate(rows):
-            assert row == [Fraction(int(x.p), int(x.q)) for x in want.row(i)]
+        _assert_reduces_to(rows, pivots, want)
 
 
 def test_rref_of_empty_and_zero_matrices():
@@ -89,9 +100,9 @@ def test_first_null_vector_is_canonical_nullspace_vector():
             continue
         f, vec = got
         assert f == min(set(range(ncols)).difference(pivots))
-        # The canonical vector has a 1 at the first free column and is zero
+        # The canonical vector, scaled to 1 at the first free column, is zero
         # past it, so the reader returns exactly its first f + 1 entries.
-        want = [_residue(x, P61) for x in basis[0]]
+        want = [_residue(Fraction(x, basis[0][f]), P61) for x in basis[0]]
         assert vec == want[: f + 1]
         assert not any(want[f + 1 :])
         hits += 1
@@ -183,23 +194,6 @@ def test_mod_echelon_worst_slot_growth(p):
     assert rows[-1] == [0] * (n - 1) + [1]
 
 
-def test_solve_linear_inconsistent_system():
-    m = [[1, 1], [2, 2]]
-    assert solve_linear(m, [1, 3]) is None
-    assert solve_linear([[0, 0]], [5]) is None
-
-
-def test_solve_linear_underdetermined_system():
-    m = [[1, 2, 3], [2, 4, 7]]
-    rhs = [6, 13]
-    x = solve_linear(m, rhs)
-    assert x is not None
-    for row, b in zip(m, rhs):
-        assert sum(a * v for a, v in zip(row, x)) == b
-    # the free unknown (column 1) is set to zero
-    assert x == [Fraction(3), Fraction(0), Fraction(1)]
-
-
 def test_rref_of_sparse_matrices_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(4242)
@@ -212,6 +206,4 @@ def test_rref_of_sparse_matrices_matches_sympy():
         rows, pivots = rref(m)
         want, want_pivots = sympy.Matrix(m).rref()
         assert tuple(pivots) == tuple(want_pivots)
-        for i, row in enumerate(rows):
-            assert all(type(x) is Fraction for x in row)
-            assert row == [Fraction(int(x.p), int(x.q)) for x in want.row(i)]
+        _assert_reduces_to(rows, pivots, want)
