@@ -357,8 +357,8 @@ def log_basis(sys, order, max_log):
     that feed it: a multiple of the rational row, with the same support.
     The pivot is the largest parameter of the row; it is substituted only in
     the unknowns that hold it, which an index from parameter to unknowns
-    lists.  The 2-variable basis elements are BiSeries built from their
-    coefficient dicts, each cleared to integer rows as it is built.
+    lists.  The basis is read off rref's integer rows over each row's pivot:
+    as BiSeries rows, or as one Fraction per entry of a univariate part.
     """
     if max_log < 0:
         raise ValueError("max_log must be nonnegative")

@@ -7,9 +7,9 @@ fraction-free Bareiss determinant of the MPoly Sylvester matrix written out
 below as the reference.  The integer interpolation of the Kronecker split is
 checked against the Fraction Vandermonde solve it replaced (`solve_linear`
 below, a reference built on rref), and the integer rank against the rank
-rref reports.  The heuristic gcd is checked against
-the PRS it falls back to, and the integer rational-root test against the
-Fraction evaluation it replaced.
+rref reports.  The heuristic gcd is checked against the PRS it falls back
+to, and the integer rational-root test against the Fraction evaluation it
+replaced.
 """
 
 import math
