@@ -4,6 +4,12 @@ The expression grammar is plain infix arithmetic over exact rationals with
 precedence ^ > unary minus > * / > + -, where the right operand of ^ must be
 a nonnegative integer literal.  Four combinatorial atoms are recognized:
 fact(e), binom(e, e), poch(e, e), and sum(index, lower, upper, body).
+
+parse_expr returns a tree of tuples, each tagged by its first entry:
+("int", v), ("var", name), (op, left, right) for op in + - * /, ("neg", a),
+("^", base, k) with k an int, ("fact", a), ("binom", a, b), ("poch", a, b)
+and ("sum", index, lower, upper, body) with index a name.
+
 Evaluation caps the fact argument, the binom lower index and the poch count
 at _MAX_COUNT, and a ^ exponent at _MAX_EXPONENT.  The sums of one
 evaluation share one budget of _MAX_COUNT body evaluations, so nested sums
@@ -24,13 +30,11 @@ File formats are line oriented, with # comments and blank lines ignored:
   spec file      "[spec]" header, then "key = value" lines
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exact import MPoly, RatFun
 
@@ -65,108 +69,40 @@ class ValidationError(Exception):
 
 
 class IoError(OSError):
-    """File could not be read or written."""
+    """File could not be read."""
 
 
 # ---------------------------------------------------------------------------
-# Abstract syntax
+# Expression nodes
 
 
-class Expr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Int(Expr):
-    value: int
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Fact(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Binom(Expr):
-    top: Expr
-    bottom: Expr
-
-
-@dataclass(frozen=True)
-class Poch(Expr):
-    base: Expr
-    count: Expr
-
-
-@dataclass(frozen=True)
-class Sum(Expr):
-    index: str
-    lower: Expr
-    upper: Expr
-    body: Expr
-
-
+# The subexpressions that follow the tag of each node but "var" and "sum";
+# the value of "int" and the exponent of "^" are literals.
+_OPERANDS = {
+    "int": 0, "neg": 1, "^": 1, "fact": 1, "binom": 2, "poch": 2,
+    "+": 2, "-": 2, "*": 2, "/": 2,
+}
 _ATOM_NAMES = ("fact", "binom", "poch", "sum")
 
 
 def free_vars(node):
-    """Names referenced by node, with sum indices bound inside their body."""
+    """Names referenced by node, with the index of a ("sum", index, lower,
+    upper, body) node bound inside its body."""
     names = set()
     stack = [(node, frozenset())]
     while stack:
         node, bound = stack.pop()
-        if isinstance(node, Var):
-            if node.name not in bound:
-                names.add(node.name)
-        elif isinstance(node, Sum):
-            stack.append((node.body, bound | {node.index}))
-            stack += [(node.lower, bound), (node.upper, bound)]
-        elif isinstance(node, Expr):
-            # fields that are not Exprs hold literals: Int.value, Pow.exponent
-            kids = [c for c in node.__dict__.values() if isinstance(c, Expr)]
-            stack += [(kid, bound) for kid in kids]
+        tag = node[0]
+        if tag == "var":
+            if node[1] not in bound:
+                names.add(node[1])
+        elif tag == "sum":
+            _, index, lower, upper, body = node
+            stack += [(body, bound | {index}), (lower, bound), (upper, bound)]
+        elif tag in _OPERANDS:
+            stack += [(kid, bound) for kid in node[1 : 1 + _OPERANDS[tag]]]
         else:
-            raise TypeError("not an Expr node: %r" % (node,))
+            raise TypeError("not an expression node: %r" % (node,))
     return names
 
 
@@ -217,10 +153,11 @@ def _tokenize(text):
 
 
 # Nesting levels (parentheses, call arguments, unary minus) the parser
-# accepts.  A level costs five stack frames here and at most three in _fold
-# and its leaf functions; chains of + - * / cost none, because the parser and
-# _fold loop over them.  So any accepted expression stays well inside
-# Python's default recursion limit of 1000.
+# accepts.  A level costs at most six stack frames here (expr, term, unary,
+# power, atom and, for an argument, call) and at most three in _fold and its
+# leaf functions; chains of + - * / cost none, because the parser and _fold
+# loop over them.  So any accepted expression stays well inside Python's
+# default recursion limit of 1000.
 _MAX_DEPTH = 100
 
 
@@ -274,8 +211,7 @@ class _Parser:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = (op, node, self.term())
         self.depth -= 1
         return node
 
@@ -283,15 +219,14 @@ class _Parser:
         node = self.unary()
         while self.peek()[0] in ("*", "/"):
             op = self.take()[0]
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = (op, node, self.unary())
         return node
 
     def unary(self):
         if self.peek()[0] == "-":
             self.take()
             self.descend()
-            node = Neg(self.unary())
+            node = ("neg", self.unary())
             self.depth -= 1
             return node
         return self.power()
@@ -301,7 +236,7 @@ class _Parser:
         if self.peek()[0] != "^":
             return base
         self.take()
-        return Pow(base, self.exponent())
+        return ("^", base, self.exponent())
 
     def exponent(self):
         # A bare integer, optionally parenthesized; a sign inside the
@@ -329,7 +264,7 @@ class _Parser:
     def atom(self):
         tok = self.take()
         if tok[0] == "int":
-            return Int(int(tok[1]))
+            return ("int", int(tok[1]))
         if tok[0] == "(":
             node = self.expr()
             self.expect(")", "')'")
@@ -340,7 +275,7 @@ class _Parser:
                 return self.call(name, tok)
             if not self.known(name):
                 raise UnknownVariable(name, tok[2], tok[3])
-            return Var(name)
+            return ("var", name)
         raise ExprSyntaxError(
             "expected a value, found %r" % (tok[1] or "end of input"),
             tok[2],
@@ -349,22 +284,14 @@ class _Parser:
 
     def call(self, name, tok):
         self.expect("(", "'('")
-        if name == "fact":
-            arg = self.expr()
+        if name != "sum":
+            args = []
+            for i in range(_OPERANDS[name]):
+                if i:
+                    self.expect(",", "','")
+                args.append(self.expr())
             self.expect(")", "')'")
-            return Fact(arg)
-        if name == "binom":
-            top = self.expr()
-            self.expect(",", "','")
-            bottom = self.expr()
-            self.expect(")", "')'")
-            return Binom(top, bottom)
-        if name == "poch":
-            base = self.expr()
-            self.expect(",", "','")
-            count = self.expr()
-            self.expect(")", "')'")
-            return Poch(base, count)
+            return (name, *args)
         idx = self.expect("name", "a summation index")
         self.expect(",", "','")
         lower = self.expr()
@@ -377,7 +304,7 @@ class _Parser:
         body = self.expr()
         self.scope.pop()
         self.expect(")", "')'")
-        return Sum(idx[1], lower, upper, body)
+        return ("sum", idx[1], lower, upper, body)
 
     def check_affine(self, bound, tok):
         outer = tuple(sorted(set().union(*self.scope)))
@@ -394,7 +321,12 @@ class _Parser:
 
 
 def parse_expr(text, vars):
-    """Parse text into an Expr; identifiers must come from vars."""
+    """Parse text into an expression node; identifiers must come from vars.
+
+    A node is a tuple tagged by its first entry: ("int", v), ("var", name),
+    (op, left, right) for op in + - * /, ("neg", a), ("^", base, k), ("fact",
+    a), ("binom", a, b), ("poch", a, b) or ("sum", index, lower, upper, body).
+    """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 1, 1)
     return _Parser(_tokenize(text), vars).parse()
@@ -419,39 +351,38 @@ def _as_integer(value, what, cap=None):
     return int(value)
 
 
-_BINARY = {
-    Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv
-}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _fold(node, leaf, check=lambda op, a, b: None):
-    """Value of node: + - * / ^ and unary minus applied here, leaf(n) for the rest.
+    """Value of node: the (op, left, right), ("neg", a) and ("^", base, k)
+    nodes are applied here, leaf(n) gives the value of every other node n.
 
     The left spine of a + - * / chain is walked by a loop, so a flat sum or
     product of any length costs no stack; only parentheses, call arguments
     and unary minus recurse, and the parser caps those at _MAX_DEPTH.
-    check(type, a, b) is called before each a + - * / b and check(Pow, a, k)
-    before each a^k.
+    check(op, a, b) is called before each a op b for op in + - * /, and
+    check("^", a, k) before each a^k.
     """
     spine = []
-    while type(node) in _BINARY:
+    while node[0] in _BINARY:
         spine.append(node)
-        node = node.left
-    if isinstance(node, Neg):
-        acc = -_fold(node.arg, leaf, check)
-    elif isinstance(node, Pow):
-        exponent = _as_integer(node.exponent, "exponent", _MAX_EXPONENT)
-        acc = _fold(node.base, leaf, check)
-        check(Pow, acc, exponent)
+        node = node[1]
+    if node[0] == "neg":
+        acc = -_fold(node[1], leaf, check)
+    elif node[0] == "^":
+        exponent = _as_integer(node[2], "exponent", _MAX_EXPONENT)
+        acc = _fold(node[1], leaf, check)
+        check("^", acc, exponent)
         acc = acc**exponent
     else:
         acc = leaf(node)
-    for op in reversed(spine):
-        rhs = _fold(op.right, leaf, check)
-        if type(op) is Div and not rhs:
+    for op, _, right in reversed(spine):
+        rhs = _fold(right, leaf, check)
+        if op == "/" and not rhs:
             raise EvaluationError("division by zero")
-        check(type(op), acc, rhs)
-        acc = _BINARY[type(op)](acc, rhs)
+        check(op, acc, rhs)
+        acc = _BINARY[op](acc, rhs)
     return acc
 
 
@@ -464,43 +395,45 @@ def _evaluate(node, env, budget):
     """eval_expr, charging every sum range to budget[0], the body evaluations left."""
 
     def leaf(node):
-        if isinstance(node, Int):
-            return Fraction(node.value)
-        if isinstance(node, Var):
+        tag = node[0]
+        if tag == "int":
+            return Fraction(node[1])
+        if tag == "var":
             try:
-                return Fraction(env[node.name])
+                return Fraction(env[node[1]])
             except KeyError:
-                raise EvaluationError("unbound variable %r" % node.name) from None
-        if isinstance(node, Fact):
-            arg = _as_integer(_fold(node.arg, leaf), "factorial argument", _MAX_COUNT)
+                raise EvaluationError("unbound variable %r" % node[1]) from None
+        if tag == "fact":
+            arg = _as_integer(_fold(node[1], leaf), "factorial argument", _MAX_COUNT)
             if arg < 0:
                 raise EvaluationError("factorial of a negative integer")
             return Fraction(math.factorial(arg))
-        if isinstance(node, Binom):
-            top = _fold(node.top, leaf)
-            k = _as_integer(_fold(node.bottom, leaf), "binomial lower index", _MAX_COUNT)
+        if tag == "binom":
+            top = _fold(node[1], leaf)
+            k = _as_integer(_fold(node[2], leaf), "binomial lower index", _MAX_COUNT)
             if k < 0:
                 return Fraction(0)
             falling = math.prod((top - i for i in range(k)), start=Fraction(1))
             return falling / math.factorial(k)
-        if isinstance(node, Poch):
-            base = _fold(node.base, leaf)
-            count = _as_integer(_fold(node.count, leaf), "pochhammer count", _MAX_COUNT)
+        if tag == "poch":
+            base = _fold(node[1], leaf)
+            count = _as_integer(_fold(node[2], leaf), "pochhammer count", _MAX_COUNT)
             if count < 0:
                 raise EvaluationError("pochhammer count is negative")
             return math.prod((base + i for i in range(count)), start=Fraction(1))
-        if isinstance(node, Sum):
-            lo = _as_integer(_fold(node.lower, leaf), "sum lower bound")
-            hi = _as_integer(_fold(node.upper, leaf), "sum upper bound")
+        if tag == "sum":
+            _, index, lower, upper, body = node
+            lo = _as_integer(_fold(lower, leaf), "sum lower bound")
+            hi = _as_integer(_fold(upper, leaf), "sum upper bound")
             if hi >= lo:
                 budget[0] -= _as_integer(hi - lo + 1, "sum range length", budget[0])
             total = Fraction(0)
             inner = dict(env)
             for i in range(lo, hi + 1):
-                inner[node.index] = Fraction(i)
-                total += _evaluate(node.body, inner, budget)
+                inner[index] = Fraction(i)
+                total += _evaluate(body, inner, budget)
             return total
-        raise TypeError("not an Expr node: %r" % (node,))
+        raise TypeError("not an expression node: %r" % (node,))
 
     return _fold(node, leaf)
 
@@ -517,8 +450,8 @@ def expr_to_ratfun(node, vars, consts=None):
     vset = set(vars)
 
     def leaf(node):
-        if isinstance(node, Var) and node.name in vset:
-            return RatFun.from_poly(MPoly.variable(vars, node.name))
+        if node[0] == "var" and node[1] in vset:
+            return RatFun.from_poly(MPoly.variable(vars, node[1]))
         if free_vars(node) & vset:
             raise EvaluationError(
                 "combinatorial atom with a symbolic argument is not a"
@@ -531,19 +464,20 @@ def expr_to_ratfun(node, vars, consts=None):
 
 def _check_size(op, a, b):
     """EvaluationError when the RatFun a op b could form a polynomial of more
-    than _MAX_COUNT terms; for op Pow, b is the exponent.
+    than _MAX_COUNT terms; op is the tag of a + - * / or ^ node, and for
+    op "^", b is the int exponent.
 
     A monomial factor only shifts exponents, so a monomial times one
     polynomial has that polynomial's terms.  Any other product has at most
     the monomials of its total degree or lower in the variables it involves.
     """
-    if op is Pow:
+    if op == "^":
         k, products = b, [(a.num,), (a.den,)]
-    elif op is Mul:
+    elif op == "*":
         k, products = 1, [(a.num, b.num), (a.den, b.den)]
     else:
         # a / b forms these two products; a + b and a - b also a.den * b.den
-        k, products = 1, [(a.num, b.den), (a.den, b.num)] + [(a.den, b.den)] * (op is not Div)
+        k, products = 1, [(a.num, b.den), (a.den, b.num)] + [(a.den, b.den)] * (op != "/")
     for factors in products:
         rest = [p for p in factors if len(p.terms) > 1]
         if k * len(rest) > 1:
@@ -562,11 +496,6 @@ def expr_to_mpoly(node, vars, consts=None):
     if not r.den.is_constant():
         raise EvaluationError("expression has a nonconstant denominator")
     return r.num * (Fraction(1) / r.den.constant_value())
-
-
-def print_canonical(p):
-    """Unique text form: content free, positive leading term, graded lex."""
-    return p.canonical_str()
 
 
 # ---------------------------------------------------------------------------
@@ -771,25 +700,16 @@ def format_ode_text(var, coeffs):
 # Recursion spec files
 
 
-@dataclass
-class SpecFile:
+class SpecFile(SimpleNamespace):
     """A named coefficient description for a doubly indexed sequence.
 
     kind "ratio" gives the two neighbor ratios alpha1 = c(n+1, m)/c(n, m)
     and alpha2 = c(n, m+1)/c(n, m); kind "formula" gives c(n, m) directly.
-    Parameters are extra names bound to fixed rationals.
+    Parameters are extra names bound to fixed rationals.  Its ten fields:
+    name, kind, vars (a tuple), params (a dict), the expression nodes
+    alpha1, alpha2 and coeff (None when the kind has none), and their texts
+    alpha1_text, alpha2_text and coeff_text ("" when None).
     """
-
-    name: str
-    kind: str
-    vars: tuple
-    params: dict = field(default_factory=dict)
-    alpha1: Expr | None = None
-    alpha2: Expr | None = None
-    coeff: Expr | None = None
-    alpha1_text: str = ""
-    alpha2_text: str = ""
-    coeff_text: str = ""
 
 
 _SPEC_KEYS = ("name", "kind", "vars", "params", "alpha1", "alpha2", "coeff")
@@ -855,18 +775,15 @@ def parse_spec_text(text):
         except (ExprSyntaxError, UnknownVariable) as exc:
             raise ValidationError("%s: %s" % (key, exc)) from None
 
-    spec = SpecFile(name=name, kind=kind, vars=vars, params=params)
-    if kind == "ratio":
-        if "coeff" in fields:
-            raise ValidationError("coeff is not allowed in a ratio spec")
-        spec.alpha1, spec.alpha1_text = expr_field("alpha1")
-        spec.alpha2, spec.alpha2_text = expr_field("alpha2")
-    else:
-        for key in ("alpha1", "alpha2"):
-            if key in fields:
-                raise ValidationError("%s is not allowed in a formula spec" % key)
-        spec.coeff, spec.coeff_text = expr_field("coeff")
-    return spec
+    exprs = ("alpha1", "alpha2") if kind == "ratio" else ("coeff",)
+    spec = dict(name=name, kind=kind, vars=vars, params=params)
+    for key in ("alpha1", "alpha2", "coeff"):
+        if key in fields and key not in exprs:
+            raise ValidationError("%s is not allowed in a %s spec" % (key, kind))
+        spec[key], spec[key + "_text"] = None, ""
+    for key in exprs:
+        spec[key], spec[key + "_text"] = expr_field(key)
+    return SpecFile(**spec)
 
 
 def format_spec_text(spec):
@@ -889,14 +806,6 @@ def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-
-
-def write_text(path, text):
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RatFun, _clear, _eval_int, _mul_trunc, _poly_add
+from .exact import RatFun, _clear, _coefficient, _eval_int, _mul_trunc, _poly_add
 from .exprio import eval_expr, expr_to_ratfun
 
 NM = ("n", "m")
@@ -51,7 +51,7 @@ class UniSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [Fraction(_coefficient(c)) for c in coeffs]
         if order < 0 or len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
         self.order = order
@@ -82,7 +82,7 @@ class UniSeries:
         if isinstance(other, UniSeries):
             n = min(self.order, other.order)
             return UniSeries(n, _mul_trunc(self.coeffs, other.coeffs, n))
-        c = Fraction(other)
+        c = Fraction(_coefficient(other))
         return UniSeries(self.order, [a * c for a in self.coeffs])
 
     __rmul__ = __mul__
@@ -130,7 +130,7 @@ class BiSeries:
         for (n, m), value in coeffs.items():
             if n < 0 or m < 0 or n + m > order:
                 raise ValueError("index (%d, %d) outside order %d" % (n, m, order))
-            value = Fraction(value)
+            value = Fraction(_coefficient(value))
             if value:
                 clean[(n, m)] = value
         self.order = order

@@ -9,11 +9,9 @@ import pytest
 from hornsing import exprio
 from hornsing.exact import MPoly, RatFun
 from hornsing.exprio import (
-    Div,
     EvaluationError,
     ExprSyntaxError,
     IoError,
-    Sum,
     UnknownVariable,
     ValidationError,
     eval_expr,
@@ -32,7 +30,6 @@ from hornsing.exprio import (
     parse_operator_text,
     parse_series_text,
     parse_spec_text,
-    print_canonical,
 )
 
 NM = ("n", "m")
@@ -48,7 +45,7 @@ def ev(text, **point):
 
 def test_parse_ratio_has_top_level_divide():
     ast = parse_expr("(3*n+3*m+1)*(3*n+3*m+2)*(3*n+3*m+3)/(n+1)^3", NM)
-    assert isinstance(ast, Div)
+    assert ast[0] == "/"
 
 
 def test_parse_factorial_formula():
@@ -325,9 +322,9 @@ def test_print_canonical_examples():
     x = MPoly.variable(XY, "x")
     y = MPoly.variable(XY, "y")
     curve = 256 * (x - y) ** 2 - 32 * (x + y) + 1
-    assert print_canonical(curve) == "256*x^2 - 512*x*y + 256*y^2 - 32*x - 32*y + 1"
-    assert print_canonical(MPoly.zero(XY)) == "0"
-    assert print_canonical(-2 * x + 2 * y) == "x - y"
+    assert curve.canonical_str() == "256*x^2 - 512*x*y + 256*y^2 - 32*x - 32*y + 1"
+    assert MPoly.zero(XY).canonical_str() == "0"
+    assert (-2 * x + 2 * y).canonical_str() == "x - y"
 
 
 def test_print_parse_round_trip_random():
@@ -341,7 +338,7 @@ def test_print_parse_round_trip_random():
                 continue
             terms[exps] = Fraction(rng.randrange(-40, 41))
         p = MPoly(vars, terms).primitive_positive()
-        text = print_canonical(p)
+        text = p.canonical_str()
         back = expr_to_mpoly(parse_expr(text, vars), vars)
         assert back == p
 
@@ -349,10 +346,10 @@ def test_print_parse_round_trip_random():
 def test_parse_print_parse_fixed_point():
     text = "x/2 + y/3"
     first = expr_to_mpoly(parse_expr(text, XY), XY)
-    printed = print_canonical(first)
+    printed = first.canonical_str()
     assert printed == "3*x + 2*y"
     again = expr_to_mpoly(parse_expr(printed, XY), XY)
-    assert print_canonical(again) == printed
+    assert again.canonical_str() == printed
 
 
 def test_combinatorial_identities_random():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hornsing.exact import MPoly
 from hornsing.exprio import EvaluationError, parse_expr, parse_spec_text, expr_to_ratfun
 from hornsing.series import (
     BiSeries,
@@ -240,6 +241,25 @@ def test_uniseries_arithmetic():
     assert (2 * a).coeffs == [2, 4, 6, 8]
     assert a.theta().coeffs == [0, 2, 6, 12]
     assert a.derivative().coeffs == [2, 6, 12]
+
+
+def test_series_coefficients_refuse_a_float_as_mpoly_does():
+    # Fraction(0.1) would store the binary expansion of the float.
+    message = "coefficient must be an int or a Fraction, not float"
+    for build in (
+        lambda: UniSeries(0, [0.1]),
+        lambda: UniSeries(1, [1, 2]) * 0.5,
+        lambda: 0.5 * UniSeries(1, [1, 2]),
+        lambda: BiSeries(1, {(0, 0): 0.1}),
+        lambda: MPoly(T, {(0,): 0.1}),
+    ):
+        with pytest.raises(TypeError, match=message):
+            build()
+    a = UniSeries(1, [1, Fraction(1, 2)]) * 2
+    assert a.coeffs == [2, 1] and all(type(c) is Fraction for c in a.coeffs)
+    b = BiSeries(1, {(0, 0): 3, (1, 0): Fraction(1, 2)})
+    assert b.rows == [(1, [3, 0]), (2, [1])]
+    assert all(type(c) is Fraction for c in b.coeffs.values())
 
 
 def test_restrict_diagonal_matches_sums_random():
