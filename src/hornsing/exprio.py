@@ -14,10 +14,10 @@ Evaluation caps the fact argument, the binom lower index and the poch count
 at _MAX_COUNT, and a ^ exponent at _MAX_EXPONENT.  The sums of one
 evaluation share one budget of _MAX_COUNT body evaluations, so nested sums
 cannot multiply their ranges past it; each range is charged in full before
-it starts.  Conversion to a rational function also caps, before each
-product or power, a bound on the terms of every polynomial it forms at
-_MAX_COUNT.  Past a cap it raises EvaluationError before any factorial,
-product, loop or power runs, so no input can ask for a hang or a
+it starts.  Conversion to a rational function charges the term pairs of
+its polynomial products, a bound for each power, to one budget of
+_MAX_COUNT per conversion.  Past a cap it raises EvaluationError before any
+factorial, product, loop or power runs, so no input can ask for a hang or a
 MemoryError.
 
 File formats are line oriented, with # comments and blank lines ignored:
@@ -459,17 +459,20 @@ def expr_to_ratfun(node, vars, consts=None):
             )
         return RatFun.const(vars, eval_expr(node, consts))
 
-    return _fold(node, leaf, _check_size)
+    budget = [_MAX_COUNT]
+    return _fold(node, leaf, lambda op, a, b: _check_size(op, a, b, budget))
 
 
-def _check_size(op, a, b):
-    """EvaluationError when the RatFun a op b could form a polynomial of more
-    than _MAX_COUNT terms; op is the tag of a + - * / or ^ node, and for
-    op "^", b is the int exponent.
+def _check_size(op, a, b, budget):
+    """Charge the term pairs the RatFun a op b multiplies to budget[0], the
+    pairs left in one conversion, and raise EvaluationError past it; op is
+    the tag of a + - * / or ^ node, and for op "^", b is the int exponent.
 
-    A monomial factor only shifts exponents, so a monomial times one
-    polynomial has that polynomial's terms.  Any other product has at most
-    the monomials of its total degree or lower in the variables it involves.
+    A monomial factor only shifts exponents, so a product with one is not
+    charged.  A power q^k runs k products with q: for q of n terms, q^j has
+    at most C(n+j-1, j) terms, and at most the monomials of its total degree
+    or lower in the variables q involves, so each step is charged n times
+    the smaller bound.
     """
     if op == "^":
         k, products = b, [(a.num,), (a.den,)]
@@ -479,15 +482,20 @@ def _check_size(op, a, b):
         # a / b forms these two products; a + b and a - b also a.den * b.den
         k, products = 1, [(a.num, b.den), (a.den, b.num)] + [(a.den, b.den)] * (op != "/")
     for factors in products:
-        rest = [p for p in factors if len(p.terms) > 1]
-        if k * len(rest) > 1:
-            degree = k * sum(p.total_degree() for p in rest)
-            used = sum(map(any, zip(*(e for p in rest for e in p.terms))))
-            bound = math.comb(degree + used, used)
-            if bound > _MAX_COUNT:
-                raise EvaluationError(
-                    "a polynomial of up to %d terms is above the cap %d" % (bound, _MAX_COUNT)
-                )
+        sizes = [len(p.terms) for p in factors if len(p.terms) > 1]
+        if len(sizes) == 2:
+            budget[0] -= sizes[0] * sizes[1]
+        elif sizes and op == "^":
+            q, n = factors[0], sizes[0]
+            degree, used = q.total_degree(), sum(map(any, zip(*q.terms)))
+            for j in range(1, k):
+                budget[0] -= n * min(math.comb(n + j - 1, j), math.comb(j * degree + used, used))
+                if budget[0] < 0:
+                    break
+        if budget[0] < 0:
+            raise EvaluationError(
+                "the term pairs multiplied in one conversion are above the cap %d" % _MAX_COUNT
+            )
 
 
 def expr_to_mpoly(node, vars, consts=None):

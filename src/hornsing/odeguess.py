@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import islice, repeat
+from operator import mul
 
 from .exact import (
     MPoly,
@@ -197,23 +198,31 @@ def _prime_stream():
         n += 2
 
 
-def _mod_echelon(rows, ncols, p):
+def _mod_echelon(rows, ncols, p, block=0):
     """Forward elimination mod p in place, yielding each pivot-free column.
 
     The entries of rows are residues in [0, p).  Each row is packed into one
-    integer with column j in the w-bit slot starting at bit j*w, so a row
-    update is a single big-integer step row += (p - f) * pivot_row, and slots
-    are reduced mod p only where they are read: the pivot test, the factor f
-    and the pivot row, which is unpacked, normalized to 1 and repacked once
-    per pivot.  Every update adds a non-negative term below p^2 to a slot and
-    a row gets at most one update per pivot, so a slot stays below
-    p + ncols*p^2 < 2^w with w = (ncols+1).bit_length() + 2*p.bit_length()
-    (rounded up to whole bytes): no slot ever carries into the next one.
+    integer with one w-bit slot per column, so a row update is a single
+    big-integer step row += (p - f) * pivot_row, and slots are reduced mod p
+    only where they are read: the pivot test, the factor f and the pivot
+    row, which is unpacked, normalized to 1 and repacked once per pivot.
+    The packed rows narrow as columns clear: once column c is eliminated,
+    each row not yet a pivot row is shifted right by one slot (row >>= w),
+    so its slot 0 always holds the current column and is read as row & mask,
+    and the pivot row is repacked without its leading slot, so an update
+    multiplies only the columns still ahead.  Every update adds a
+    non-negative term below p^2 to a slot and a row gets at most one update
+    per pivot, so a slot stays below p + ncols*p^2 < 2^w with
+    w = (ncols+1).bit_length() + 2*p.bit_length() (rounded up to whole
+    bytes): no slot ever carries into the next one.
+
+    With block > 0 the elimination stops at the end of the block of `block`
+    columns that holds the first free column: no later column is read.
 
     Pivot rows are normalized to 1 and moved up in column order, so rows[:rank]
     holds each pivot row as a list as soon as it is found, and once the
     generator is exhausted rows[:rank] is an echelon form whose pivot columns
-    are exactly the columns not yielded.
+    are exactly the columns read and not yielded.
     """
     nb = -(-((ncols + 1).bit_length() + 2 * p.bit_length()) // 8)
     w = 8 * nb
@@ -226,48 +235,90 @@ def _mod_echelon(rows, ncols, p):
     ]
     rank = 0
     nrows = len(rows)
-    for c in range(ncols):
-        shift = c * w
+    c = 0
+    while c < ncols:
         for piv in range(rank, nrows):
-            v = (packed[piv] >> shift & mask) % p
+            v = (packed[piv] & mask) % p
             if v:
                 break
         else:
             yield c
+            if block:
+                ncols, block = min(ncols, (c // block + 1) * block), 0
+                keep = (1 << w * (ncols - c)) - 1
+                packed[rank:] = [x & keep for x in packed[rank:]]
+            packed[rank:] = [x >> w for x in packed[rank:]]
+            c += 1
             continue
         packed[rank], packed[piv] = packed[piv], packed[rank]
         inv = pow(v, p - 2, p)
-        raw = packed[rank].to_bytes(nb * ncols, "little")
+        raw = packed[rank].to_bytes(nb * (ncols - c), "little")
         prow = [
             int.from_bytes(raw[j : j + nb], "little") * inv % p
-            for j in range(c * nb, nb * ncols, nb)
+            for j in range(0, nb * (ncols - c), nb)
         ]
         rows[rank] = [0] * c + prow
         pivot = int.from_bytes(
-            b"".join(map(int.to_bytes, prow, widths, order)), "little"
-        ) << shift
+            b"".join(map(int.to_bytes, prow[1:], widths, order)), "little"
+        )
         for i in range(rank + 1, nrows):
-            f = (packed[i] >> shift & mask) % p
+            x = packed[i]
+            f = (x & mask) % p
+            x >>= w
             if f:
-                packed[i] += (p - f) * pivot
+                x += (p - f) * pivot
+            packed[i] = x
         rank += 1
+        c += 1
 
 
-def _first_null_vector(rows, ncols, p):
-    """First pivot-free column f and the null vector mod p with a 1 at f and
-    zeros past f, or None at full column rank.
+def _fit_mod_p(rows, order, degree, p):
+    """Key (r*, f) and null vector mod p of theta-major rows, or None at full
+    column rank.  Destroys rows.
 
-    The elimination stops at f, where rows[:f] are the pivot rows of columns
-    0..f-1, and the vector is back-substituted from them.  Destroys rows.
+    Column i*(degree+1) + a of rows carries theta power i at shift a.  One
+    elimination runs through the end of block r*, the block holding the
+    first free column, and the kernel of those (r*+1)*(degree+1) columns is
+    back-substituted off its pivot rows, one vector per free column.  In
+    a-major order (column a*(r*+1) + i) the vectors are reduced from the
+    right: f is the smallest last nonzero index in their span, and the
+    returned vector, entries 0..f, is the unique one with a 1 at f and zeros
+    past f: what eliminating the a-major order-r* columns would give.
     """
-    f = next(_mod_echelon(rows, ncols, p), None)
-    if f is None:
+    m = degree + 1
+    free = list(_mod_echelon(rows, (order + 1) * m, p, m))
+    if not free:
         return None
-    vec = [0] * f + [1]
-    for i in range(f - 1, -1, -1):
-        row = rows[i]
-        vec[i] = -sum(row[j] * vec[j] for j in range(i + 1, f + 1)) % p
-    return f, vec
+    r_star = free[0] // m
+    end = (r_star + 1) * m
+    pivots = [c for c in range(end) if c not in free]
+    vecs = []
+    for fc in free:
+        v = [0] * fc + [1]
+        for i in range(len(pivots) - 1, -1, -1):
+            c, row = pivots[i], rows[i]
+            if c < fc:
+                v[c] = -sum(map(mul, row[c + 1 : fc + 1], v[c + 1 :])) % p
+        # a-major entry a*(r*+1) + i is theta-major entry i*m + a
+        a_major = [0] * end
+        for j, x in enumerate(v):
+            a_major[j % m * (r_star + 1) + j // m] = x
+        vecs.append(_poly_trim(a_major))
+    # The vectors are independent, so no combination of them is zero.
+    vecs.sort(key=len)
+    while len(vecs) > 1:
+        top = vecs.pop()
+        last = len(top) - 1
+        inv = pow(top[last], p - 2, p)
+        for k, v in enumerate(vecs):
+            if len(v) == len(top):
+                g = v[last] * inv % p
+                vecs[k] = _poly_trim([(x - g * y) % p for x, y in zip(v, top)])
+        vecs.sort(key=len)
+    vec = vecs[0]
+    f = len(vec) - 1
+    inv = pow(vec[f], p - 2, p)
+    return r_star, f, [x * inv % p for x in vec]
 
 
 def _crt(r1, m1, r2, m2):
@@ -311,8 +362,9 @@ def _primitive(vec):
 def _theta_rows(weights, nrows, order, degree):
     """Coefficient-matching rows for sum_a t^a Q_a(theta) annihilating a series.
 
-    weights[k][i] is k^i * c_k in the field at hand.  Column a*(order+1) + i of
-    row n carries weights[n-a][i] (0 for n < a): blocks of fixed shift a.
+    weights[k][i] is k^i * c_k.  Column a*(order+1) + i of row n carries
+    weights[n-a][i] (0 for n < a): blocks of fixed shift a, the a-major
+    order of the vectors _fit_mod_p returns.
     """
     zero = [0] * (order + 1)
     rows = []
@@ -334,11 +386,13 @@ def guess_ode(s, max_order, max_degree, var="t"):
     column rank) and InsufficientOrder when the series is too short to leave
     a ten-row verification margin.
 
-    Per prime, the first free theta-major column gives r*, and the degree
-    pass stops at its first free column f with the null vector mod p.  Rank
-    mod p never exceeds rank over Q on a column prefix, so an unlucky prime
-    only lowers the key (r*, f).  Residues of the largest key are combined by
-    CRT, reconstructed and verified against the exact (r*, d*) rows; after
+    Per prime, one elimination of the theta-major rows (blocks of fixed
+    theta power) runs through block r*, the block of the first free column,
+    and _fit_mod_p reads the first free a-major column f of the order-r*
+    columns and the null vector mod p off its pivot rows.  Rank mod p never
+    exceeds rank over Q on a column prefix, so an unlucky prime only lowers
+    the key (r*, f).  Residues of the largest key are combined by CRT,
+    reconstructed and verified against the exact (r*, d*) rows; after
     _MAX_PRIMES primes the exact nullspace of those rows decides, and if it
     is empty the RuntimeError carries the primes drawn as `primes`.
     """
@@ -353,37 +407,34 @@ def guess_ode(s, max_order, max_degree, var="t"):
             have=s.order,
         )
     nrows = s.order + 1
-    ncols = (max_order + 1) * (max_degree + 1)
-    # Theta-major columns, in blocks of fixed theta power i.
-    theta_major = [
-        a * (max_order + 1) + i
-        for i in range(max_order + 1)
-        for a in range(max_degree + 1)
-    ]
     # A common scale leaves the null space unchanged.
     _, ints = _clear(s.coeffs)
+    pad = [0] * max_degree
     primes = []
     best = None
     for p in islice(_prime_stream(), _MAX_PRIMES):
         primes.append(p)
-        cm = [c % p for c in ints]
-        weights = [
-            [c * pow(k, i, p) % p for i in range(max_order + 1)]
-            for k, c in enumerate(cm)
-        ]
-        rows = _theta_rows(weights, nrows, max_order, max_degree)
-        rows = [[row[j] for j in theta_major] for row in rows]
-        free = next(_mod_echelon(rows, ncols, p), None)
-        if free is None:
+        # weights[i][max_degree + k] is k^i * c_k mod p, zero-padded in front
+        weight = [c % p for c in ints]
+        weights = [pad + weight]
+        for _ in range(max_order):
+            weight = [x * k % p for k, x in enumerate(weight)]
+            weights.append(pad + weight)
+        # theta-major: column i*(max_degree+1) + a of row n is (n-a)^i * c_(n-a)
+        rows = []
+        for n in range(nrows):
+            row = []
+            for w in weights:
+                row += w[n : n + max_degree + 1][::-1]
+            rows.append(row)
+        found = _fit_mod_p(rows, max_order, max_degree, p)
+        if found is None:
             raise NotFound(
                 "no operator within order %d and degree %d" % (max_order, max_degree),
                 max_order,
                 max_degree,
             )
-        r_star = free // (max_degree + 1)
-        rows = _theta_rows(weights, nrows, r_star, max_degree)
-        # never None: the r* pass found these columns (same prime, reordered) rank-deficient
-        f, vec = _first_null_vector(rows, (r_star + 1) * (max_degree + 1), p)
+        r_star, f, vec = found
         key = (r_star, f)
         if best is None or key > best:
             best, residues, modulus = key, vec, p

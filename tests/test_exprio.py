@@ -227,6 +227,23 @@ def test_polynomial_size_cap_raises_before_the_product():
     assert expr_to_mpoly(parse_expr("(x*y*z+1)^2", XYZ), XYZ) == (x * y * z + 1) ** 2
 
 
+def test_sparse_products_convert_under_the_work_cap():
+    names = tuple("abcdef")
+    m = math.prod(MPoly.variable(names, v) for v in names)
+    assert expr_to_mpoly(parse_expr("(a*b*c*d*e*f+1)^2", names), names) == (m + 1) ** 2
+    assert expr_to_mpoly(parse_expr("(a*b*c*d*e*f+1)*(a*b*c*d*e*f-1)", names), names) == m * m - 1
+    # the terms of a univariate power are bounded by its degree: 61 terms here
+    x = MPoly.variable(XYZ, "x")
+    want = RatFun.from_poly((x * x - 3 * x + 1) ** 30)
+    assert expr_to_ratfun(parse_expr("(x^2-3*x+1)^30", XYZ), XYZ) == want
+    # one conversion charges all its products to one budget, and the next
+    # conversion starts with a full one
+    with pytest.raises(EvaluationError, match="above the cap"):
+        expr_to_ratfun(parse_expr("(x+y+z)^24 - (x+y-z)^24", XYZ), XYZ)
+    for _ in range(2):
+        assert not expr_to_ratfun(parse_expr("(x+y+z)^24", XYZ), XYZ).is_zero()
+
+
 def test_every_fixture_converts():
     for path in sorted(FIXTURES.glob("*.spec")):
         spec = load_spec(path)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hornsing.exact import nullspace, rref
-from hornsing.odeguess import _first_null_vector, _mod_echelon
+from hornsing.odeguess import _fit_mod_p, _mod_echelon
 
 P61 = 2**61 - 1
 
@@ -86,24 +86,31 @@ def test_rref_of_empty_and_zero_matrices():
     assert rref([[0, 0], [0, 0]]) == ([], [])
 
 
-def test_first_null_vector_is_canonical_nullspace_vector():
+def test_fit_mod_p_is_canonical_nullspace_vector():
+    # Each matrix is read as theta-major with blocks of m = degree + 1
+    # columns; over Q, r* is the block of the first free column, and f and
+    # the vector are those of the a-major columns of blocks 0..r*.
     rng = random.Random(4242)
     hits = 0
     for nrows, ncols, rank in _shapes():
-        m = _random_matrix(rng, nrows, ncols, rank)
-        _rows, pivots = rref(m)
-        mod_rows = [[_residue(x, P61) for x in row] for row in m]
-        got = _first_null_vector(mod_rows, ncols, P61)
-        basis = nullspace(m)
-        if not basis:
+        m = min(d for d in range(2, ncols + 1) if ncols % d == 0) if ncols > 1 else 1
+        mat = _random_matrix(rng, nrows, ncols, rank)
+        mod_rows = [[_residue(x, P61) for x in row] for row in mat]
+        got = _fit_mod_p(mod_rows, ncols // m - 1, m - 1, P61)
+        _rows, pivots = rref(mat)
+        free = set(range(ncols)).difference(pivots)
+        if not free:
             assert got is None
             continue
-        f, vec = got
-        assert f == min(set(range(ncols)).difference(pivots))
+        r_star = min(free) // m
+        a_major = [[row[i * m + a] for a in range(m) for i in range(r_star + 1)] for row in mat]
+        _rows, pivots = rref(a_major)
+        f = min(set(range(len(a_major[0]))).difference(pivots))
+        basis = nullspace(a_major)
         # The canonical vector, scaled to 1 at the first free column, is zero
         # past it, so the reader returns exactly its first f + 1 entries.
         want = [_residue(Fraction(x, basis[0][f]), P61) for x in basis[0]]
-        assert vec == want[: f + 1]
+        assert got == (r_star, f, want[: f + 1])
         assert not any(want[f + 1 :])
         hits += 1
     assert hits > 30
@@ -192,6 +199,69 @@ def test_mod_echelon_worst_slot_growth(p):
     rows = [list(r) for r in m]
     assert list(_mod_echelon(rows, n, p)) == []
     assert rows[-1] == [0] * (n - 1) + [1]
+
+
+def _first_null_vector(rows, ncols, p):
+    """First pivot-free column f and the null vector mod p with a 1 at f and
+    zeros past f, or None at full column rank; destroys rows."""
+    f = next(_reference_echelon(rows, ncols, p), None)
+    if f is None:
+        return None
+    vec = [0] * f + [1]
+    for i in range(f - 1, -1, -1):
+        row = rows[i]
+        vec[i] = -sum(row[j] * vec[j] for j in range(i + 1, f + 1)) % p
+    return f, vec
+
+
+def _two_pass_fit(rows, order, degree, p):
+    """The two-elimination reader _fit_mod_p replaces: the first free column
+    of the theta-major rows gives r*, and the a-major rows of blocks 0..r*
+    give f and the null vector."""
+    m = degree + 1
+    free = next(_reference_echelon([list(r) for r in rows], (order + 1) * m, p), None)
+    if free is None:
+        return None
+    r_star = free // m
+    a_major = [[row[i * m + a] for a in range(m) for i in range(r_star + 1)] for row in rows]
+    return (r_star,) + _first_null_vector(a_major, (r_star + 1) * m, p)
+
+
+def _fit_cases(rng, p):
+    """(rows, order, degree): theta-major rows mod p, tall, square and wide,
+    with 0-3 columns of a random block that are combinations of earlier ones."""
+    for _ in range(40):
+        order, degree = rng.randint(1, 3), rng.randint(0, 3)
+        m = degree + 1
+        ncols = (order + 1) * m
+        nrows = rng.randint(max(1, ncols - 3), ncols + 4)
+        block = rng.randint(0, order)
+        dependent = rng.sample(range(block * m, (block + 1) * m), rng.randint(0, min(3, m)))
+        cols = []
+        for c in range(ncols):
+            if c in dependent:
+                coef = [rng.randrange(p) for _ in cols]
+                cols.append([sum(k * col[n] for k, col in zip(coef, cols)) % p for n in range(nrows)])
+            else:
+                cols.append([rng.randrange(p) for _ in range(nrows)])
+        yield [list(row) for row in zip(*cols)], order, degree
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 2**31 - 1, P61])
+def test_fit_mod_p_matches_two_pass_reader(p):
+    rng = random.Random(1000 + p)
+    seen = set()
+    for rows, order, degree in _fit_cases(rng, p):
+        want = _two_pass_fit(rows, order, degree, p)
+        assert _fit_mod_p([list(r) for r in rows], order, degree, p) == want
+        if want is None:
+            seen.add("full rank")
+            continue
+        end = (want[0] + 1) * (degree + 1)
+        kernel = len(list(_reference_echelon([r[:end] for r in rows], end, p)))
+        seen.add(("kernel", min(kernel, 3)))
+        seen.add("r* < order" if want[0] < order else "r* = order")
+    assert {("kernel", 2), ("kernel", 3), "r* < order"} <= seen
 
 
 def test_rref_of_sparse_matrices_matches_sympy():

@@ -554,17 +554,17 @@ def _guarded_stream(primes, limit):
     return stream
 
 
-def _key_spy(monkeypatch, max_degree):
-    """Record the key (r*, f) of each degree pass guess_ode runs."""
+def _key_spy(monkeypatch):
+    """Record the key (r*, f) of each prime's fit guess_ode runs."""
     keys = []
-    reader = odeguess._first_null_vector
+    reader = odeguess._fit_mod_p
 
-    def spy(rows, ncols, p):
-        found = reader(rows, ncols, p)
-        keys.append((ncols // (max_degree + 1) - 1, found[0]))
+    def spy(rows, order, degree, p):
+        found = reader(rows, order, degree, p)
+        keys.append(found[:2])
         return found
 
-    monkeypatch.setattr(odeguess, "_first_null_vector", spy)
+    monkeypatch.setattr(odeguess, "_fit_mod_p", spy)
     return keys
 
 
@@ -609,7 +609,7 @@ def test_guess_ode_drops_unlucky_primes(monkeypatch):
     scale = 2**40 + 15
     s = _binomial_series(40, 2, scale, 0)
     p2 = next(itertools.islice(odeguess._prime_stream(), 1, None))
-    keys = _key_spy(monkeypatch, 3)
+    keys = _key_spy(monkeypatch)
     monkeypatch.setattr(odeguess, "_MAX_PRIMES", 1)
 
     def key_of(p):
@@ -632,6 +632,41 @@ def test_guess_ode_drops_unlucky_primes(monkeypatch):
     ode, margin = _fraction_fit(s, 2, 3)
     assert (rep.ode, rep.checked_margin) == (ode, margin)
     assert scale in ode.head.terms.values()
+
+
+def test_guess_ode_runs_one_elimination_per_prime(monkeypatch):
+    # The 41-bit scale needs two 61-bit primes, and the order-2 operator sits
+    # below the order bound 3: every prime drawn must run one elimination,
+    # reading each column through block r* = 2 and none past it.
+    s = _binomial_series(40, 2, 2**40 + 15, 0)
+    drawn, seen = [], []
+    stream, echelon = odeguess._prime_stream, odeguess._mod_echelon
+
+    def counted_stream():
+        for p in stream():
+            drawn.append(p)
+            yield p
+
+    def spy(rows, ncols, p, block=0):
+        before = list(rows)
+        free = []
+        for c in echelon(rows, ncols, p, block):
+            free.append(c)
+            yield c
+        # each pivot found replaces one row by a new list
+        rank = sum(new is not old for new, old in zip(rows, before))
+        seen.append((p, free, rank))
+
+    monkeypatch.setattr(odeguess, "_prime_stream", counted_stream)
+    monkeypatch.setattr(odeguess, "_mod_echelon", spy)
+    rep = guess_ode(s, 3, 3)
+    assert (rep.ode, rep.checked_margin) == _fraction_fit(s, 3, 3)
+    assert rep.ode.order == 2
+    assert len(drawn) >= 2
+    assert [p for p, _, _ in seen] == drawn
+    for _, free, rank in seen:
+        assert free[0] // 4 == 2
+        assert rank + len(free) == 3 * 4
 
 
 def test_guess_ode_prime_retries_are_bounded(monkeypatch):
