@@ -110,16 +110,13 @@ class Param:
         self.yp = yp
 
     @classmethod
-    def from_text(cls, xtext, ytext, var="u"):
-        vars = (var,)
+    def from_text(cls, xtext, ytext):
+        """The parametrization with xp and yp read as expressions in u."""
+        u = ("u",)
         return cls(
-            expr_to_ratfun(parse_expr(xtext, vars), vars),
-            expr_to_ratfun(parse_expr(ytext, vars), vars),
+            expr_to_ratfun(parse_expr(xtext, u), u),
+            expr_to_ratfun(parse_expr(ytext, u), u),
         )
-
-    @property
-    def var(self):
-        return self.xp.vars[0]
 
     def __repr__(self):
         return "Param(%s, %s)" % (self.xp.to_str(), self.yp.to_str())

@@ -153,9 +153,6 @@ class MPoly:
     def leading_coeff(self) -> Fraction:
         return Fraction(self.terms[self.leading_exps()])
 
-    def coeff(self, exps) -> Fraction:
-        return Fraction(self.terms.get(tuple(exps), 0))
-
     # ---- arithmetic ----------------------------------------------------
 
     def _check(self, other):
@@ -362,12 +359,12 @@ class MPoly:
 
     # ---- printing ----------------------------------------------------------
 
-    def _render(self, coeff_of):
+    def to_str(self):
         if not self.terms:
             return "0"
         parts = []
         for e in sorted(self.terms, key=_glex_key, reverse=True):
-            c = coeff_of(e)
+            c = self.terms[e]
             mon = "*".join(
                 v if k == 1 else "%s^%d" % (v, k)
                 for v, k in zip(self.vars, e)
@@ -386,13 +383,9 @@ class MPoly:
                 parts.append((" + " if c > 0 else " - ") + body)
         return "".join(parts)
 
-    def to_str(self):
-        return self._render(lambda e: self.terms[e])
-
     def canonical_str(self):
         """Unique rendering: content-free, positive leading coefficient."""
-        p = self.primitive_positive()
-        return p._render(lambda e: p.terms[e])
+        return self.primitive_positive().to_str()
 
     def __repr__(self):
         return "MPoly[%s](%s)" % (",".join(self.vars), self.to_str())

@@ -109,46 +109,27 @@ def free_vars(node):
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+_TOKEN_RE = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])"
+    r"|(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(text):
+    """(kind, text, line, col) tokens, kind "int", "name", the operator
+    character itself, or "end" for the closing token."""
     toks = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            toks.append(("int", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(("name", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in "+-*/^(),":
-            toks.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ExprSyntaxError("unexpected character %r" % ch, line, col)
-    toks.append(("end", "", line, col))
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ExprSyntaxError("unexpected character %r" % tok, line, col)
+        elif kind != "space":
+            toks.append((tok if kind == "op" else kind, tok, line, col))
+    toks.append(("end", "", line, len(text) - start + 1))
     return toks
 
 

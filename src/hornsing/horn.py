@@ -63,40 +63,33 @@ def _leading_homogeneous(p):
     return MPoly(p.vars, {e: c for e, c in p.terms.items() if sum(e) == d})
 
 
-def _at_ratio(p, ratio_var):
-    """Evaluate a polynomial in (n, m) at (t, 1), or at (1, t)."""
-    i = p.vars.index(ratio_var)
+def _at_ratio(p):
+    """Evaluate a polynomial in (n, m) at (t, 1)."""
     t = {}
-    for e, c in p.terms.items():
-        k = e[i]
+    for (k, _), c in p.terms.items():
         t[(k,)] = t.get((k,), Fraction(0)) + c
     return MPoly(("t",), t)
 
 
-def _limit_map(alpha, ratio_var):
+def _limit_map(alpha):
     inv = alpha.inverse()
     if inv.num.total_degree() != inv.den.total_degree():
         raise Confluent(
             "inverse ratio has degree %d over %d; the limit is 0 or infinite"
             % (inv.num.total_degree(), inv.den.total_degree())
         )
-    num = _at_ratio(_leading_homogeneous(inv.num), ratio_var)
-    den = _at_ratio(_leading_homogeneous(inv.den), ratio_var)
+    num = _at_ratio(_leading_homogeneous(inv.num))
+    den = _at_ratio(_leading_homogeneous(inv.den))
     return RatFun(num, den)
 
 
-def horn_limit_maps(s, ratio_var="n"):
+def horn_limit_maps(s):
     """Large-index limits of the inverse term ratios along n = t*m.
 
-    ratio_var picks which index the ratio parameter follows; "n" substitutes
-    (n, m) = (t, 1), "m" substitutes (1, t).  The eliminated curve does not
-    depend on the choice.
+    The leading homogeneous parts are evaluated at (n, m) = (t, 1); the
+    eliminated curve would be the same at (1, t).
     """
-    if ratio_var not in ("n", "m"):
-        raise ValueError("ratio_var must be 'n' or 'm'")
-    return HornMaps(
-        _limit_map(s.alpha1, ratio_var), _limit_map(s.alpha2, ratio_var)
-    )
+    return HornMaps(_limit_map(s.alpha1), _limit_map(s.alpha2))
 
 
 def _graph_poly(r, coord):
@@ -140,6 +133,6 @@ def eliminate(h):
     )
 
 
-def horn_curve(s, ratio_var="n"):
+def horn_curve(s):
     """Singular curve of a double hypergeometric series, by ratio limits."""
-    return eliminate(horn_limit_maps(s, ratio_var))
+    return eliminate(horn_limit_maps(s))

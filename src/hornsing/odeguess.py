@@ -20,7 +20,7 @@ from .exact import (
     gcd_list,
     nullspace,
 )
-from .exprio import format_ode_text, parse_ode_text
+from .exprio import format_ode_text
 from .series import InsufficientOrder, UniSeries
 from .theta import ThetaOp, dform_from_theta
 
@@ -83,11 +83,6 @@ class UniODE:
         g = gcd_list(coeffs)
         if not g.is_constant():
             coeffs = [divexact(p, g) for p in coeffs]
-        return cls(var, coeffs)
-
-    @classmethod
-    def from_text(cls, text):
-        var, coeffs = parse_ode_text(text)
         return cls(var, coeffs)
 
     def to_text(self):
@@ -345,16 +340,6 @@ def _rat_recon(u, modulus):
     return Fraction(num, den)
 
 
-def _primitive(vec):
-    """Integer multiple of a nonzero rational vector with content 1 and a
-    positive first nonzero entry."""
-    _, ints = _clear(vec)
-    g = math.gcd(*ints)
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return [v // g for v in ints]
-
-
 # ---------------------------------------------------------------------------
 # Guessing
 
@@ -376,15 +361,15 @@ def _theta_rows(weights, nrows, order, degree):
     return rows
 
 
-def guess_ode(s, max_order, max_degree, var="t"):
+def guess_ode(s, max_order, max_degree):
     """Minimal (order, then degree) operator annihilating a truncated series.
 
     The fit runs on the theta form sum_a t^a Q_a(theta) with deg Q_a bounded
     by the order and a bounded by the degree; the returned operator is the
-    D-form with any common polynomial factor removed.  Raises NotFound when
-    the whole bounded rectangle is exhausted (a certificate by full modular
-    column rank) and InsufficientOrder when the series is too short to leave
-    a ten-row verification margin.
+    D-form in t with any common polynomial factor removed.  Raises NotFound
+    when the whole bounded rectangle is exhausted (a certificate by full
+    modular column rank) and InsufficientOrder when the series is too short
+    to leave a ten-row verification margin.
 
     Per prime, one elimination of the theta-major rows (blocks of fixed
     theta power) runs through block r*, the block of the first free column,
@@ -448,7 +433,8 @@ def guess_ode(s, max_order, max_degree, var="t"):
         cand = [_rat_recon(u, modulus) for u in residues]
         if any(c is None for c in cand):
             continue
-        vec = _primitive(cand)
+        # any multiple will do: UniODE removes the content and fixes the sign
+        vec = _clear(cand)[1]
         if all(sum(r * v for r, v in zip(row, vec) if v) == 0 for row in int_rows):
             break
     else:
@@ -457,17 +443,16 @@ def guess_ode(s, max_order, max_degree, var="t"):
             err = RuntimeError("no usable prime among the first %d" % _MAX_PRIMES)
             err.primes = primes
             raise err
-        vec = _primitive(basis[0])
+        vec = basis[0]
     r_star, f = best
     d_star = f // (r_star + 1)
-    tname = "t" + var
     terms = []
     for a in range(d_star + 1):
         block = vec[a * (r_star + 1) : (a + 1) * (r_star + 1)]
-        q = MPoly((tname,), {(i,): c for i, c in enumerate(block)})
+        q = MPoly(("tt",), {(i,): c for i, c in enumerate(block)})
         if not q.is_zero():
             terms.append(((a,), q))
-    ode = UniODE.from_theta(ThetaOp((var,), terms))
+    ode = UniODE.from_theta(ThetaOp(("t",), terms))
     return GuessReport(ode, nrows - (r_star + 1) * (d_star + 1))
 
 

@@ -3,7 +3,7 @@
 Double series come from two-direction term ratios (alpha1, alpha2) or from a
 closed-form coefficient expression; they can be restricted along rational
 curves t -> (x(t), y(t)) through the origin.  Univariate series support
-ring arithmetic, derivatives and theta = t d/dt.
+ring arithmetic and derivatives.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ class UniSeries:
         self.order = order
         self.coeffs = coeffs
 
-    def coeff(self, k):
-        if not 0 <= k <= self.order:
-            raise ValueError("coefficient %d beyond order %d" % (k, self.order))
-        return self.coeffs[k]
-
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
@@ -99,10 +94,6 @@ class UniSeries:
             self.order - 1,
             [k * self.coeffs[k] for k in range(1, self.order + 1)],
         )
-
-    def theta(self):
-        """t * d/dt, which keeps the truncation order."""
-        return UniSeries(self.order, [k * c for k, c in enumerate(self.coeffs)])
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -173,13 +164,6 @@ class BiSeries:
                 if w
             }
         return self._coeffs
-
-    def coeff(self, n, m):
-        if n < 0 or m < 0 or n + m > self.order:
-            raise ValueError(
-                "coefficient (%d, %d) beyond order %d" % (n, m, self.order)
-            )
-        return self.coeffs.get((n, m), Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

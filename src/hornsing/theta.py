@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm, perm, prod
 
 from .exact import MPoly, _clear, _term_sum, rref
-from .exprio import format_operator_text, parse_operator_text
+from .exprio import format_operator_text
 from .series import BiSeries, InsufficientOrder, UniSeries
 
 
@@ -45,11 +45,6 @@ class ThetaOp:
             for exps, q in sorted(merged.items(), key=lambda kv: (sum(kv[0]), kv[0]))
             if not q.is_zero()
         )
-
-    @classmethod
-    def from_text(cls, text):
-        vars, terms = parse_operator_text(text)
-        return cls(vars, terms)
 
     def to_text(self):
         return format_operator_text(self.vars, list(self.terms))
@@ -106,15 +101,6 @@ class LogSeries:
         self.parts = {
             tuple(idx): s for idx, s in parts.items() if not _series_is_zero(s)
         }
-
-    def part(self, *idx):
-        key = tuple(idx)
-        if key in self.parts:
-            return self.parts[key]
-        width = len(next(iter(self.parts))) if self.parts else len(key)
-        if len(key) != width:
-            raise ValueError("log index %r has the wrong arity" % (key,))
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, LogSeries):
@@ -293,28 +279,20 @@ def _monos(width, degree):
 
 
 def _scaled_partials(q, theta_vars, max_log):
-    """{(s, t): d^s d^t q / (s! t!)} up to max_log in each direction."""
+    """The nonzero {(s, t): d^s d^t q / (s! t!)} up to max_log in each direction.
+
+    Each is s derivatives in the first variable, then t in the second, the
+    k-th of each divided by k; mixed partials commute.
+    """
     out = {}
-    width = len(theta_vars)
-    base = {(0,) * width: q}
-    out.update(base)
-    frontier = dict(base)
-    # Breadth-first differentiation; each step raises one component.
-    changed = True
-    while changed:
-        changed = False
-        new = {}
-        for idx, poly in frontier.items():
-            for axis in range(width):
-                nidx = tuple(v + (1 if k == axis else 0) for k, v in enumerate(idx))
-                if max(nidx) > max_log or nidx in out or nidx in new:
-                    continue
-                d = poly.derivative(theta_vars[axis]) * Fraction(1, nidx[axis])
-                new[nidx] = d
-                changed = True
-        out.update(new)
-        frontier = new
-    return {idx: poly for idx, poly in out.items() if not poly.is_zero()}
+    for idx in _log_indices(len(theta_vars), max_log):
+        poly = q
+        for var, s in zip(theta_vars, idx):
+            for k in range(1, s + 1):
+                poly = poly.derivative(var) * Fraction(1, k)
+        if not poly.is_zero():
+            out[idx] = poly
+    return out
 
 
 def _substitute(coeffs, holders, key, pivot, pc, row):

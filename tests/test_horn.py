@@ -117,12 +117,6 @@ def test_limit_maps_poch():
     assert maps.Y == rf_t("(t+1)^2/64")
 
 
-def test_limit_maps_reversed_ratio():
-    maps = horn_limit_maps(BAT16, ratio_var="m")
-    assert maps.X == rf_t("1/(16*(t+1)^2)")
-    assert maps.Y == rf_t("t^2/(16*(t+1)^2)")
-
-
 def test_confluent_detected():
     with pytest.raises(Confluent):
         horn_limit_maps(HyperSpec(rf_nm("n+1"), rf_nm("m+1")))
@@ -158,13 +152,6 @@ def test_horn_curve_bat19():
     res = horn_curve(BAT19)
     assert res.main_curve == BAT6
     assert res.axis_values == (Fraction(1, 4), Fraction(1, 4))
-
-
-def test_ratio_convention_immaterial():
-    for spec in (H2, POCH, BAT19):
-        a = horn_curve(spec, ratio_var="n")
-        b = horn_curve(spec, ratio_var="m")
-        assert a.main_curve == b.main_curve
 
 
 def test_constant_maps_rejected():
@@ -245,10 +232,10 @@ def test_bat18_ratio_spec_matches_formula():
 
 def test_bat19_series_low_order():
     b = expand_from_ratios(BAT19, 4)
-    assert b.coeff(1, 0) == 2
-    assert b.coeff(2, 0) == 6
-    assert b.coeff(1, 1) == 72
-    assert b.coeff(2, 1) == 1080
-    assert b.coeff(2, 2) == 48600
-    assert b.coeff(3, 1) == 11200
-    assert b.coeff(4, 0) == 70
+    assert b.coeffs.get((1, 0), 0) == 2
+    assert b.coeffs.get((2, 0), 0) == 6
+    assert b.coeffs.get((1, 1), 0) == 72
+    assert b.coeffs.get((2, 1), 0) == 1080
+    assert b.coeffs.get((2, 2), 0) == 48600
+    assert b.coeffs.get((3, 1), 0) == 11200
+    assert b.coeffs.get((4, 0), 0) == 70

@@ -92,30 +92,66 @@ def test_no_dead_helpers():
     assert dead_helpers(sources) == []
 
 
+def _reads(node, owner=None):
+    """The reads under node: ("name", n) for a bare name or a name imported
+    from a module, ("attr", n) for an attribute read .n, and ("cls", C, n)
+    for C.n, or for cls.n inside the body of class C (owner, when node is
+    inside it)."""
+    if isinstance(node, ast.ClassDef):
+        owner = node.name
+    if isinstance(node, ast.Name):
+        yield "name", node.id
+    elif isinstance(node, ast.ImportFrom):
+        yield from (("name", alias.name) for alias in node.names)
+    elif isinstance(node, ast.Attribute):
+        yield "attr", node.attr
+        if isinstance(node.value, ast.Name):
+            base = node.value.id
+            yield "cls", owner if base == "cls" else base, node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, owner)
+
+
 def _public_definitions(tree):
-    """(qualified name, node) of each public module-level function or class of
-    tree, and of each public method of its module-level classes."""
+    """(qualified name, node, owner, keys) of each public module-level
+    function or class of tree, and of each public method of its module-level
+    classes; owner is the class of a method, and a read of any of keys (see
+    _reads) is a call of the definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, None, [("name", node.name), ("attr", node.name)]
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield node.name + "." + sub.name, sub
+                    bound = any(
+                        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+                        for d in sub.decorator_list
+                    )
+                    key = ("cls", node.name, sub.name) if bound else ("attr", sub.name)
+                    yield node.name + "." + sub.name, sub, node.name, [key]
 
 
 def names_without_caller(sources, readers, extra_reads=()):
     """(module, line, qualified name) of each public definition in sources, a
-    {module: source} dict, whose name no source in readers reads outside its
-    own body; extra_reads are names that count as read."""
-    reads = Counter(extra_reads)
+    {module: source} dict, that no source in readers reads outside its own
+    body; extra_reads are qualified names that count as read.
+
+    A function or class is read by its bare name, an attribute of that name
+    or an import of it.  A method is read only by an attribute read .name,
+    and a classmethod or staticmethod only as Class.name, or as cls.name
+    inside its own class.  Blind spot: the receiver of obj.name is not
+    resolved, so a method counts as read when a method or attribute of
+    another class with the same name is read; UniSeries.derivative passes
+    only because MPoly.derivative is read.
+    """
+    reads = Counter()
     for source in readers:
-        reads.update(_names_read(ast.parse(source)))
+        reads.update(_reads(ast.parse(source)))
     out = []
     for module, source in sources.items():
-        for qualified, node in _public_definitions(ast.parse(source)):
-            name = qualified.rsplit(".", 1)[-1]
-            if reads[name] <= sum(n == name for n in _names_read(node)):
+        for qualified, node, owner, keys in _public_definitions(ast.parse(source)):
+            own = Counter(_reads(node, owner))
+            if qualified not in extra_reads and sum(reads[k] - own[k] for k in keys) <= 0:
                 out.append((module, node.lineno, qualified))
     return out
 
@@ -127,7 +163,17 @@ def test_names_without_caller_detects_an_unread_name():
     )
     b = "from a import used, Box\n\nBox().open()\n"
     assert names_without_caller({"a": a}, [a, b]) == [("a", 4, "dead"), ("a", 11, "Box.shut")]
-    assert names_without_caller({"a": a}, [a, b], ["shut"]) == [("a", 4, "dead")]
+    assert names_without_caller({"a": a}, [a, b], ["Box.shut"]) == [("a", 4, "dead")]
+    # a method read only by a bare name, and a classmethod read only through
+    # another class, are unread; cls.name inside the class is a read
+    c = (
+        "class Box:\n    def open(self):\n        pass\n\n"
+        "    @classmethod\n    def make(cls):\n        return cls.empty()\n\n"
+        "    @staticmethod\n    def empty():\n        pass\n\n"
+        "class Other:\n    @classmethod\n    def make(cls):\n        pass\n"
+    )
+    d = "from c import Box, Other\n\nopen('f')\nOther.make()\n"
+    assert names_without_caller({"c": c}, [c, d]) == [("c", 2, "Box.open"), ("c", 6, "Box.make")]
 
 
 # Public names that nothing in src/ or perfbench/ calls, each with its reason:
@@ -156,7 +202,7 @@ def test_no_public_name_without_caller():
     spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    targets = [t.rsplit(".", 1)[-1] for layer in layers.LAYERS for t in layer.targets]
+    targets = [t for layer in layers.LAYERS for t in layer.targets]
     unread = {
         "%s.%s" % (module, name)
         for module, _, name in names_without_caller(sources, list(sources.values()) + bench, targets)

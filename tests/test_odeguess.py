@@ -8,7 +8,14 @@ import pytest
 
 from hornsing import odeguess
 from hornsing.exact import MPoly, RatFun, ZeroInput, _is_probable_prime, nullspace, poly_gcd
-from hornsing.exprio import expr_to_mpoly, expr_to_ratfun, parse_expr, parse_spec_text
+from hornsing.exprio import (
+    expr_to_mpoly,
+    expr_to_ratfun,
+    parse_expr,
+    parse_ode_text,
+    parse_operator_text,
+    parse_spec_text,
+)
 from hornsing.odeguess import (
     GuessReport,
     NotFound,
@@ -46,6 +53,14 @@ def mp_t(text):
 
 def mp_xy(text):
     return expr_to_mpoly(parse_expr(text, XY), XY)
+
+
+def _ode(text):
+    return UniODE(*parse_ode_text(text))
+
+
+def _op(text):
+    return ThetaOp(*parse_operator_text(text))
 
 
 H2 = parse_spec_text(
@@ -136,14 +151,14 @@ def test_uniode_trailing_zero_trim():
 
 
 def test_uniode_text_roundtrip():
-    ode = UniODE.from_text(C3_TEXT)
-    assert UniODE.from_text(ode.to_text()) == ode
+    ode = _ode(C3_TEXT)
+    assert _ode(ode.to_text()) == ode
     assert ode.order == 3
     assert ode.head == mp_t("-8*t^2*(t-1)^3")
 
 
 def test_uniode_from_theta_strips_common_factor():
-    euler = ThetaOp.from_text("op-vars: t\n0 : tt*(tt-1)*(tt-3)*(tt-4)\n")
+    euler = _op("op-vars: t\n0 : tt*(tt-1)*(tt-3)*(tt-4)\n")
     ode = UniODE.from_theta(euler)
     assert [p.to_str() for p in ode.coeffs] == ["0", "0", "2", "-2*t", "t^2"]
     for k in (0, 1, 3, 4):
@@ -152,12 +167,12 @@ def test_uniode_from_theta_strips_common_factor():
 
 
 def test_uniode_theta_roundtrip():
-    ode = UniODE.from_text(GEOMETRIC_TEXT)
+    ode = _ode(GEOMETRIC_TEXT)
     assert UniODE.from_theta(theta_from_dform(ode.var, list(ode.coeffs))) == ode
 
 
 def test_apply_geometric():
-    ode = UniODE.from_text(GEOMETRIC_TEXT)
+    ode = _ode(GEOMETRIC_TEXT)
     out = ode.apply(geometric(12))
     assert out.order == 11
     assert not any(out.coeffs)
@@ -169,7 +184,7 @@ def test_apply_geometric():
 
 def test_guess_geometric():
     rep = guess_ode(geometric(30), 1, 1)
-    assert rep.ode == UniODE.from_text(GEOMETRIC_TEXT)
+    assert rep.ode == _ode(GEOMETRIC_TEXT)
     assert rep.checked_margin >= 10
 
 
@@ -199,7 +214,7 @@ def test_guess_batyrev1_from_diagonal():
     assert s.coeffs[:4] == [1, 12, 900, 94080]
     assert s.coeffs[6] == 260453217024
     rep = guess_ode(s, 4, 2)
-    assert rep.ode == UniODE.from_theta(ThetaOp.from_text(BATYREV1))
+    assert rep.ode == UniODE.from_theta(_op(BATYREV1))
     assert rep.checked_margin >= 10
     with pytest.raises(NotFound):
         guess_ode(s, 3, 2)
@@ -217,17 +232,17 @@ def test_guess_order_four_restriction():
         Fraction(117, 512),
     ]
     rep = guess_ode(s, 4, 12)
-    assert rep.ode == UniODE.from_text(C4_TEXT)
+    assert rep.ode == _ode(C4_TEXT)
     assert rep.checked_margin >= 10
     with pytest.raises(NotFound):
         guess_ode(s, 3, 12)
     with pytest.raises(NotFound):
         guess_ode(s, 4, 10)
-    assert annihilates_series(UniODE.from_text(C4_TEXT), s)
+    assert annihilates_series(_ode(C4_TEXT), s)
 
 
 def test_singular_points_batyrev1():
-    ode = UniODE.from_theta(ThetaOp.from_text(BATYREV1))
+    ode = UniODE.from_theta(_op(BATYREV1))
     locus = singular_points(ode)
     assert locus.zero_multiplicity == 3
     assert locus.rational_points == (
@@ -241,7 +256,7 @@ def test_singular_points_batyrev1():
 
 
 def test_singular_points_geometric():
-    locus = singular_points(UniODE.from_text(GEOMETRIC_TEXT))
+    locus = singular_points(_ode(GEOMETRIC_TEXT))
     assert locus.zero_multiplicity == 0
     assert locus.rational_points == ((Fraction(1), 1),)
 
@@ -266,13 +281,13 @@ def test_slope_restriction_head_contains_curve_section():
 
 
 def test_local_basis_exponential():
-    ode = UniODE.from_text("ode-var: t\n0 : -1\n1 : 1\n")
+    ode = _ode("ode-var: t\n0 : -1\n1 : 1\n")
     (sol,) = local_basis(ode, 0, 10)
     assert sol.coeffs == [Fraction(1, math.factorial(k)) for k in range(11)]
 
 
 def test_local_basis_cos_sin_wronskian():
-    ode = UniODE.from_text("ode-var: t\n0 : 1\n2 : 1\n")
+    ode = _ode("ode-var: t\n0 : 1\n2 : 1\n")
     cos_s, sin_s = local_basis(ode, 0, 12)
     assert cos_s.coeffs[:5] == [1, 0, Fraction(-1, 2), 0, Fraction(1, 24)]
     assert sin_s.coeffs[:5] == [0, 1, 0, Fraction(-1, 6), 0]
@@ -283,13 +298,13 @@ def test_local_basis_cos_sin_wronskian():
 
 def test_local_basis_rejects_singular_point():
     with pytest.raises(SingularPoint):
-        local_basis(UniODE.from_text(GEOMETRIC_TEXT), 1, 5)
+        local_basis(_ode(GEOMETRIC_TEXT), 1, 5)
     with pytest.raises(SingularPoint):
-        local_basis(UniODE.from_text(C4_TEXT), 0, 5)
+        local_basis(_ode(C4_TEXT), 0, 5)
 
 
 def test_local_basis_rejects_n_below_order_minus_one():
-    ode = UniODE.from_text("ode-var: t\n0 : 1\n3 : 1\n")
+    ode = _ode("ode-var: t\n0 : 1\n3 : 1\n")
     for N in (0, 1):
         with pytest.raises(InsufficientOrder) as err:
             local_basis(ode, 0, N)
@@ -299,7 +314,7 @@ def test_local_basis_rejects_n_below_order_minus_one():
 
 
 def test_local_basis_backsubstitution():
-    ode = UniODE.from_text(C4_TEXT)
+    ode = _ode(C4_TEXT)
     t0 = Fraction(1, 10)
     sols = local_basis(ode, t0, 30)
     assert len(sols) == 4
@@ -310,7 +325,7 @@ def test_local_basis_backsubstitution():
 
 
 def test_abel_identity_for_order_two():
-    ode = UniODE.from_text(L2_TEXT)
+    ode = _ode(L2_TEXT)
     t0 = Fraction(1, 7)
     u1, u2 = local_basis(ode, t0, 40)
     w = u1 * u2.derivative() - u1.derivative() * u2
@@ -343,12 +358,12 @@ def test_annihilates_known_list():
         for n in range(31)
     ]
     assert coeffs[:9] == entries
-    ode = UniODE.from_theta(ThetaOp.from_text(DEFBATYREV2))
+    ode = UniODE.from_theta(_op(DEFBATYREV2))
     assert annihilates_series(ode, UniSeries(30, [Fraction(c) for c in coeffs]))
 
 
 def test_annihilates_trivial_cases():
-    ode = UniODE.from_text(GEOMETRIC_TEXT)
+    ode = _ode(GEOMETRIC_TEXT)
     assert annihilates_series(ode, geometric(20))
     ramp = UniSeries(20, [Fraction(k + 1) for k in range(21)])
     assert not annihilates_series(ode, ramp)
@@ -360,7 +375,7 @@ def test_annihilates_trivial_cases():
     "call, message, needed, have",
     [
         (
-            lambda: UniODE.from_text(GEOMETRIC_TEXT).apply(UniSeries(0, [Fraction(1)])),
+            lambda: _ode(GEOMETRIC_TEXT).apply(UniSeries(0, [Fraction(1)])),
             "series order 0 below operator order 1",
             1,
             0,
@@ -372,7 +387,7 @@ def test_annihilates_trivial_cases():
             10,
         ),
         (
-            lambda: annihilates_series(UniODE.from_text(GEOMETRIC_TEXT), geometric(5)),
+            lambda: annihilates_series(_ode(GEOMETRIC_TEXT), geometric(5)),
             "series order 5, need 12",
             12,
             5,
@@ -438,32 +453,32 @@ def test_exterior_square_euler_matches_bruteforce():
     oracle = brute_min_joint_order(wrons, 6, 8, 30)
     assert oracle == 5
     euler = UniODE.from_theta(
-        ThetaOp.from_text("op-vars: t\n0 : tt*(tt-1)*(tt-3)*(tt-4)\n")
+        _op("op-vars: t\n0 : tt*(tt-1)*(tt-3)*(tt-4)\n")
     )
     assert exterior_square_order(euler, 60) == oracle
 
 
 def test_exterior_square_order_two_is_one():
-    assert exterior_square_order(UniODE.from_text(L2_TEXT), 60) == 1
+    assert exterior_square_order(_ode(L2_TEXT), 60) == 1
     with pytest.raises(ValueError):
-        exterior_square_order(UniODE.from_text(GEOMETRIC_TEXT), 40)
+        exterior_square_order(_ode(GEOMETRIC_TEXT), 40)
 
 
 def test_exterior_square_order_four_restriction():
-    assert exterior_square_order(UniODE.from_text(C4_TEXT), 200) == 5
+    assert exterior_square_order(_ode(C4_TEXT), 200) == 5
 
 
 @pytest.mark.parametrize("N", [10, 150, 165, None])
 def test_exterior_square_order_c4_does_not_depend_on_window(N):
     # a window-based guess raised or answered 6 at these N; the order is 5
     args = () if N is None else (N,)
-    assert exterior_square_order(UniODE.from_text(C4_TEXT), *args) == 5
+    assert exterior_square_order(_ode(C4_TEXT), *args) == 5
 
 
 def test_square_order_certificate_skips_points_where_rank_drops():
     # The head of C4 vanishes at t = 0, 1 and 2, so v_0 and v_1 = p_4 e_02
     # are dependent there and the first point giving rank 2 is t = 3.
-    order, points, bound = odeguess._square_order(UniODE.from_text(C4_TEXT), True)
+    order, points, bound = odeguess._square_order(_ode(C4_TEXT), True)
     assert (order, points, bound) == (5, [0, 3, 3, 3, 3], 209)
     # A head vanishing at t = 0..9 pushes the rank-2 witness to t = 10.
     head = MPoly.const(T, 1)
@@ -501,23 +516,23 @@ def test_square_orders_of_random_operators():
 def test_symmetric_square_small_cases():
     d2 = UniODE("t", [mp_t("0"), mp_t("0"), mp_t("1")])
     assert symmetric_square_order(d2, 60) == 3
-    harmonic = UniODE.from_text("ode-var: t\n0 : 1\n2 : 1\n")
+    harmonic = _ode("ode-var: t\n0 : 1\n2 : 1\n")
     assert symmetric_square_order(harmonic, 60) == 3
 
 
 def test_symmetric_square_order_three_restriction():
-    assert symmetric_square_order(UniODE.from_text(C3_TEXT), 100) == 5
+    assert symmetric_square_order(_ode(C3_TEXT), 100) == 5
 
 
 @pytest.mark.parametrize("N", [80, None])
 def test_symmetric_square_order_c3_does_not_depend_on_window(N):
     args = () if N is None else (N,)
-    assert symmetric_square_order(UniODE.from_text(C3_TEXT), *args) == 5
+    assert symmetric_square_order(_ode(C3_TEXT), *args) == 5
 
 
 def test_order_three_is_symmetric_square_of_order_two():
-    l2 = UniODE.from_text(L2_TEXT)
-    c3 = UniODE.from_text(C3_TEXT)
+    l2 = _ode(L2_TEXT)
+    c3 = _ode(C3_TEXT)
     t0 = Fraction(1, 7)
     u1, u2 = local_basis(l2, t0, 40)
     shifted = UniODE("t", [p.shift("t", t0) for p in c3.coeffs])
@@ -682,7 +697,7 @@ def test_guess_ode_prime_retries_are_bounded(monkeypatch):
 P61 = 2**61 - 1
 
 
-def _fraction_fit(s, max_order, max_degree, var="t"):
+def _fraction_fit(s, max_order, max_degree):
     """The fit done over Q: exact nullspaces of the Fraction rows pick the
     order r*, then the degree d*, then the canonical null vector."""
 
@@ -698,14 +713,14 @@ def _fraction_fit(s, max_order, max_degree, var="t"):
 
     r_star = next(r for r in range(max_order + 1) if nullspace(rows(r, max_degree)))
     d_star = next(d for d in range(max_degree + 1) if nullspace(rows(r_star, d)))
-    vec = odeguess._primitive(nullspace(rows(r_star, d_star))[0])
+    vec = nullspace(rows(r_star, d_star))[0]
     terms = []
     for a in range(d_star + 1):
-        q = MPoly(("t" + var,), {(i,): vec[a * (r_star + 1) + i] for i in range(r_star + 1)})
+        q = MPoly(("tt",), {(i,): vec[a * (r_star + 1) + i] for i in range(r_star + 1)})
         if not q.is_zero():
             terms.append(((a,), q))
     margin = s.order + 1 - (r_star + 1) * (d_star + 1)
-    return UniODE.from_theta(ThetaOp((var,), terms)), margin
+    return UniODE.from_theta(ThetaOp(("t",), terms)), margin
 
 
 def _binomial_series(order, power, scale, shift):

@@ -77,29 +77,29 @@ def test_hyper_from_spec_long_ratio():
 
 def test_expand_h2():
     b = expand_from_ratios(hyper_from_spec(H2), 2)
-    assert b.coeff(0, 0) == 1
-    assert b.coeff(1, 0) == 6
-    assert b.coeff(0, 1) == 6
-    assert b.coeff(2, 0) == 90
-    assert b.coeff(0, 2) == 90
-    assert b.coeff(1, 1) == 720
+    assert b.coeffs.get((0, 0), 0) == 1
+    assert b.coeffs.get((1, 0), 0) == 6
+    assert b.coeffs.get((0, 1), 0) == 6
+    assert b.coeffs.get((2, 0), 0) == 90
+    assert b.coeffs.get((0, 2), 0) == 90
+    assert b.coeffs.get((1, 1), 0) == 720
 
 
 def test_expand_constant_spec():
     b = expand_from_ratios(HyperSpec(rf_nm("1"), rf_nm("1")), 5)
     for n in range(6):
         for m in range(6 - n):
-            assert b.coeff(n, m) == 1
+            assert b.coeffs.get((n, m), 0) == 1
 
 
 def test_expand_bat16():
     b = expand_from_ratios(hyper_from_spec(BAT16), 4)
-    assert b.coeff(1, 1) == 96
-    assert b.coeff(2, 1) == 2160
-    assert b.coeff(2, 2) == 90720
+    assert b.coeffs.get((1, 1), 0) == 96
+    assert b.coeffs.get((2, 1), 0) == 2160
+    assert b.coeffs.get((2, 2), 0) == 90720
     for n in range(5):
         for m in range(5 - n):
-            assert b.coeff(n, m) == b.coeff(m, n)
+            assert b.coeffs.get((n, m), 0) == b.coeffs.get((m, n), 0)
 
 
 def test_expand_incompatible():
@@ -130,11 +130,11 @@ KDF4 = (
 
 def test_expand_from_formula():
     b = expand_from_formula(formula(DEFBAT5), 2)
-    assert b.coeff(1, 1) == 96
+    assert b.coeffs.get((1, 1), 0) == 96
     b = expand_from_formula(formula(ASYM), 2)
-    assert b.coeff(1, 1) == 72
+    assert b.coeffs.get((1, 1), 0) == 72
     b = expand_from_formula(formula(POCH), 1)
-    assert b.coeff(0, 1) == 4
+    assert b.coeffs.get((0, 1), 0) == 4
 
 
 def test_expand_formula_error():
@@ -149,7 +149,7 @@ def test_expand_spec_dispatch():
     assert expand_spec(spec, 3) == BiSeries(
         3, {(n, m): 1 for n in range(4) for m in range(4 - n)}
     )
-    assert expand_spec(H2, 1).coeff(1, 0) == 6
+    assert expand_spec(H2, 1).coeffs.get((1, 0), 0) == 6
 
 
 def test_restrict_diagonal_h2():
@@ -161,7 +161,7 @@ def test_restrict_diagonal_h2():
 def test_restrict_weighted_line():
     b = expand_from_ratios(hyper_from_spec(H2), 1)
     s = restrict(b, rf_t("t"), rf_t("2*t"), 1)
-    assert s.coeff(1) == 18
+    assert s.coeffs[1] == 18
 
 
 def test_restrict_kdf4_integer_series():
@@ -239,7 +239,6 @@ def test_uniseries_arithmetic():
     assert (a + b).coeffs == [1, 3, 3, 4]
     assert (a - b).coeffs == [1, 1, 3, 4]
     assert (2 * a).coeffs == [2, 4, 6, 8]
-    assert a.theta().coeffs == [0, 2, 6, 12]
     assert a.derivative().coeffs == [2, 6, 12]
 
 
@@ -279,7 +278,7 @@ def test_restrict_diagonal_matches_sums_random():
         brute = [Fraction(0)] * (order + 1)
         for k in range(order + 1):
             for n in range(k + 1):
-                brute[k] += b.coeff(n, k - n)
+                brute[k] += b.coeffs.get((n, k - n), 0)
         assert got.coeffs == brute
 
 
@@ -354,7 +353,7 @@ def _ref_restrict(b, xp, yp, order):
         for m in range(len(ypow)):
             if n + m > b.order:
                 break
-            c = b.coeff(n, m)
+            c = b.coeffs.get((n, m), 0)
             if not c:
                 continue
             ym = ypow[m]
