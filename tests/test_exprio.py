@@ -75,6 +75,10 @@ def test_syntax_error_position():
         parse_expr("n +\n* m", NM)
     assert info.value.line == 2
     assert info.value.col == 1
+    # a character outside the grammar is refused where it stands
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("n +\n\tm # 2", NM)
+    assert str(info.value) == "unexpected character '#' (line 2, column 4)"
 
 
 def test_deep_nesting_is_a_syntax_error():
