@@ -259,14 +259,17 @@ class MPoly:
 
         The terms are summed as one integer over the common denominator
         (the lcm of the coefficient denominators times each point
-        denominator to its degree), so only the result is reduced.
+        denominator to its degree), so only the result is reduced.  An int
+        value enters as its plain powers.
         """
         den, t, degs = self.int_form()
         powers = []
         for v, deg in zip(self.vars, degs):
             x = env[v]
-            if type(x) is not int:
-                x = Fraction(x)
+            if type(x) is int:
+                powers.append([x**k for k in range(deg + 1)])
+                continue
+            x = Fraction(x)
             num, xden = x.numerator, x.denominator
             powers.append([num**k * xden ** (deg - k) for k in range(deg + 1)])
             den *= xden**deg

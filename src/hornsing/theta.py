@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
 
-from .exact import MPoly, _clear, _term_sum, rref
+from .exact import MPoly, _clear, _term_sum
 from .exprio import format_operator_text
 from .series import BiSeries, InsufficientOrder, UniSeries
 
@@ -223,10 +223,11 @@ def theta_from_dform(var, coeffs):
 
 
 def _stirling2(rows):
-    table = [[Fraction(1)]]
+    """Stirling numbers of the second kind S(r, j) as ints, r <= rows."""
+    table = [[1]]
     for r in range(1, rows + 1):
         prev = table[-1]
-        row = [Fraction(0)] * (r + 1)
+        row = [0] * (r + 1)
         for j in range(r):
             row[j] += j * prev[j]
             row[j + 1] += prev[j]
@@ -328,21 +329,48 @@ def log_basis(sys, order, max_log):
     lcm of its coefficient denominators, so its scaled partials take integer
     values at the integer source monomials.  The scaled partials are built
     once per operator and evaluated with MPoly.evaluate, which clears each
-    one to integers on its first call (MPoly.int_form); a value that is not
-    an integer raises ValueError.  Each unknown is an integer
-    vector over the free parameters with a positive denominator, in lowest
-    terms, and each equation row is built over the lcm of the denominators
-    that feed it: a multiple of the rational row, with the same support.
-    The pivot is the largest parameter of the row; it is substituted only in
-    the unknowns that hold it, which an index from parameter to unknowns
-    lists.  The basis is read off rref's integer rows over each row's pivot:
-    as BiSeries rows, or as one Fraction per entry of a univariate part.
+    one to integers on its first call (MPoly.int_form) and keeps that form
+    for every later point; a value that is not an integer raises
+    ValueError.  The values stay on MPoly.evaluate, not on a table of
+    their own: these are all the MPoly.evaluate calls of the guess
+    workload, which perfbench/layers.py times as its exact.mpoly_eval
+    group, and that group must be called there.  Each unknown is an
+    integer vector over the free parameters with a positive denominator, in
+    lowest terms, and each equation row is built over the lcm of the
+    denominators that feed it: a multiple of the rational row, with the
+    same support.
+
+    The unknown (li, mono) is born as the parameter numbered by its place in
+    the canonical column order: log powers by (total log degree, first log
+    power) descending, then series monomials graded ascending, lexicographic
+    inside a degree.  The equation for (li, mono) reaches only unknowns at
+    log powers componentwise at least li and at monomials no later than
+    mono, all no later in that order, and the equations of a degree are
+    walked with the highest log powers first.  So the pivot, the largest
+    parameter of the row, is most often the row's own fresh unknown, held
+    by that unknown alone.  A pivot is substituted only in the unknowns that
+    hold it, which an index from parameter to unknowns lists, and only by
+    smaller parameters.  So every unknown holds parameters no larger than
+    its own, and a free parameter's own unknown stays that parameter with
+    denominator 1.  Hence the matrix with one row per free parameter and one
+    column per unknown in canonical order, its entries the coefficients, is
+    already in reduced row echelon form, with the free parameters as its
+    pivot columns; no further elimination is needed.  Each row is cleared
+    over its denominators and divided by its content, which leaves a
+    positive pivot entry, and the basis is read off it over that entry: as
+    BiSeries rows, or as one Fraction per entry of a univariate part.
     """
     if max_log < 0:
         raise ValueError("max_log must be nonnegative")
     width = len(sys.vars)
     theta_vars = sys.ops[0].theta_vars
     logidx = _log_indices(width, max_log)
+    li_order = sorted(logidx, key=lambda li: (sum(li), li), reverse=True)
+    index = {}  # (li, mono) -> its parameter id, the canonical column
+    for li in li_order:
+        for d in range(order + 1):
+            for mono in sorted(_monos(width, d)):
+                index[(li, mono)] = len(index)
     partials = []
     for op in sys.ops:
         scale, _ = _clear(c for _, q in op.terms for c in q.terms.values())
@@ -368,16 +396,15 @@ def log_basis(sys, order, max_log):
     # holders[pid]: the keys whose vec holds pid; its keys are the free pids.
     coeffs = {}
     holders = {}
-    next_pid = 0
     dims = []
 
     for degree in range(order + 1):
         monos = _monos(width, degree)
-        for li in logidx:
+        for li in li_order:
             for mono in monos:
-                coeffs[(li, mono)] = ({next_pid: 1}, 1)
-                holders[next_pid] = {(li, mono)}
-                next_pid += 1
+                pid = index[(li, mono)]
+                coeffs[(li, mono)] = ({pid: 1}, 1)
+                holders[pid] = {(li, mono)}
         for op_terms in partials:
             # Nonzero scaled partials of each term at each source monomial,
             # evaluated once for all log indices of this degree; integers.
@@ -392,7 +419,7 @@ def log_basis(sys, order, max_log):
                     values = [(sidx, _int_value(poly, env)) for sidx, poly in polys]
                     found.append((src_mono, [(sidx, w) for sidx, w in values if w]))
                 sources[mono] = found
-            for li in logidx:
+            for li in li_order:
                 lift = lifts[li]
                 for mono in monos:
                     feeds = []
@@ -426,43 +453,24 @@ def log_basis(sys, order, max_log):
             dims=dims,
         )
 
-    # Canonical basis: echelonize with log monomials ordered by
-    # (total log degree, first log power) descending, series monomials
-    # by graded order ascending inside each log block.
-    li_order = sorted(logidx, key=lambda li: (sum(li), li), reverse=True)
-    columns = [
-        (li, mono)
-        for li in li_order
-        for d in range(order + 1)
-        for mono in sorted(_monos(width, d))
-    ]
-    # Each row is built over the lcm of the denominators of the unknowns that
-    # hold its parameter: a scaling, which leaves the reduced form unchanged.
-    pids = sorted(holders)
-    slot = {pid: i for i, pid in enumerate(pids)}
-    row_den = [lcm(*[coeffs[key][1] for key in holders[pid]]) for pid in pids]
-    rows = [[0] * len(columns) for _ in pids]
-    for col, key in enumerate(columns):
-        vec, den = coeffs[key]
-        for pid, c in vec.items():
-            i = slot[pid]
-            rows[i][col] = c * (row_den[i] // den)
-    rows, pivots = rref(rows)
-
-    index = {key: i for i, key in enumerate(columns)}
     basis = []
-    for row, pc in zip(rows, pivots):
-        den = row[pc]
+    for pid in sorted(holders):
+        keys = holders[pid]
+        row_den = lcm(*[coeffs[key][1] for key in keys])
+        row = {key: coeffs[key][0][pid] * (row_den // coeffs[key][1]) for key in keys}
+        g = gcd(*row.values())
+        row = {key: c // g for key, c in row.items()}
+        den = row_den // g
         built = {}
         for li in li_order:
             if width == 2:
                 built[li] = BiSeries._from_rows(order, [
-                    (den, [row[index[(li, (n, m))]] for m in range(order - n + 1)])
+                    (den, [row.get((li, (n, m)), 0) for m in range(order - n + 1)])
                     for n in range(order + 1)
                 ])
             else:
                 built[li] = UniSeries(
-                    order, [Fraction(row[index[(li, (k,))]], den) for k in range(order + 1)]
+                    order, [Fraction(row.get((li, (k,)), 0), den) for k in range(order + 1)]
                 )
         basis.append(LogSeries(order, built))
     return len(basis), basis

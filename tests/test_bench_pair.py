@@ -50,6 +50,20 @@ def test_gain_rule_compares_shares_not_counts():
     assert out["gain_rule_met"]
 
 
+def test_summary_lines_give_medians_change_wins_and_checks():
+    summary = {
+        "guess@1": bench_pair.summarize(_rows((2.0, 6, 0), (1.0, 6, 0)), METRICS),
+        "curve@101": bench_pair.summarize(_rows((1.0, 6, 0), (0.95, 6, 0), spread=0.1), METRICS),
+    }
+    assert bench_pair.summary_lines(summary) == [
+        "guess@1 wall_ref_s: parent 2.045 change 1.045 s, rel_change -48.9%, wins 10/10, "
+        "within_bound True, unresolved False, gain_rule_met True",
+        "curve@101 wall_ref_s: parent 1.45 change 1.4 s, rel_change -3.4%, wins 10/10, "
+        "within_bound True, unresolved True, gain_rule_met False",
+    ]
+    assert bench_pair.summary_lines({}) == []
+
+
 def test_unscaled_frac_counts_passes_returned_raw_per_side():
     def row(side, raw, ref):
         return {"side": side, "row": {"pass_s": raw, "pass_ref_s": ref}}

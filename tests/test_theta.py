@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hornsing.exact import MPoly, _term_sum
+from hornsing.exact import MPoly, _term_sum, rref
 from hornsing.exprio import parse_expr, expr_to_mpoly, parse_operator_text, parse_spec_text
 from hornsing.series import BiSeries, InsufficientOrder, UniSeries, expand_from_ratios, hyper_from_spec
 from hornsing.theta import (
@@ -349,6 +350,64 @@ def test_log_basis_elements_are_annihilated(case):
     assert dim == len(basis) == expected
     for element in basis:
         assert _log_terms(element)
+        for op in sys.ops:
+            assert apply_to_log_series(op, element) == {}
+
+
+def _canonical_columns(sys, order, max_log):
+    """(log powers, monomial) keys in log_basis's canonical column order: log
+    powers by (total, first power) descending, then monomials graded ascending."""
+    width = len(sys.vars)
+    logs = sorted(
+        itertools.product(range(max_log + 1), repeat=width),
+        key=lambda li: (sum(li), li),
+        reverse=True,
+    )
+    if width == 1:
+        monos = [(d,) for d in range(order + 1)]
+    else:
+        monos = [(n, d - n) for d in range(order + 1) for n in range(d + 1)]
+    return [(li, mono) for li in logs for mono in monos]
+
+
+@pytest.mark.parametrize("case", _log_basis_cases(), ids=lambda case: case[0])
+def test_log_basis_is_the_reduced_row_echelon_form(case):
+    _name, sys, order, max_log, _expected = case
+    _dim, basis = log_basis(sys, order, max_log)
+    columns = _canonical_columns(sys, order, max_log)
+    rows = []
+    for element in basis:
+        terms = _log_terms(element)
+        assert set(terms) <= set(columns)
+        entries = [Fraction(terms.get(key, 0)) for key in columns]
+        den = math.lcm(*(x.denominator for x in entries))
+        ints = [int(x * den) for x in entries]
+        g = math.gcd(*ints)
+        rows.append([x // g for x in ints])
+    reduced, pivots = rref(rows)
+    assert reduced == rows
+    assert pivots == sorted(set(pivots))
+    assert all(row[k] > 0 for row, k in zip(rows, pivots))
+
+
+def test_log_basis_falling_dimension():
+    # theta_x (theta_x - 1) and theta_y (theta_y - 1) + x theta_x: the
+    # dimension rises to 3 at degree 1 and falls back to 2, the span of 1 and y
+    tx, ty = (MPoly.variable(TXY, v) for v in TXY)
+    sys = PdeSystem([
+        ThetaOp(("x", "y"), [((0, 0), tx * (tx - 1))]),
+        ThetaOp(("x", "y"), [((0, 0), ty * (ty - 1)), ((1, 0), tx)]),
+    ])
+    with pytest.raises(InsufficientOrder) as info:
+        log_basis(sys, 4, 1)
+    assert info.value.dims == [1, 3, 3, 2, 2]
+    dim, basis = log_basis(sys, 6, 1)
+    assert dim == len(basis) == 2
+    assert [_log_terms(e) for e in basis] == [
+        {((0, 0), (0, 0)): 1},
+        {((0, 0), (0, 1)): 1},
+    ]
+    for element in basis:
         for op in sys.ops:
             assert apply_to_log_series(op, element) == {}
 

@@ -21,7 +21,9 @@ regression from the spread, and not every change run beats every parent
 run), and whether the gain rule holds (the change wins at least nine tenths
 of the pairs, the medians differ by more than the parent's interquartile
 range, and the change's share of failed jobs is no larger than the
-parent's).  Per workload and seed it also gives each side's unscaled_frac,
+parent's).  After the runs it prints one line per workload, seed and
+end-to-end metric to stderr with the two medians, the relative change, the
+pairs won and the three checks.  Per workload and seed it also gives each side's unscaled_frac,
 the share of passes whose reference-speed time is their raw time, because
 the speed probe returns a pass too short to sample every part unscaled
 (perfbench/speed.py); medians of sides that differ there mix raw and
@@ -179,6 +181,21 @@ def summarize(rows, metrics):
     return out
 
 
+def summary_lines(summary):
+    """One line per workload@seed and end-to-end metric of a summary: the two
+    medians, the relative change, the pairs won and the three checks."""
+    return [
+        "%s %s: parent %.4g change %.4g %s, rel_change %+.1f%%, wins %d/%d, "
+        "within_bound %s, unresolved %s, gain_rule_met %s" % (
+            key, name, m["parent"]["median"], m["change"]["median"], m["unit"],
+            100 * m["rel_change"], m["change_wins"], m["pairs"],
+            m["within_bound"], m["unresolved"], m["gain_rule_met"],
+        )
+        for key, metrics in summary.items()
+        for name, m in metrics.items()
+    ]
+
+
 def unscaled_frac(rows):
     """Per side, the share of its passes whose pass_ref_s equals its pass_s."""
     out = {}
@@ -259,6 +276,8 @@ def main():
         "traced": traced,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    for line in summary_lines(summary):
+        print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":
