@@ -950,7 +950,16 @@ def _is_probable_prime(n):
     return True
 
 
-def _factor_int(n, bound=10**6):
+# Work bounds of the rational-root and Kronecker searches.  Past any of them
+# the search gives up and the piece it was given stays unsplit.
+_TRIAL_DIVISION_BOUND = 10**6  # largest trial divisor in _factor_int
+_MAX_DIVISORS = 200000  # divisors of one integer
+_MAX_ROOT_PAIRS = 10**6  # (lead divisor, trail divisor) pairs of one root search
+_KRONECKER_MAX_COEFF = 10**8  # largest |coefficient| Kronecker splits
+_KRONECKER_MAX_COMBOS = 200000  # divisor tuples tried per factor degree
+
+
+def _factor_int(n):
     """Trial-division factorization; returns (factors dict, complete flag)."""
     n = abs(n)
     factors = {}
@@ -961,7 +970,7 @@ def _factor_int(n, bound=10**6):
             factors[p] = factors.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n and f <= bound:
+    while f * f <= n and f <= _TRIAL_DIVISION_BOUND:
         for p in (f, f + 2):
             while n % p == 0:
                 factors[p] = factors.get(p, 0) + 1
@@ -975,7 +984,8 @@ def _factor_int(n, bound=10**6):
     return factors, False
 
 
-def _divisors_from_factors(factors, limit=200000):
+def _divisors_from_factors(factors):
+    """Sorted positive divisors, or None past _MAX_DIVISORS."""
     divs = [1]
     for p, e in factors.items():
         new = []
@@ -983,7 +993,7 @@ def _divisors_from_factors(factors, limit=200000):
         for _ in range(e + 1):
             new.extend(d * pk for d in divs)
             pk *= p
-            if len(new) > limit:
+            if len(new) > _MAX_DIVISORS:
                 return None
         divs = new
     return sorted(divs)
@@ -1085,50 +1095,37 @@ def _eval_hom(coeffs, p, q):
 
 
 def _rational_roots(coeffs):
-    """All rational roots with multiplicity of a primitive integer coefficient list."""
-    roots = []
-    while len(coeffs) > 1:
-        lead, trail = coeffs[-1], coeffs[0]
-        fl, okl = _factor_int(lead)
-        ft, okt = _factor_int(trail)
-        dl = _divisors_from_factors(fl)
-        dt = _divisors_from_factors(ft)
-        if dl is None or dt is None or not (okl and okt):
-            break
-        found = None
-        for q in dl:
-            for p in dt:
-                for sp in (p, -p):
-                    if math.gcd(abs(sp), q) != 1:
-                        continue
-                    if _eval_hom(coeffs, sp, q) == 0:
-                        found = (sp, q)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return roots, coeffs, True
-        mult = 0
-        while True:
-            nxt = _poly_divmod_int(coeffs, [-found[0], found[1]])
-            if nxt is None:
-                break
-            coeffs = nxt
-            mult += 1
-            if len(coeffs) == 1 or _eval_hom(coeffs, *found) != 0:
-                break
-        if mult == 0:
-            break
-        roots.append((Fraction(*found), mult))
-    return roots, coeffs, len(coeffs) == 1
+    """(roots, quotient, complete) of a squarefree primitive integer coefficient list.
+
+    Each candidate p/q, p dividing the trailing and q the leading coefficient,
+    is tested once against the input; the quotient is the input with the
+    roots found divided out.  When an end coefficient does not factor, or
+    the divisor pairs exceed _MAX_ROOT_PAIRS, no root is sought and complete
+    is False.
+    """
+    fl, okl = _factor_int(coeffs[-1])
+    ft, okt = _factor_int(coeffs[0])
+    dl = _divisors_from_factors(fl)
+    dt = _divisors_from_factors(ft)
+    if not (okl and okt) or dl is None or dt is None or len(dl) * len(dt) > _MAX_ROOT_PAIRS:
+        return [], coeffs, False
+    found = [
+        (sp, q)
+        for q in dl
+        for p in dt
+        if math.gcd(p, q) == 1
+        for sp in (p, -p)
+        if _eval_hom(coeffs, sp, q) == 0
+    ]
+    for sp, q in found:
+        coeffs = _poly_divmod_int(coeffs, [-sp, q])
+    return [Fraction(sp, q) for sp, q in found], coeffs, True
 
 
-def _kronecker_split(coeffs, max_coeff=10**8, max_combos=200000):
+def _kronecker_split(coeffs):
     """Try to find a nontrivial factor of degree <= 3; ints in, ints out."""
     deg = len(coeffs) - 1
-    if deg < 4 or deg > 6 or max(abs(c) for c in coeffs) > max_coeff:
+    if deg < 4 or deg > 6 or max(abs(c) for c in coeffs) > _KRONECKER_MAX_COEFF:
         return None
     for g in range(2, deg // 2 + 1):
         pts = list(range(-(g // 2), g - (g // 2) + 1))
@@ -1147,7 +1144,7 @@ def _kronecker_split(coeffs, max_coeff=10**8, max_combos=200000):
             signed = [d for d0 in ds for d in (d0, -d0)]
             div_sets.append(signed)
             total *= len(signed)
-            if total > max_combos:
+            if total > _KRONECKER_MAX_COMBOS:
                 return None
         for combo in _iproduct(*div_sets):
             cand = _newton_int(combo, pts[0])
@@ -1215,9 +1212,8 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
             coeffs = [-c for c in coeffs]
         unit = unit * cont**mult
         roots, rest, roots_complete = _rational_roots(coeffs)
-        for root, rmult in roots:
-            lin = x * root.denominator - root.numerator
-            factors.append((lin, rmult * mult))
+        for root in roots:
+            factors.append((x * root.denominator - root.numerator, mult))
         stack = [rest]
         while stack:
             cur = stack.pop()

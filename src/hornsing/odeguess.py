@@ -37,10 +37,6 @@ class NotFound(Exception):
         self.max_degree = max_degree
 
 
-class SingularPoint(Exception):
-    """The head polynomial vanishes at the requested expansion point."""
-
-
 # ---------------------------------------------------------------------------
 # Normalized differential operators
 
@@ -467,7 +463,7 @@ def annihilates_series(ode, s):
 
 
 # ---------------------------------------------------------------------------
-# Head polynomial analysis and local solutions
+# Head polynomial analysis
 
 
 def singular_points(ode):
@@ -479,44 +475,6 @@ def singular_points(ode):
     return SingularLocus(
         ode.var, ode.head, zero_mult, rational, other, fac.complete
     )
-
-
-def local_basis(ode, t0, N):
-    """Fundamental system at an ordinary point, as series in s = t - t0.
-
-    The r = ode.order solutions have unit-vector initial segments and are
-    produced by the coefficient recurrence of the shifted equation.  An N
-    below ode.order - 1 leaves no room for those segments and raises
-    InsufficientOrder.
-    """
-    t0 = Fraction(t0)
-    head_val = ode.head.evaluate({ode.var: t0})
-    if head_val == 0:
-        raise SingularPoint("head polynomial vanishes at %s" % t0)
-    r = ode.order
-    if N < r - 1:
-        raise InsufficientOrder(
-            "local basis of order %d needs N >= %d, have %d" % (r, r - 1, N),
-            needed=r - 1,
-            have=N,
-        )
-    shifted = [p.shift(ode.var, t0).coeff_list(ode.var) for p in ode.coeffs]
-    basis = []
-    for unit in range(r):
-        a = [0] * (N + 1)
-        a[unit] = 1
-        for n in range(N + 1 - r):
-            acc = 0
-            for j, qj in enumerate(shifted):
-                for i, ci in enumerate(qj):
-                    if not ci or (j == r and i == 0):
-                        continue
-                    k = n - i + j
-                    if 0 <= k < n + r:
-                        acc += ci * math.perm(k, j) * a[k]
-            a[n + r] = -acc / (head_val * math.perm(n + r, r))
-        basis.append(UniSeries(N, a))
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Double series come from two-direction term ratios (alpha1, alpha2) or from a
 closed-form coefficient expression; they can be restricted along rational
-curves t -> (x(t), y(t)) through the origin.  Univariate series support
-ring arithmetic and derivatives.
+curves t -> (x(t), y(t)) through the origin, giving univariate series.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RatFun, _clear, _coefficient, _eval_int, _mul_trunc, _poly_add
+from .exact import RatFun, _clear, _coefficient, _eval_int, _poly_add
 from .exprio import eval_expr, expr_to_ratfun
 
 NM = ("n", "m")
@@ -64,36 +63,6 @@ class UniSeries:
 
     def __hash__(self):
         return hash((self.order, tuple(self.coeffs)))
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return UniSeries(n, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return UniSeries(n, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, UniSeries):
-            n = min(self.order, other.order)
-            return UniSeries(n, _mul_trunc(self.coeffs, other.coeffs, n))
-        c = Fraction(_coefficient(other))
-        return UniSeries(self.order, [a * c for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return UniSeries(self.order, [-a for a in self.coeffs])
-
-    def derivative(self):
-        if self.order == 0:
-            raise InsufficientOrder(
-                "cannot differentiate an order-0 series", needed=1, have=0
-            )
-        return UniSeries(
-            self.order - 1,
-            [k * self.coeffs[k] for k in range(1, self.order + 1)],
-        )
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])

@@ -11,6 +11,7 @@ of a system.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm, perm, prod
 
 from .exact import MPoly, _clear, _term_sum
@@ -264,13 +265,7 @@ def dform_from_theta(op):
 
 def _log_indices(width, max_log):
     """Log powers up to max_log in each variable separately."""
-    if width == 1:
-        return [(i,) for i in range(max_log + 1)]
-    return [
-        (i, j)
-        for i in range(max_log + 1)
-        for j in range(max_log + 1)
-    ]
+    return list(product(range(max_log + 1), repeat=width))
 
 
 def _monos(width, degree):

@@ -294,9 +294,12 @@ def test_rational_roots_integer_test_matches_fraction_reference(monkeypatch):
             p, q = rng.randint(-50, 50), rng.randint(1, 50)
             assert exact._eval_hom(coeffs, p, q) == q**n * exact._eval_int(coeffs, Fraction(p, q))
     got = [exact._rational_roots(c) for c in cases]
-    for (roots, _, _), want in zip(got, planted):
-        assert want <= {r for r, _ in roots}
-    assert any(m > 1 for roots, _, _ in got for _, m in roots)
+    for (roots, quotient, complete), want, coeffs in zip(got, planted, cases):
+        assert complete and want <= set(roots) and len(roots) == len(set(roots))
+        # each root found is divided out once
+        for r in roots:
+            quotient = _mul_trunc(quotient, [-r.numerator, r.denominator], len(quotient))
+        assert quotient == coeffs
     monkeypatch.setattr(
         exact, "_eval_hom", lambda coeffs, p, q: exact._eval_int(coeffs, Fraction(p, q))
     )

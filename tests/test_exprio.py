@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import timeit
 from fractions import Fraction
 from pathlib import Path
@@ -433,6 +434,15 @@ def test_series_file_errors():
         parse_series_text("vars: x\n1 1/0\n")
     with pytest.raises(ValidationError, match="no entries"):
         parse_series_text("vars: t\n# no coefficients\n")
+    for text, message in [
+        ("vars: 1x\n0 1\n", "line 1: bad variable name '1x'"),
+        ("vars: x x\n0 0 1\n", "line 1: repeated variable name"),
+        ("", "empty file"),
+        ("vars: x\n1 2 3\n", "line 2: expected 1 exponents and a value"),
+        ("vars: x\na 1\n", "line 2: bad exponent in 'a 1'"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_series_text(text)
 
 
 def test_operator_file_round_trip():
@@ -468,6 +478,15 @@ def test_operator_file_errors():
         parse_operator_text("op-vars: x y\n0 0 : tx\n0 0 : ty\n")
     with pytest.raises(ValidationError):
         parse_operator_text("op-vars: x y\n0 0 : 0\n")
+    for text, message in [
+        ("op-vars: x tx\n0 0 : ttx\n", "theta names collide with the variables"),
+        ("op-vars: x\n0 tx\n", "line 2: expected 'a [b] : Q'"),
+        ("op-vars: x\na : tx\n", "line 2: bad shift exponent"),
+        ("op-vars: x\n-1 : tx\n", "line 2: negative shift exponent"),
+        ("op-vars: x\n0 :\n", "line 2: empty expression"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_operator_text(text)
 
 
 def test_ode_file_round_trip():
@@ -490,6 +509,15 @@ def test_ode_file_errors():
         parse_ode_text("ode-var: t\n1 : 0\n")
     with pytest.raises(ValidationError):
         parse_ode_text("ode-var: t\n-1 : t\n")
+    for text, message in [
+        ("ode-var: t\n1 t\n", "line 2: expected 'j : p_j'"),
+        ("ode-var: t\nx : t\n", "line 2: bad derivative order"),
+        ("ode-var: t\n1 : t\n1 : 1\n", "line 3: duplicate order 1"),
+        # binom(n, k) is 0 for k < 0
+        ("ode-var: t\n1 : t\n0 : binom(3, -1)\n", "line 3: zero coefficient"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_ode_text(text)
 
 
 H2_SPEC = """[spec]
@@ -560,6 +588,18 @@ def test_spec_file_errors():
         parse_spec_text(
             "[spec]\nname = h\nkind = formula\nvars = n m\ncoeff = q+n\n"
         )
+    ratio = "[spec]\nname = h\nkind = ratio\nvars = n m\nalpha1 = n\nalpha2 = m\n"
+    for text, message in [
+        ("[spec]\nname h\n", "line 2: expected 'key = value'"),
+        ("[spec]\ncolor = red\n", "line 2: unknown key 'color'"),
+        ("[spec]\nname = a\nname = b\n", "line 3: duplicate key 'name'"),
+        ("[spec]\nname =\n", "line 2: empty value for 'name'"),
+        (ratio + "params = a\n", "line 7: parameter binding must look like name:value"),
+        (ratio + "params = 1a:2\n", "line 7: bad parameter name '1a'"),
+        (ratio + "params = n:2\n", "line 7: parameter 'n' collides with another name"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_spec_text(text)
 
 
 def test_load_spec(tmp_path):

@@ -154,6 +154,15 @@ def test_horn_curve_bat19():
     assert res.axis_values == (Fraction(1, 4), Fraction(1, 4))
 
 
+def test_axis_values_infinite_zero_and_at_a_pole():
+    # X(t) grows, or falls to 0, as t -> infinity; Y(t) has a pole at t = 0
+    res = eliminate(HornMaps(rf_t("t^2/(t+1)"), rf_t("(t+1)/t")))
+    assert res.axis_values == (None, None)
+    res = eliminate(HornMaps(rf_t("1/(t+1)"), rf_t("(t+1)/t")))
+    assert res.axis_values == (0, None)
+    assert type(res.axis_values[0]) is Fraction
+
+
 def test_constant_maps_rejected():
     with pytest.raises(ValueError):
         eliminate(HornMaps(rf_t("1/2"), rf_t("1/2")))

@@ -141,8 +141,8 @@ def names_without_caller(sources, readers, extra_reads=()):
     and a classmethod or staticmethod only as Class.name, or as cls.name
     inside its own class.  Blind spot: the receiver of obj.name is not
     resolved, so a method counts as read when a method or attribute of
-    another class with the same name is read; UniSeries.derivative passes
-    only because MPoly.derivative is read.
+    another class with the same name is read; Curve.vars, for one, would
+    pass on the reads of the MPoly attribute vars alone.
     """
     reads = Counter()
     for source in readers:
@@ -177,8 +177,8 @@ def test_names_without_caller_detects_an_unread_name():
 
 
 # Public names that nothing in src/ or perfbench/ calls, each with its reason:
-# "CLI" for what the planned hornsing command (ROADMAP item 1) will call, or
-# "test reference" for what the tests use as an oracle.
+# what the planned hornsing command (ROADMAP item 1) will call it for.  Test
+# references live in the tests, not in src/.
 NO_CALLER = {
     "curves.nickelian_j": "CLI: the j-invariant of the Nickelian family (hornsing ising)",
     "exprio.format_series_text": "CLI: writes series files",
@@ -188,7 +188,6 @@ NO_CALLER = {
     "ising.nickelian_curve": "CLI: Nickelian curves in exact and symbolic mode (hornsing ising)",
     "ising.nickelian_isotropic": "CLI: the isotropic Nickelian member (hornsing ising)",
     "odeguess.UniODE.to_text": "CLI: writes ODE files",
-    "odeguess.local_basis": "test reference: the L2 and C3 symmetric-square checks",
     "series.expand_spec": "CLI: expands formula specs (hornsing guess)",
     "series.uniseries_from_entries": "CLI: reads univariate series files (hornsing guess)",
     "theta.ThetaOp.to_text": "CLI: writes operator files",

@@ -2,12 +2,13 @@ import contextlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from hornsing import odeguess
-from hornsing.exact import MPoly, RatFun, ZeroInput, _is_probable_prime, nullspace, poly_gcd
+from hornsing.exact import MPoly, RatFun, ZeroInput, _is_probable_prime, _mul_trunc, nullspace, poly_gcd
 from hornsing.exprio import (
     expr_to_mpoly,
     expr_to_ratfun,
@@ -19,12 +20,10 @@ from hornsing.exprio import (
 from hornsing.odeguess import (
     GuessReport,
     NotFound,
-    SingularPoint,
     UniODE,
     annihilates_series,
     exterior_square_order,
     guess_ode,
-    local_basis,
     singular_points,
     symmetric_square_order,
 )
@@ -61,6 +60,60 @@ def _ode(text):
 
 def _op(text):
     return ThetaOp(*parse_operator_text(text))
+
+
+class SingularPoint(Exception):
+    """The head polynomial vanishes at the requested expansion point."""
+
+
+def local_basis(ode, t0, N):
+    """Fundamental system at an ordinary point, as series in s = t - t0.
+
+    The reference the symmetric-square and Abel-identity tests compare
+    against.  The r = ode.order solutions have unit-vector initial segments
+    and are produced by the coefficient recurrence of the shifted equation.
+    An N below ode.order - 1 leaves no room for those segments and raises
+    InsufficientOrder.
+    """
+    t0 = Fraction(t0)
+    head_val = ode.head.evaluate({ode.var: t0})
+    if head_val == 0:
+        raise SingularPoint("head polynomial vanishes at %s" % t0)
+    r = ode.order
+    if N < r - 1:
+        raise InsufficientOrder(
+            "local basis of order %d needs N >= %d, have %d" % (r, r - 1, N),
+            needed=r - 1,
+            have=N,
+        )
+    shifted = [p.shift(ode.var, t0).coeff_list(ode.var) for p in ode.coeffs]
+    basis = []
+    for unit in range(r):
+        a = [0] * (N + 1)
+        a[unit] = 1
+        for n in range(N + 1 - r):
+            acc = 0
+            for j, qj in enumerate(shifted):
+                for i, ci in enumerate(qj):
+                    if not ci or (j == r and i == 0):
+                        continue
+                    k = n - i + j
+                    if 0 <= k < n + r:
+                        acc += ci * math.perm(k, j) * a[k]
+            a[n + r] = -acc / (head_val * math.perm(n + r, r))
+        basis.append(UniSeries(N, a))
+    return basis
+
+
+def _d(coeffs):
+    """Derivative of a coefficient list, one order shorter."""
+    return [k * coeffs[k] for k in range(1, len(coeffs))]
+
+
+def _wronskian(u1, u2):
+    """u1 * u2' - u1' * u2 through the order of the derivatives."""
+    n = len(u1) - 2
+    return [a - b for a, b in zip(_mul_trunc(u1, _d(u2), n), _mul_trunc(_d(u1), u2, n))]
 
 
 H2 = parse_spec_text(
@@ -269,6 +322,19 @@ def test_singular_points_irreducible_residual():
     assert locus.complete
 
 
+def test_singular_points_root_search_is_bounded():
+    # lcm(1..40) has 55,296 divisors, so L*t^2 + t + L has about 3e9
+    # candidate roots p/q, past the pair cap: no root is sought
+    L = math.lcm(*range(1, 41))
+    ode = _ode("ode-var: t\n0 : 1\n1 : %d*t^2 + t + %d\n" % (L, L))
+    start = time.perf_counter()
+    locus = singular_points(ode)
+    assert time.perf_counter() - start < 1
+    assert not locus.complete
+    assert locus.rational_points == ()
+    assert locus.other_factors == ((ode.head, 1),)
+
+
 def test_slope_restriction_head_contains_curve_section():
     b = expand_from_ratios(hyper_from_spec(H2), 90)
     s = restrict(b, rf_t("t"), rf_t("2*t"), 90)
@@ -291,9 +357,7 @@ def test_local_basis_cos_sin_wronskian():
     cos_s, sin_s = local_basis(ode, 0, 12)
     assert cos_s.coeffs[:5] == [1, 0, Fraction(-1, 2), 0, Fraction(1, 24)]
     assert sin_s.coeffs[:5] == [0, 1, 0, Fraction(-1, 6), 0]
-    w = cos_s * sin_s.derivative() - cos_s.derivative() * sin_s
-    assert w.coeffs[0] == 1
-    assert not any(w.coeffs[1:])
+    assert _wronskian(cos_s.coeffs, sin_s.coeffs) == [1] + [0] * 11
 
 
 def test_local_basis_rejects_singular_point():
@@ -328,13 +392,13 @@ def test_abel_identity_for_order_two():
     ode = _ode(L2_TEXT)
     t0 = Fraction(1, 7)
     u1, u2 = local_basis(ode, t0, 40)
-    w = u1 * u2.derivative() - u1.derivative() * u2
+    w = _wronskian(u1.coeffs, u2.coeffs)
     p1 = [c.constant_value() for c in ode.coeffs[1].shift("t", t0).as_univar("t")]
     p2 = [c.constant_value() for c in ode.coeffs[2].shift("t", t0).as_univar("t")]
-    lhs = w.derivative() * UniSeries(38, (p2 + [Fraction(0)] * 39)[:39])
-    rhs = w * UniSeries(38, (p1 + [Fraction(0)] * 39)[:39])
-    total = lhs + rhs
-    assert not any(total.coeffs)
+    # Abel: p2 * w' + p1 * w = 0, checked through t^38
+    lhs = _mul_trunc(_d(w), p2, 38)
+    rhs = _mul_trunc(w, p1, 38)
+    assert not any(a + b for a, b in zip(lhs, rhs))
 
 
 def test_annihilates_known_list():
@@ -536,8 +600,8 @@ def test_order_three_is_symmetric_square_of_order_two():
     t0 = Fraction(1, 7)
     u1, u2 = local_basis(l2, t0, 40)
     shifted = UniODE("t", [p.shift("t", t0) for p in c3.coeffs])
-    for prod in (u1 * u1, u1 * u2, u2 * u2):
-        assert annihilates_series(shifted, prod)
+    for f, g in ((u1, u1), (u1, u2), (u2, u2)):
+        assert annihilates_series(shifted, UniSeries(40, _mul_trunc(f.coeffs, g.coeffs, 40)))
 
 
 def test_guess_random_rational_functions():

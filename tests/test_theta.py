@@ -330,12 +330,26 @@ def test_apply_to_log_series_reference():
     assert apply_to_log_series(ThetaOp(("x",), [((1,), tx**2)]), ls) == {}
 
 
+def horn_shift_system():
+    """theta_x^3 (theta_x - 3) + x and theta_y^2 (theta_y - 2) + y, a
+    Horn-type system (a theta polynomial plus one shift term in each
+    variable).  It is the only case here where log_basis substitutes a pivot
+    into an unknown that holds other parameters, some of which cancel."""
+    tx, ty = (MPoly.variable(TXY, v) for v in TXY)
+    one = MPoly.const(TXY, 1)
+    return PdeSystem([
+        ThetaOp(("x", "y"), [((0, 0), tx**3 * (tx - 3)), ((1, 0), one)]),
+        ThetaOp(("x", "y"), [((0, 0), ty**2 * (ty - 2)), ((0, 1), one)]),
+    ])
+
+
 def _log_basis_cases():
     tx = MPoly.variable(("tx",), "tx")
     c3 = theta_from_dform("t", c3_dform())
     return [
         ("picard", picard_system(), 10, 2, 9),
         ("pde13", pde13_system(), 10, 2, 9),
+        ("horn_shift", horn_shift_system(), 4, 2, 9),
         ("double_root", PdeSystem([ThetaOp(("x",), [((0,), tx**2)])]), 5, 2, 2),
         ("simple", PdeSystem([ThetaOp(("x",), [((0,), tx)])]), 5, 2, 1),
         ("shifted_root", PdeSystem([ThetaOp(("x",), [((0,), tx - 3)])]), 5, 0, 1),
