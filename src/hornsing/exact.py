@@ -486,20 +486,28 @@ def _list_degree(coeffs):
 
 
 def _pseudo_rem(A, B):
-    """Pseudo-remainder of coefficient lists (univariate view, same vars)."""
+    """prem(A, B): the remainder of lc(B)^(deg A - deg B + 1) * A on division by B.
+
+    A and B are coefficient lists (univariate view, same vars) with
+    deg A >= deg B >= 0.  A step whose top coefficient is already zero
+    defers its factor lc(B) to one power at the end.
+    """
     dA, dB = _list_degree(A), _list_degree(B)
     lb = B[dB]
-    R = list(A)
-    while True:
-        dR = _list_degree(R)
-        if dR < dB:
-            return R[: max(dR + 1, 1)]
-        lr = R[dR]
-        shift = dR - dB
+    R = A[: dA + 1]
+    deferred = 0
+    for k in range(dA, dB - 1, -1):
+        lr = R.pop()
+        if lr.is_zero():
+            deferred += 1
+            continue
         R = [c * lb for c in R]
-        for j in range(dB + 1):
-            R[j + shift] = R[j + shift] - lr * B[j]
-        R[dR] = MPoly.zero(lb.vars)
+        for j in range(dB):
+            R[j + k - dB] = R[j + k - dB] - lr * B[j]
+    if deferred:
+        f = lb**deferred
+        R = [c * f for c in R]
+    return R[: max(_list_degree(R) + 1, 1)] or [MPoly.zero(lb.vars)]
 
 
 _HEU_TRIES = 6
@@ -629,38 +637,46 @@ def gcd_list(polys):
 
 
 def resultant(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Sylvester resultant in var, by evaluation and interpolation.
+    """Sylvester resultant in var, by the subresultant PRS.
 
     The result is the determinant of the formal Sylvester matrix of size
     m + n, m = deg_var a and n = deg_var b, whose n rows built from a come
-    first; both degrees must be positive.  The inputs are scaled to integer
-    coefficients (which scales the determinant by la^n * lb^m), and every
-    other variable z that occurs is evaluated at z = 0..D with
-    D = deg_z(a)*n + deg_z(b)*m, the bound on deg_z of the determinant.
-    Evaluation commutes with the determinant of the formal matrix, so no
-    point is rejected even where a leading coefficient vanishes; the values
-    are interpolated back exactly (G. E. Collins, J. ACM 18, 1971).
+    first; both degrees must be positive.  On the coefficient lists in var,
+    with A of degree >= B's, each step sets R = prem(A, B), A, B = B,
+    R / (g*h^delta) and then g = lc(A), h = g^delta / h^(delta-1), where
+    delta is the degree drop of the step and g = h = 1 at the start; once B
+    is a constant the result is lc(B)^deg A / h^(deg A - 1), up to the
+    sign of the swaps (W. S. Brown, J. ACM 18, 1971; H. Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 3.3.7).  Every division
+    is a divexact, so a step that is not exact raises.
     """
     a._check(b)
     m = a.degree(var)
     n = b.degree(var)
     if m <= 0 or n <= 0:
         raise DegreeZero("resultant needs positive degree in %r" % var)
-    i = a.vars.index(var)
-    la, ca = _int_coeff_lists(a, i, m)
-    lb, cb = _int_coeff_lists(b, i, n)
-    scale = la**n * lb**m
-    det = _sylvester_det(ca, cb, len(a.vars))
-    return MPoly._trusted(a.vars, {e: _quo(c, scale) for e, c in det.items()})
-
-
-def _int_coeff_lists(p, i, d):
-    """(l, [c_0..c_d]): l*p = sum c_k * x_i^k, c_k maps exponents (x_i slot 0) to ints."""
-    l, t = _int_terms(p)
-    coeffs = [{} for _ in range(d + 1)]
-    for e, c in t.items():
-        coeffs[e[i]][e[:i] + (0,) + e[i + 1 :]] = c
-    return l, coeffs
+    A, B = a.as_univar(var), b.as_univar(var)
+    sign = -1 if m % 2 and n % 2 and m < n else 1
+    if m < n:
+        A, B = B, A
+    g = h = None  # None stands for the starting value 1
+    while (dB := _list_degree(B)) > 0:
+        dA = len(A) - 1
+        delta = dA - dB
+        if dA % 2 and dB % 2:
+            sign = -sign
+        R = _pseudo_rem(A, B)
+        if g is not None:
+            d = g * h**delta if h is not None else g
+            R = [divexact(c, d) for c in R]
+        A, B = B, R
+        g = A[-1]
+        if delta:
+            h = g**delta if h is None else divexact(g**delta, h ** (delta - 1))
+    out = B[0] ** (len(A) - 1)  # zero when the PRS ends in a zero remainder
+    if h is not None and len(A) > 2:
+        out = divexact(out, h ** (len(A) - 2))
+    return out if sign > 0 else -out
 
 
 def _int_terms(p):
@@ -683,47 +699,13 @@ def _term_sum(t, powers):
     return total
 
 
-def _sylvester_det(ca, cb, nvars):
-    """Determinant of the formal Sylvester matrix of two integer coefficient lists.
-
-    Entries are {exponents: int} dicts; so is the result.  Recurses on the
-    first variable that occurs, evaluating it at 0..D and interpolating.
-    """
-    z = next((k for k in range(nvars) if any(e[k] for c in ca + cb for e in c)), None)
-    m, n = len(ca) - 1, len(cb) - 1
-    if z is None:
-        zero = (0,) * nvars
-        ints = [c.get(zero, 0) for c in ca], [c.get(zero, 0) for c in cb]
-        det = _int_det(_sylvester_rows(*ints))
-        return {zero: det} if det else {}
-    da = max((e[z] for c in ca for e in c), default=0)
-    db = max((e[z] for c in cb for e in c), default=0)
-    values = []
-    for v in range(da * n + db * m + 1):
-        at_v = [[_eval_slot(c, z, v) for c in cs] for cs in (ca, cb)]
-        values.append(_sylvester_det(*at_v, nvars))
-    return _interpolate_slot(values, z)
-
-
-def _sylvester_rows(ca, cb):
-    m, n = len(ca) - 1, len(cb) - 1
-    rows = []
-    for cs, d, count in ((ca, m, n), (cb, n, m)):
-        for i in range(count):
-            row = [0] * (m + n)
-            for j, c in enumerate(cs):
-                row[i + d - j] = c
-            rows.append(row)
-    return rows
-
-
 def _bareiss(M):
     """Fraction-free (Bareiss) row echelon elimination of an integer matrix.
 
     Works in place, column by column, skipping a column with no nonzero
     entry at or below the current row.  Each division by the previous
     pivot is exact by Sylvester's identity (E. H. Bareiss, Math. Comp. 22,
-    1968).  Yields (column, swapped) for each pivot, after updating the rows
+    1968).  Yields the column of each pivot, after updating the rows
     below it right of its column only: their entries in that column and left
     of it stay stale, not zero, so rref zeroes each row left of its pivot.
     """
@@ -732,8 +714,7 @@ def _bareiss(M):
     for k in range(ncols):
         if r == nrows:
             return
-        swapped = not M[r][k]
-        if swapped:
+        if not M[r][k]:
             pivot = next((i for i in range(r + 1, nrows) if M[i][k]), None)
             if pivot is None:
                 continue
@@ -745,19 +726,7 @@ def _bareiss(M):
                 row[j] = (pk * row[j] - f * rk[j]) // prev
         prev = pk
         r += 1
-        yield k, swapped
-
-
-def _int_det(M):
-    """Determinant of a square integer matrix, which it overwrites."""
-    sign, rank = 1, 0
-    for k, swapped in _bareiss(M):
-        if k != rank:
-            return 0
-        if swapped:
-            sign = -sign
-        rank += 1
-    return sign * M[-1][-1] if rank == len(M) else 0
+        yield k
 
 
 def _int_rank(rows):
@@ -774,21 +743,6 @@ def _eval_slot(c, z, v):
             e = e[:z] + (0,) + e[z + 1 :]
         out[e] = out.get(e, 0) + x
     return {e: x for e, x in out.items() if x}
-
-
-def _interpolate_slot(values, z):
-    """The polynomial whose slot-z variable at v = 0..D gives values[v], coefficients exact ints.
-
-    The interpolated polynomial has integer coefficients, so _newton_int
-    never returns None here.
-    """
-    out = {}
-    for mono in set().union(*values):
-        poly = _newton_int([val.get(mono, 0) for val in values], 0)
-        for j, x in enumerate(poly):
-            if x:
-                out[mono[:z] + (j,) + mono[z + 1 :]] = x
-    return out
 
 
 def _newton_int(ys, x0):
@@ -878,7 +832,7 @@ def rref(rows):
     the last pivot row up.
     """
     m = [_clear(row)[1] for row in rows]
-    pivots = [k for k, _ in _bareiss(m)]
+    pivots = list(_bareiss(m))
     m = m[: len(pivots)]
     for i in reversed(range(len(pivots))):
         row = m[i]
@@ -1097,33 +1051,42 @@ def _eval_hom(coeffs, p, q):
 def _rational_roots(coeffs):
     """(roots, quotient, complete) of a squarefree primitive integer coefficient list.
 
-    Each candidate p/q, p dividing the trailing and q the leading coefficient,
-    is tested once against the input; the quotient is the input with the
-    roots found divided out.  When an end coefficient does not factor, or
-    the divisor pairs exceed _MAX_ROOT_PAIRS, no root is sought and complete
-    is False.
+    A zero trailing coefficient gives the root 0 and is stripped first.
+    Each candidate p/q, p dividing the trailing and q the leading
+    coefficient of the input, is then tested once, against the quotient
+    left by the roots found so far, and divided out on a hit; a q or p that
+    no longer divides the quotient's end coefficient is skipped.  When an
+    end coefficient does not factor, or the divisor pairs exceed
+    _MAX_ROOT_PAIRS, no further root is sought and complete is False.
     """
+    roots = []
+    if not coeffs[0]:
+        roots.append(Fraction(0))
+        coeffs = coeffs[1:]
     fl, okl = _factor_int(coeffs[-1])
     ft, okt = _factor_int(coeffs[0])
     dl = _divisors_from_factors(fl)
     dt = _divisors_from_factors(ft)
     if not (okl and okt) or dl is None or dt is None or len(dl) * len(dt) > _MAX_ROOT_PAIRS:
-        return [], coeffs, False
-    found = [
-        (sp, q)
-        for q in dl
-        for p in dt
-        if math.gcd(p, q) == 1
-        for sp in (p, -p)
-        if _eval_hom(coeffs, sp, q) == 0
-    ]
-    for sp, q in found:
-        coeffs = _poly_divmod_int(coeffs, [-sp, q])
-    return [Fraction(sp, q) for sp, q in found], coeffs, True
+        return roots, coeffs, False
+    for q in dl:
+        for p in dt:
+            if coeffs[-1] % q:
+                break
+            if coeffs[0] % p or math.gcd(p, q) != 1:
+                continue
+            for sp in (p, -p):
+                if _eval_hom(coeffs, sp, q) == 0:
+                    coeffs = _poly_divmod_int(coeffs, [-sp, q])
+                    roots.append(Fraction(sp, q))
+    return roots, coeffs, True
 
 
 def _kronecker_split(coeffs):
-    """Try to find a nontrivial factor of degree <= 3; ints in, ints out."""
+    """Try to find a nontrivial factor of degree <= 3; ints in, ints out.
+
+    The two pieces returned have a positive lead when coeffs has.
+    """
     deg = len(coeffs) - 1
     if deg < 4 or deg > 6 or max(abs(c) for c in coeffs) > _KRONECKER_MAX_COEFF:
         return None
@@ -1152,7 +1115,7 @@ def _kronecker_split(coeffs):
                 continue
             quo = _poly_divmod_int(coeffs, cand)
             if quo is not None:
-                return cand, quo
+                return (cand, quo) if cand[-1] > 0 else ([-c for c in cand], [-c for c in quo])
     return None
 
 
@@ -1177,7 +1140,7 @@ def _poly_divmod_int(a, b):
 
 
 def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
-    """Factor over Q: content, var powers, rational roots, small Kronecker splits.
+    """Factor over Q: content, rational roots, small Kronecker splits.
 
     Residual quadratics and cubics without rational roots are irreducible and
     land in `factors`; the part the bounded search cannot split is returned
@@ -1191,27 +1154,17 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
     scale = _primitive_scale(p)
     unit = Fraction(1, scale)
     work = p * scale
+    if work.is_constant():
+        return FactorizationResult(unit, [], None)
     factors = []
     x = MPoly.variable(p.vars, var)
     (xe,) = x.terms
-    k = min((e[p.vars.index(var)] for e in work.terms), default=0)
-    if k:
-        factors.append((x, k))
-        work = divexact(work, x**k)
-    if work.is_constant():
-        unit = unit * work.constant_value()
-        return FactorizationResult(unit, factors, None)
-
-    # squarefree split first so roots/Kronecker run on squarefree pieces
-    sqf_parts = squarefree_decomposition(work, var)
     remainder = None
-    for piece, mult in sqf_parts:
-        cont, coeffs = _uni_coeff_ints(piece, var)
-        if piece.leading_coeff() < 0:
-            cont = -cont
-            coeffs = [-c for c in coeffs]
-        unit = unit * cont**mult
-        roots, rest, roots_complete = _rational_roots(coeffs)
+    # squarefree split first so roots/Kronecker run on squarefree pieces; the
+    # pieces are primitive with a positive lead (Gauss's lemma), and so is
+    # every quotient the root and Kronecker splits leave
+    for piece, mult in squarefree_decomposition(work, var):
+        roots, rest, roots_complete = _rational_roots(_uni_coeff_ints(piece, var)[1])
         for root in roots:
             factors.append((x * root.denominator - root.numerator, mult))
         stack = [rest]
@@ -1219,14 +1172,8 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
             cur = stack.pop()
             deg = len(cur) - 1
             if deg <= 0:
-                if cur[0] != 1:
-                    unit = unit * Fraction(cur[0]) ** mult
                 continue
             poly = MPoly(p.vars, {tuple(d * i for i in xe): c for d, c in enumerate(cur)})
-            if poly.leading_coeff() < 0:
-                poly = -poly
-                cur = [-c for c in cur]
-                unit = unit * Fraction(-1) ** mult
             if deg <= 3 and roots_complete:
                 # no rational root was missed, so degree 2 or 3 here is irreducible
                 factors.append((poly, mult))

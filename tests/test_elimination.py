@@ -1,15 +1,17 @@
 """Resultant, discriminant, gcd, factorization, RatFun.inverse and the
-integer Bareiss rank and determinant.
+integer Bareiss rank.
 
 Each kernel is checked against an outside oracle (sympy, skipped when it is
 not installed) on seeded random inputs, and the resultant also against the
 fraction-free Bareiss determinant of the MPoly Sylvester matrix written out
-below as the reference.  The integer interpolation of the Kronecker split is
-checked against the Fraction Vandermonde solve it replaced (`solve_linear`
-below, a reference built on rref), and the integer rank against the rank
-rref reports.  The heuristic gcd is checked against the PRS it falls back
-to, and the integer rational-root test against the Fraction evaluation it
-replaced.
+below as the reference, with pinned pairs for the steps of its subresultant
+PRS: a remainder that drops two or more degrees, equal input degrees, a
+first degree below the second with both odd, and Fraction coefficients.
+The integer interpolation of the Kronecker split is checked against the
+Fraction Vandermonde solve it replaced (`solve_linear` below, a reference
+built on rref), and the integer rank against the rank rref reports.  The
+heuristic gcd is checked against the PRS it falls back to, and the integer
+rational-root test against the Fraction evaluation it replaced.
 """
 
 import math
@@ -23,7 +25,6 @@ from hornsing.exact import (
     DegreeZero,
     MPoly,
     RatFun,
-    _int_det,
     _int_rank,
     _mul_trunc,
     _newton_int,
@@ -347,10 +348,35 @@ def _assert_matches_reference(a, b, var):
     return got
 
 
+def _assert_prs_edge_cases(cases, var):
+    """Each pair (a, b) against the Bareiss reference and, when sympy is
+    installed, the determinant of sympy's Sylvester matrix.
+
+    sympy.resultant itself is no oracle here: sympy 1.14 gives
+    resultant(3*t - 2, t**3 + t + 1, t) = -53, the sign of the swapped pair,
+    where the Sylvester determinant is 53.
+    """
+    try:
+        import sympy
+        from sympy.polys.matrices import DomainMatrix
+        from sympy.polys.subresultants_qq_zz import sylvester
+    except ImportError:
+        sympy = None
+    for a, b in cases:
+        got = _assert_matches_reference(a, b, var)
+        if sympy is not None:
+            syms = sympy.symbols(" ".join(a.vars), seq=True)
+            F, G = _to_sympy(a, syms), _to_sympy(b, syms)
+            matrix = DomainMatrix.from_Matrix(sylvester(F, G, syms[a.vars.index(var)]))
+            det = matrix.domain.to_sympy(matrix.det())
+            assert got == _from_sympy(det, a.vars, syms).terms
+
+
 def test_resultant_leading_coefficient_vanishing_at_interpolation_points():
     z, t = MPoly.variable(ZT, "z"), MPoly.variable(ZT, "t")
-    # D = 3*3 + 2*2 = 13, so z = 0, 1, 2 are interpolation points where
-    # the leading coefficient in t, and in the second pair both, vanish
+    # the leading coefficient in t, and in the second pair both leading
+    # coefficients, vanish at z = 0, 1, 2, so the degree in t drops under
+    # these specializations; the resultant over Q[z] must not depend on them
     a = z * (z - 1) * (z - 2) * t**2 + (z + 3) * t - 1
     b = (z - 1) * t**3 + z**2 * t + 5
     assert _assert_matches_reference(a, b, "t") != {}
@@ -398,6 +424,21 @@ def test_resultant_without_other_variables():
     got = _assert_matches_reference(t2**2 - 2, Fraction(2, 3) * t2 - 1, "t")
     assert got == {(0, 0): Fraction(1, 9)}
     assert _assert_matches_reference(t2 - 1, t2**2 - 2, "t") == {(0, 0): Fraction(-1)}
+    _assert_prs_edge_cases(
+        [
+            # 2a - 3t*b = 5t^2 - 3t - 4 leaves the t^4 slot zero: a drop of two
+            (3 * t**5 + t**2 - 2, 2 * t**4 - t + 1),
+            # 2a - 2t^2*b = -10t + 2 drops three degrees below deg b = 4
+            (2 * t**6 + 2 * t**5 + 3 * t**2 - 5 * t + 1, 2 * t**4 + 2 * t**3 + 3),
+            # equal degrees, so the first step has delta = 0
+            (2 * t**3 - t + 5, t**3 + 4 * t**2 - 1),
+            # m < n with both odd, so the swap flips the sign
+            (3 * t - 2, t**3 + t + 1),
+            (t**3 - 2 * t + 7, 2 * t**5 + t**4 - 3),
+            (Fraction(1, 2) * t**3 - Fraction(2, 3) * t + Fraction(1, 5), Fraction(3, 7) * t**2 - t + Fraction(1, 2)),
+        ],
+        "t",
+    )
 
 
 def test_resultant_trivariate_matches_reference():
@@ -415,6 +456,23 @@ def test_resultant_trivariate_matches_reference():
     # graph polynomials of x = t^2/(16(t+1)^2), y = 1/(16(t+1)^2)
     got = _assert_matches_reference(16 * x * (t + 1) ** 2 - t**2, 16 * y * (t + 1) ** 2 - 1, "t")
     assert got != {}
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    _assert_prs_edge_cases(
+        [
+            # (y+1)a - x*t*b = (y^2 + y + x^2)t^2 - 2x*t - y - 1 drops two degrees
+            (x * t**5 + y * t**2 - 1, (y + 1) * t**4 - x * t + 2),
+            # x*a - x*t*b = x drops three degrees
+            (x * t**4 + y * t**3 + t + 1, x * t**3 + y * t**2 + 1),
+            # equal degrees, so the first step has delta = 0
+            (x * t**2 + y * t + 1, y * t**2 + t - x),
+            (x * t**3 + y, (x + y) * t**3 + t**2 - 1),
+            # m < n with both odd, so the swap flips the sign
+            (x * t + y, t**3 + x * y * t - 1),
+            (t**3 - x * t + y, y * t**5 + x * t**2 - 1),
+            (half * x * t**2 + third * y * t - Fraction(1, 5), Fraction(3, 4) * t**3 + x * t - Fraction(1, 7) * y),
+        ],
+        "t",
+    )
 
 
 def test_resultant_degree_zero_message():
@@ -604,16 +662,3 @@ def test_int_rank_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for rows in _planted_rank_matrices(9002, 150):
         assert _int_rank(rows) == sympy.Matrix(rows).rank()
-
-
-def test_int_det_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(9003)
-    singular = 0
-    for rows in _planted_rank_matrices(9004, 300):
-        n = len(rows)
-        square = [row[:n] + [rng.randint(-9, 9) for _ in range(n - len(row))] for row in rows]
-        want = sympy.Matrix(square).det()
-        singular += want == 0
-        assert _int_det([list(row) for row in square]) == want
-    assert singular > 50

@@ -12,6 +12,7 @@ from hornsing.exact import (
     ZeroInput,
     _clear,
     _mul_trunc,
+    _rational_roots,
     _uni_coeff_ints,
     discriminant,
     divexact,
@@ -275,6 +276,19 @@ def test_factor_univariate_head_style():
     assert names["54*t - 1"] == 1
     assert names["t^2 - 11*t - 1"] == 2
     assert res.complete
+
+
+def test_factor_univariate_root_zero_comes_from_the_root_pass():
+    # one trailing zero is the root 0, and it is taken before the pair cap:
+    # lcm(1..40) has 55,296 divisors, too many pairs for the other roots
+    assert _rational_roots([0, -2, 1]) == ([0, 2], [1], True)
+    X = ("t",)
+    t = MPoly.variable(X, "t")
+    L = math.lcm(*range(1, 41))
+    rest = L * t**2 + t + L
+    for k in (1, 3):
+        res = factor_univariate(-3 * t**k * rest, "t")
+        assert (res.unit, res.factors, res.remainder) == (-3, [(t, k)], rest)
 
 
 def test_factor_univariate_irreducible_quadratic():
