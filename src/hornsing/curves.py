@@ -8,6 +8,7 @@ genus of curves quadratic in a chosen variable, and evaluates the j-invariant
 of the two-cosine family of lattice singularity curves.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import (
@@ -18,7 +19,6 @@ from .exact import (
     divexact,
     factor_univariate,
     gcd_list,
-    poly_gcd,
     resultant,
     squarefree_decomposition,
     squarefree_primitive,
@@ -118,6 +118,14 @@ class Param:
             expr_to_ratfun(parse_expr(ytext, u), u),
         )
 
+    def __eq__(self, other):
+        if not isinstance(other, Param):
+            return NotImplemented
+        return (self.xp, self.yp) == (other.xp, other.yp)
+
+    def __hash__(self):
+        return hash((self.xp, self.yp))
+
     def __repr__(self):
         return "Param(%s, %s)" % (self.xp.to_str(), self.yp.to_str())
 
@@ -135,34 +143,14 @@ def verify_parametrization(curve, param):
     return image.is_zero()
 
 
-class MatchReport:
+class MatchReport(namedtuple("MatchReport", "kind constant left right")):
     """Outcome of comparing two curves pulled back to common variables.
 
     kind is "equal" (identical cleared numerators), "proportional"
     (left = constant * right), or "distinct".
     """
 
-    __slots__ = ("kind", "constant", "left", "right")
-
-    def __init__(self, kind, constant, left, right):
-        self.kind = kind
-        self.constant = constant
-        self.left = left
-        self.right = right
-
-    @property
-    def common(self):
-        """The gcd of the squarefree parts of left and right."""
-        if self.kind == "distinct":
-            return poly_gcd(squarefree_primitive(self.left), squarefree_primitive(self.right))
-        return squarefree_primitive(self.left)
-
-    def __repr__(self):
-        if self.kind == "proportional":
-            return "MatchReport(proportional, constant=%s)" % self.constant
-        if self.kind == "distinct":
-            return "MatchReport(distinct, gcd=%s)" % self.common.to_str()
-        return "MatchReport(equal)"
+    __slots__ = ()
 
 
 def _pullback(curve, mapping):
@@ -209,24 +197,15 @@ def _rational_roots(p, var, residual):
     return {r for r, _ in roots}
 
 
-class SingularPoints:
+class SingularPoints(namedtuple("SingularPoints", "points residual")):
     """Rational affine singular points plus unresolved eliminant factors."""
 
-    __slots__ = ("points", "residual")
-
-    def __init__(self, points, residual):
-        self.points = tuple(points)
-        self.residual = tuple(residual)
+    __slots__ = ()
 
     @property
     def complete(self):
         """True when no eliminant factor is left unresolved."""
         return not self.residual
-
-    def __repr__(self):
-        left = ", ".join("(%s, %s)" % p for p in self.points)
-        tag = "complete" if self.complete else "partial"
-        return "SingularPoints([%s], %s)" % (left, tag)
 
 
 def _core_singularities(G, x, y, residual):
@@ -269,10 +248,10 @@ def affine_singular_points(curve):
         points.update((a, b) for a in _rational_roots(sect, x, residual))
     if not core.is_constant():
         points.update(_core_singularities(core, x, y, residual))
-    return SingularPoints(sorted(points), residual)
+    return SingularPoints(tuple(sorted(points)), tuple(residual))
 
 
-class GenusCertificate:
+class GenusCertificate(namedtuple("GenusCertificate", "genus var base_var discriminant odd_part")):
     """Genus of a curve quadratic in one variable, from its fiber discriminant.
 
     The curve is birational to w^2 = odd_part, where odd_part collects the
@@ -280,21 +259,7 @@ class GenusCertificate:
     degree of odd_part.
     """
 
-    __slots__ = ("genus", "var", "base_var", "discriminant", "odd_part")
-
-    def __init__(self, genus, var, base_var, disc, odd_part):
-        self.genus = genus
-        self.var = var
-        self.base_var = base_var
-        self.discriminant = disc
-        self.odd_part = odd_part
-
-    def __repr__(self):
-        return "GenusCertificate(genus=%d, %s^2 = %s)" % (
-            self.genus,
-            self.var,
-            self.odd_part.to_str(),
-        )
+    __slots__ = ()
 
 
 def genus_quadratic_fiber(curve, var):

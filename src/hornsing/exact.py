@@ -10,6 +10,7 @@ No floats, no rounding, anywhere.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as _iproduct
 from operator import add as _add
@@ -953,17 +954,14 @@ def _divisors_from_factors(factors):
     return sorted(divs)
 
 
-class FactorizationResult:
+class FactorizationResult(namedtuple("FactorizationResult", "unit factors remainder")):
     """Outcome of univariate factoring over Q.
 
     unit * prod(factor^mult) * remainder reproduces the input; remainder
     is None when the split is complete and proved irreducible piecewise.
     """
 
-    def __init__(self, unit, factors, remainder):
-        self.unit = unit
-        self.factors = factors
-        self.remainder = remainder
+    __slots__ = ()
 
     @property
     def complete(self):
@@ -985,11 +983,6 @@ class FactorizationResult:
         if self.remainder is not None:
             others.append((self.remainder, 1))
         return roots, others
-
-    def __repr__(self):
-        parts = ["%r^%d" % (f.to_str(), m) for f, m in self.factors]
-        tail = "" if self.complete else " * [%s]" % self.remainder.to_str()
-        return "Factorization(%s * %s%s)" % (self.unit, " * ".join(parts) or "1", tail)
 
 
 def _uni_coeff_ints(p, var):
@@ -1051,18 +1044,15 @@ def _eval_hom(coeffs, p, q):
 def _rational_roots(coeffs):
     """(roots, quotient, complete) of a squarefree primitive integer coefficient list.
 
-    A zero trailing coefficient gives the root 0 and is stripped first.
-    Each candidate p/q, p dividing the trailing and q the leading
-    coefficient of the input, is then tested once, against the quotient
-    left by the roots found so far, and divided out on a hit; a q or p that
-    no longer divides the quotient's end coefficient is skipped.  When an
-    end coefficient does not factor, or the divisor pairs exceed
-    _MAX_ROOT_PAIRS, no further root is sought and complete is False.
+    The constant term is nonzero.  Each candidate p/q, p dividing the
+    trailing and q the leading coefficient of the input, is tested once,
+    against the quotient left by the roots found so far, and divided out
+    on a hit; a q or p that no longer divides the quotient's end
+    coefficient is skipped.  When an end coefficient does not factor, or
+    the divisor pairs exceed _MAX_ROOT_PAIRS, no further root is sought
+    and complete is False.
     """
     roots = []
-    if not coeffs[0]:
-        roots.append(Fraction(0))
-        coeffs = coeffs[1:]
     fl, okl = _factor_int(coeffs[-1])
     ft, okt = _factor_int(coeffs[0])
     dl = _divisors_from_factors(fl)
@@ -1153,12 +1143,14 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
             raise ValueError("factor_univariate got a multivariate input")
     scale = _primitive_scale(p)
     unit = Fraction(1, scale)
-    work = p * scale
-    if work.is_constant():
-        return FactorizationResult(unit, [], None)
-    factors = []
     x = MPoly.variable(p.vars, var)
     (xe,) = x.terms
+    # split off var^k first, so the squarefree split runs no gcd per power of var
+    exps, work = strip_monomials(p * scale)
+    k = exps[p.vars.index(var)]
+    factors = [(x, k)] if k else []
+    if work.is_constant():
+        return FactorizationResult(unit, factors, None)
     remainder = None
     # squarefree split first so roots/Kronecker run on squarefree pieces; the
     # pieces are primitive with a positive lead (Gauss's lemma), and so is

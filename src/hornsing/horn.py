@@ -6,6 +6,7 @@ maps t -> (X(t), Y(t)) trace an algebraic curve; eliminating t by a resultant
 produces its equation.  Axis factors x^a y^b split off separately.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .curves import Curve
@@ -22,20 +23,13 @@ class IdenticallyZeroResultant(Exception):
     """The two map polynomials share a factor; the elimination collapses."""
 
 
-class HornMaps:
+class HornMaps(namedtuple("HornMaps", "X Y")):
     """Limit maps X(t), Y(t) of the inverse term ratios, t the index ratio."""
 
-    __slots__ = ("X", "Y")
-
-    def __init__(self, X, Y):
-        self.X = X
-        self.Y = Y
-
-    def __repr__(self):
-        return "HornMaps(X=%s, Y=%s)" % (self.X.to_str(), self.Y.to_str())
+    __slots__ = ()
 
 
-class HornResult:
+class HornResult(namedtuple("HornResult", "main_curve monomial_components axis_values")):
     """Curve traced by the limit maps, with stripped monomial and axis data.
 
     monomial_components holds the exponents (a, b) of the x^a y^b factor
@@ -43,19 +37,7 @@ class HornResult:
     Y(t=0) when finite, None otherwise.
     """
 
-    __slots__ = ("main_curve", "monomial_components", "axis_values")
-
-    def __init__(self, main_curve, monomial_components, axis_values):
-        self.main_curve = main_curve
-        self.monomial_components = monomial_components
-        self.axis_values = axis_values
-
-    def __repr__(self):
-        return "HornResult(%s, monomials=%r, axis=%r)" % (
-            self.main_curve.to_str(),
-            self.monomial_components,
-            self.axis_values,
-        )
+    __slots__ = ()
 
 
 def _leading_homogeneous(p):

@@ -7,6 +7,7 @@ Nickelian curve family generated from cosine pairs, and genus bookkeeping
 for every catalog factor.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -169,15 +170,10 @@ _CM_FACTOR_TEXT = "r^2 - 4*r + 4 + 3*w^2*r^2 - 4*w^2*r + 16*w^4*r"
 _CM_PARAM = ("(u^2+1)/(2*u)", "-4/(u^2*(u^2+3))")
 
 
-class ChiCatalog:
+class ChiCatalog(namedtuple("ChiCatalog", "n coords factors")):
     """Factor list, with multiplicities, of one susceptibility singular set."""
 
-    __slots__ = ("n", "coords", "factors")
-
-    def __init__(self, n, coords, factors):
-        self.n = n
-        self.coords = coords
-        self.factors = tuple(factors)
+    __slots__ = ()
 
     def product(self):
         vars = KR if self.coords == "kr" else WR
@@ -185,13 +181,6 @@ class ChiCatalog:
         for curve, mult in self.factors:
             out = out * curve.poly**mult
         return out
-
-    def __repr__(self):
-        return "ChiCatalog(chi%d, %s, %d factors)" % (
-            self.n,
-            self.coords,
-            len(self.factors),
-        )
 
 
 @cache
@@ -234,7 +223,9 @@ def _wr_map():
     return {"w": (1 + s * s) / (2 * s), "r": _sr("r")}
 
 
-class CorrespondenceReport:
+class CorrespondenceReport(
+    namedtuple("CorrespondenceReport", "n matched unmatched_kr unmatched_wr")
+):
     """Bipartite matching of catalog factors under k = s^2 and w = (1+s^2)/(2s).
 
     matched holds (wr_curve, kr_curves, constant) with
@@ -242,21 +233,7 @@ class CorrespondenceReport:
     singles are tried first, then products of two factors.
     """
 
-    __slots__ = ("n", "matched", "unmatched_kr", "unmatched_wr")
-
-    def __init__(self, n, matched, unmatched_kr, unmatched_wr):
-        self.n = n
-        self.matched = tuple(matched)
-        self.unmatched_kr = tuple(unmatched_kr)
-        self.unmatched_wr = tuple(unmatched_wr)
-
-    def __repr__(self):
-        return "CorrespondenceReport(chi%d, %d matched, %d+%d unmatched)" % (
-            self.n,
-            len(self.matched),
-            len(self.unmatched_kr),
-            len(self.unmatched_wr),
-        )
+    __slots__ = ()
 
 
 def kr_wr_report(n):
@@ -292,38 +269,23 @@ def kr_wr_report(n):
         matched.append((wc, tuple(kr_factors[i] for i in indices), constant))
         free = [i for i in free if i not in indices]
     return CorrespondenceReport(
-        n, matched, [kr_factors[i] for i in free], unmatched_wr
+        n, tuple(matched), tuple(kr_factors[i] for i in free), tuple(unmatched_wr)
     )
 
 
 # ---- genus audit -----------------------------------------------------------------
 
 
-class AuditEntry:
+class AuditEntry(
+    namedtuple("AuditEntry", "n coords curve multiplicity genus certificate parametrization")
+):
     """Genus verdict for one catalog factor.
 
     certificate is None for factors linear in both variables (rational by
     solving); parametrization, when set, has been verified on the curve.
     """
 
-    __slots__ = ("n", "coords", "curve", "multiplicity", "genus", "certificate", "parametrization")
-
-    def __init__(self, n, coords, curve, multiplicity, genus, certificate, parametrization):
-        self.n = n
-        self.coords = coords
-        self.curve = curve
-        self.multiplicity = multiplicity
-        self.genus = genus
-        self.certificate = certificate
-        self.parametrization = parametrization
-
-    def __repr__(self):
-        return "AuditEntry(chi%d %s, %s, genus %d)" % (
-            self.n,
-            self.coords,
-            self.curve.to_str(),
-            self.genus,
-        )
+    __slots__ = ()
 
 
 def _audit_genus(curve, coords):

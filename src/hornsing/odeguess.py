@@ -1,6 +1,7 @@
 """Fit, normalize and analyze univariate linear ODEs on truncated series."""
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul
@@ -122,23 +123,18 @@ class UniODE:
         return "UniODE(%s)" % " + ".join(parts)
 
 
-class GuessReport:
+class GuessReport(namedtuple("GuessReport", "ode checked_margin")):
     """An accepted fit together with its verification margin."""
 
-    __slots__ = ("ode", "checked_margin")
-
-    def __init__(self, ode, checked_margin):
-        self.ode = ode
-        self.checked_margin = checked_margin
-
-    def __repr__(self):
-        return "GuessReport(order=%d, margin=%d)" % (
-            self.ode.order,
-            self.checked_margin,
-        )
+    __slots__ = ()
 
 
-class SingularLocus:
+class SingularLocus(
+    namedtuple(
+        "SingularLocus",
+        "var head zero_multiplicity rational_points other_factors complete",
+    )
+):
     """Factored head polynomial of an operator.
 
     The multiplicity of t = 0 is reported separately; `complete` is False
@@ -146,30 +142,7 @@ class SingularLocus:
     unfactored in `other_factors`.
     """
 
-    __slots__ = (
-        "var",
-        "head",
-        "zero_multiplicity",
-        "rational_points",
-        "other_factors",
-        "complete",
-    )
-
-    def __init__(self, var, head, zero_multiplicity, rational_points, other_factors, complete):
-        self.var = var
-        self.head = head
-        self.zero_multiplicity = zero_multiplicity
-        self.rational_points = tuple(rational_points)
-        self.other_factors = tuple(other_factors)
-        self.complete = complete
-
-    def __repr__(self):
-        pts = ", ".join("%s^%d" % rm for rm in self.rational_points)
-        return "SingularLocus(t^%d; %s; %d residual)" % (
-            self.zero_multiplicity,
-            pts,
-            len(self.other_factors),
-        )
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +446,7 @@ def singular_points(ode):
     rational = sorted((r, m) for r, m in roots if r != 0)
     zero_mult = dict(roots).get(0, 0)
     return SingularLocus(
-        ode.var, ode.head, zero_mult, rational, other, fac.complete
+        ode.var, ode.head, zero_mult, tuple(rational), tuple(other), fac.complete
     )
 
 

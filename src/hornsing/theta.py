@@ -10,6 +10,7 @@ of a system.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, perm, prod
@@ -88,28 +89,14 @@ class PdeSystem:
         return max(op.max_shift for op in self.ops)
 
 
-class LogSeries:
+class LogSeries(namedtuple("LogSeries", "order parts")):
     """Sum of series coefficients times products of log powers.
 
     parts maps a log-power tuple (one entry per variable) to the series
     multiplying ln(x)^i [* ln(y)^j]; all parts share one truncation order.
     """
 
-    __slots__ = ("order", "parts")
-
-    def __init__(self, order, parts):
-        self.order = order
-        self.parts = {
-            tuple(idx): s for idx, s in parts.items() if not _series_is_zero(s)
-        }
-
-    def __eq__(self, other):
-        if not isinstance(other, LogSeries):
-            return NotImplemented
-        return self.order == other.order and self.parts == other.parts
-
-    def __repr__(self):
-        return "LogSeries(order=%d, logs=%s)" % (self.order, sorted(self.parts))
+    __slots__ = ()
 
 
 def _series_is_zero(s):
@@ -467,5 +454,6 @@ def log_basis(sys, order, max_log):
                 built[li] = UniSeries(
                     order, [Fraction(row.get((li, (k,)), 0), den) for k in range(order + 1)]
                 )
-        basis.append(LogSeries(order, built))
+        parts = {li: s for li, s in built.items() if not _series_is_zero(s)}
+        basis.append(LogSeries(order, parts))
     return len(basis), basis

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hornsing import exact
 from hornsing.exact import (
     DegreeTooLow,
     DegreeZero,
@@ -12,7 +13,6 @@ from hornsing.exact import (
     ZeroInput,
     _clear,
     _mul_trunc,
-    _rational_roots,
     _uni_coeff_ints,
     discriminant,
     divexact,
@@ -21,6 +21,7 @@ from hornsing.exact import (
     poly_gcd,
     resultant,
     rref,
+    squarefree_decomposition,
     squarefree_primitive,
 )
 
@@ -278,12 +279,24 @@ def test_factor_univariate_head_style():
     assert res.complete
 
 
-def test_factor_univariate_root_zero_comes_from_the_root_pass():
-    # one trailing zero is the root 0, and it is taken before the pair cap:
-    # lcm(1..40) has 55,296 divisors, too many pairs for the other roots
-    assert _rational_roots([0, -2, 1]) == ([0, 2], [1], True)
+def test_factor_univariate_splits_off_the_variable_power_first(monkeypatch):
+    # t^k is split off before the squarefree split, which so never gets a
+    # zero constant term and runs no gcd per power of t
     X = ("t",)
     t = MPoly.variable(X, "t")
+    seen = []
+
+    def spy(p, var):
+        assert p.coeff_list(var)[0] != 0
+        seen.append(p)
+        return squarefree_decomposition(p, var)
+
+    monkeypatch.setattr(exact, "squarefree_decomposition", spy)
+    res = factor_univariate(t**15 * (t + 1), "t")
+    assert (res.unit, res.factors, res.remainder) == (1, [(t, 15), (t + 1, 1)], None)
+    assert seen == [t + 1]
+    # so the root 0 needs no root pass, which stops at its pair cap:
+    # lcm(1..40) has 55,296 divisors, too many pairs for the other roots
     L = math.lcm(*range(1, 41))
     rest = L * t**2 + t + L
     for k in (1, 3):
@@ -651,7 +664,6 @@ def test_property_substitute_ratfun_matches_sympy():
 
 
 def test_squarefree_decomposition_multiplicities():
-    from hornsing.exact import squarefree_decomposition
 
     x, y = x_(), y_()
     p = (x - y) * (x + y) ** 2 * (x - 2 * y) ** 3

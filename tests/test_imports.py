@@ -92,6 +92,60 @@ def test_no_dead_helpers():
     assert dead_helpers(sources) == []
 
 
+def _stores_an_argument(stmt, self_name, params):
+    """True when stmt is self.a = b or self.a = tuple(b), b one of params."""
+    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+        return False
+    target, value = stmt.targets[0], stmt.value
+    if (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id == "tuple" and len(value.args) == 1 and not value.keywords
+    ):
+        value = value.args[0]
+    return (
+        isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+        and target.value.id == self_name and isinstance(value, ast.Name) and value.id in params
+    )
+
+
+def hand_written_records(source):
+    """(line, name) of each module-level class of source whose __init__ only
+    stores its own arguments, as self.a = b or self.a = tuple(b): a record
+    that collections.namedtuple would write."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                self_name, *params = [a.arg for a in sub.args.args + sub.args.kwonlyargs]
+                if all(_stores_an_argument(stmt, self_name, params) for stmt in sub.body):
+                    out.append((node.lineno, node.name))
+    return out
+
+
+def test_hand_written_records_detects_a_storing_init():
+    source = (
+        "class Pair:\n    def __init__(self, a, b):\n        self.a = a\n"
+        "        self.rest = tuple(b)\n\n"
+        "class Checked:\n    def __init__(self, a):\n        self.a = int(a)\n\n"
+        "class Filled:\n    def __init__(self, a):\n        self.a = a\n        self.b = 0\n\n"
+        "class Failed(Exception):\n    def __init__(self, msg, n):\n"
+        "        super().__init__(msg)\n        self.n = n\n\n"
+        "class Named(namedtuple('Named', 'a b')):\n    __slots__ = ()\n"
+    )
+    assert hand_written_records(source) == [(1, "Pair")]
+
+
+def test_no_hand_written_records():
+    found = [
+        (path.name, *record)
+        for path in sorted(SRC.glob("*.py"))
+        for record in hand_written_records(path.read_text())
+    ]
+    assert found == []
+
+
 def _reads(node, owner=None):
     """The reads under node: ("name", n) for a bare name or a name imported
     from a module, ("attr", n) for an attribute read .n, and ("cls", C, n)
