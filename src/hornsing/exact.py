@@ -1130,7 +1130,7 @@ def _poly_divmod_int(a, b):
 
 
 def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
-    """Factor over Q: content, rational roots, small Kronecker splits.
+    """Factor over Q: content, var powers, rational roots, small Kronecker splits.
 
     Residual quadratics and cubics without rational roots are irreducible and
     land in `factors`; the part the bounded search cannot split is returned

@@ -280,8 +280,8 @@ def test_factor_univariate_head_style():
 
 
 def test_factor_univariate_splits_off_the_variable_power_first(monkeypatch):
-    # t^k is split off before the squarefree split, which so never gets a
-    # zero constant term and runs no gcd per power of t
+    # t^k is split off before the squarefree split, so that split never
+    # gets a zero constant term and runs no gcd per power of t
     X = ("t",)
     t = MPoly.variable(X, "t")
     seen = []
@@ -664,7 +664,6 @@ def test_property_substitute_ratfun_matches_sympy():
 
 
 def test_squarefree_decomposition_multiplicities():
-
     x, y = x_(), y_()
     p = (x - y) * (x + y) ** 2 * (x - 2 * y) ** 3
     parts = dict((m, f) for f, m in squarefree_decomposition(p, "x"))

@@ -1,6 +1,7 @@
 """Every name a hornsing module imports is used in that module, every
-module-level private function or class is referenced by some module, and
-every public function, class or method has a caller or a stated reason."""
+module-level private function or class is referenced by some module, every
+public function, class or method has a caller or a stated reason, and no
+class is a record written by hand where collections.namedtuple would do."""
 
 import ast
 import importlib.util
