@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import chain as _chain, product as _iproduct
 from operator import add as _add
 
 
@@ -746,9 +746,9 @@ def _eval_slot(c, z, v):
     return {e: x for e, x in out.items() if x}
 
 
-def _newton_int(ys, x0):
+def _newton_int(ys):
     """Integer coefficients, low first, of the polynomial of degree < len(ys)
-    taking the values ys at x0, x0+1, ..., or None when they are not integers.
+    taking the values ys at 0, 1, ..., or None when they are not integers.
 
     Newton divided differences at consecutive nodes divide by k at level k.
     Those of an integer polynomial at integer nodes are integers (for x^j
@@ -765,8 +765,8 @@ def _newton_int(ys, x0):
                 return None
     poly = [ys[D]]
     for k in range(D - 1, -1, -1):
-        # poly <- poly * (z - x0 - k) + ys[k]
-        poly = [s - (x0 + k) * p for s, p in zip([0] + poly, poly + [0])]
+        # poly <- poly * (z - k) + ys[k]
+        poly = [s - k * p for s, p in zip([0] + poly, poly + [0])]
         poly[0] += ys[k]
     return poly
 
@@ -905,60 +905,46 @@ def _is_probable_prime(n):
     return True
 
 
-# Work bounds of the rational-root and Kronecker searches.  Past any of them
-# the search gives up and the piece it was given stays unsplit.
-_TRIAL_DIVISION_BOUND = 10**6  # largest trial divisor in _factor_int
+# Work bounds of the factor search.  Past any of them the search gives up and
+# the piece it was given stays unsplit.
+_TRIAL_DIVISION_BOUND = 10**6  # largest trial divisor in _divisors
 _MAX_DIVISORS = 200000  # divisors of one integer
-_MAX_ROOT_PAIRS = 10**6  # (lead divisor, trail divisor) pairs of one root search
-_KRONECKER_MAX_COEFF = 10**8  # largest |coefficient| Kronecker splits
-_KRONECKER_MAX_COMBOS = 200000  # divisor tuples tried per factor degree
+_MAX_CANDIDATES = 200000  # candidate factors of one degree: d(lead) * prod 2*d(value)
 
 
-def _factor_int(n):
-    """Trial-division factorization; returns (factors dict, complete flag)."""
+def _divisors(n):
+    """Sorted positive divisors of the integer n, or None when n is 0, when n
+    does not factor by trial division up to _TRIAL_DIVISION_BOUND and a prime
+    test, or when it has more than _MAX_DIVISORS divisors."""
     n = abs(n)
-    factors = {}
-    if n <= 1:
-        return factors, True
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n and f <= _TRIAL_DIVISION_BOUND:
-        for p in (f, f + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n == 1:
-        return factors, True
-    if _is_probable_prime(n):
-        factors[n] = factors.get(n, 0) + 1
-        return factors, True
-    return factors, False
-
-
-def _divisors_from_factors(factors):
-    """Sorted positive divisors, or None past _MAX_DIVISORS."""
+    if not n:
+        return None
     divs = [1]
-    for p, e in factors.items():
-        new = []
-        pk = 1
-        for _ in range(e + 1):
-            new.extend(d * pk for d in divs)
-            pk *= p
-            if len(new) > _MAX_DIVISORS:
+    trial = _chain((2, 3), (f + r for f in range(5, _TRIAL_DIVISION_BOUND + 1, 6) for r in (0, 2)))
+    for p in trial:
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            if len(divs) * (e + 1) > _MAX_DIVISORS:
                 return None
-        divs = new
+            divs = [d * p**k for k in range(e + 1) for d in divs]
+    if n > 1:
+        if 2 * len(divs) > _MAX_DIVISORS or not _is_probable_prime(n):
+            return None
+        divs += [d * n for d in divs]
     return sorted(divs)
 
 
 class FactorizationResult(namedtuple("FactorizationResult", "unit factors remainder")):
     """Outcome of univariate factoring over Q.
 
-    unit * prod(factor^mult) * remainder reproduces the input; remainder
-    is None when the split is complete and proved irreducible piecewise.
+    unit * prod(factor^mult) * remainder reproduces the input.  Each factor
+    is irreducible; remainder is the part a work bound of the search left
+    unsplit, or None when there is none.
     """
 
     __slots__ = ()
@@ -1032,81 +1018,51 @@ def _poly_trim(a):
     return a
 
 
-def _eval_hom(coeffs, p, q):
-    """q^n * f(p/q) in integers, f = sum coeffs[k] x^k of degree n, by homogeneous Horner."""
-    v, qk = 0, 1
-    for c in reversed(coeffs):
-        v = v * p + c * qk
-        qk *= q
-    return v
+def _split_factors(coeffs):
+    """(irreducible factors, rest) of a squarefree primitive integer
+    coefficient list f, lowest degree first, with a positive lead and a
+    nonzero constant term; the factors times rest give f.
 
-
-def _rational_roots(coeffs):
-    """(roots, quotient, complete) of a squarefree primitive integer coefficient list.
-
-    The constant term is nonzero.  Each candidate p/q, p dividing the
-    trailing and q the leading coefficient of the input, is tested once,
-    against the quotient left by the roots found so far, and divided out
-    on a hit; a q or p that no longer divides the quotient's end
-    coefficient is skipped.  When an end coefficient does not factor, or
-    the divisor pairs exceed _MAX_ROOT_PAIRS, no further root is sought
-    and complete is False.
+    Kronecker's search over the factor degrees g = 1, 2, ... while 2g is at
+    most the degree of what is left.  A factor h of degree g with positive
+    lead a has a dividing the lead of f and h(x) dividing f(x) at x = 0..g-1,
+    which are nonzero (f(0) is the constant term, and f has no integer root
+    once g = 1 is done); h is a*x^g plus the interpolant of h(x) - a*x^g.
+    Each candidate is tested once, against the quotient left by the factors
+    found so far, and divided out on a hit; one whose a no longer divides
+    the quotient's lead, or that is not primitive, is skipped.  A factor
+    found at degree g is irreducible, as every factor of lower degree is
+    gone, and so is the quotient left once every g is done: it joins the
+    factors and rest is [1].  When _divisors refuses a value or one degree
+    has more than _MAX_CANDIDATES candidates, rest is the unsplit quotient.
     """
-    roots = []
-    fl, okl = _factor_int(coeffs[-1])
-    ft, okt = _factor_int(coeffs[0])
-    dl = _divisors_from_factors(fl)
-    dt = _divisors_from_factors(ft)
-    if not (okl and okt) or dl is None or dt is None or len(dl) * len(dt) > _MAX_ROOT_PAIRS:
-        return roots, coeffs, False
-    for q in dl:
-        for p in dt:
-            if coeffs[-1] % q:
-                break
-            if coeffs[0] % p or math.gcd(p, q) != 1:
-                continue
-            for sp in (p, -p):
-                if _eval_hom(coeffs, sp, q) == 0:
-                    coeffs = _poly_divmod_int(coeffs, [-sp, q])
-                    roots.append(Fraction(sp, q))
-    return roots, coeffs, True
-
-
-def _kronecker_split(coeffs):
-    """Try to find a nontrivial factor of degree <= 3; ints in, ints out.
-
-    The two pieces returned have a positive lead when coeffs has.
-    """
-    deg = len(coeffs) - 1
-    if deg < 4 or deg > 6 or max(abs(c) for c in coeffs) > _KRONECKER_MAX_COEFF:
-        return None
-    for g in range(2, deg // 2 + 1):
-        pts = list(range(-(g // 2), g - (g // 2) + 1))
-        vals = [_eval_int(coeffs, x) for x in pts]
-        if any(v == 0 for v in vals):
-            return None
-        div_sets = []
-        total = 1
-        for v in vals:
-            fs, ok = _factor_int(abs(v))
-            if not ok:
-                return None
-            ds = _divisors_from_factors(fs)
-            if ds is None:
-                return None
-            signed = [d for d0 in ds for d in (d0, -d0)]
-            div_sets.append(signed)
-            total *= len(signed)
-            if total > _KRONECKER_MAX_COMBOS:
-                return None
-        for combo in _iproduct(*div_sets):
-            cand = _newton_int(combo, pts[0])
-            if cand is None or cand[-1] == 0:
-                continue
-            quo = _poly_divmod_int(coeffs, cand)
-            if quo is not None:
-                return (cand, quo) if cand[-1] > 0 else ([-c for c in cand], [-c for c in quo])
-    return None
+    factors = []
+    g = 1
+    while 2 * g < len(coeffs):
+        leads = _divisors(coeffs[-1])
+        values = [_divisors(_eval_int(coeffs, x)) for x in range(g)]
+        if None in values or leads is None:
+            return factors, coeffs
+        if len(leads) * math.prod(2 * len(ds) for ds in values) > _MAX_CANDIDATES:
+            return factors, coeffs
+        signed = [[s * d for d in ds for s in (1, -1)] for ds in values]
+        for a in leads:
+            for ys in _iproduct(*signed):
+                if coeffs[-1] % a or 2 * g >= len(coeffs):
+                    break
+                h = _newton_int([y - a * x**g for x, y in enumerate(ys)])
+                if h is None or math.gcd(a, *h) != 1:
+                    continue
+                h.append(a)
+                quo = _poly_divmod_int(coeffs, h)
+                if quo is not None:
+                    factors.append(h)
+                    coeffs = quo
+        g += 1
+    if len(coeffs) > 1:
+        factors.append(coeffs)
+        coeffs = [1]
+    return factors, coeffs
 
 
 def _poly_divmod_int(a, b):
@@ -1130,11 +1086,13 @@ def _poly_divmod_int(a, b):
 
 
 def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
-    """Factor over Q: content, var powers, rational roots, small Kronecker splits.
+    """Factor over Q into irreducibles: content, the power of var, then
+    Kronecker's factor search (_split_factors) on each squarefree piece.
 
-    Residual quadratics and cubics without rational roots are irreducible and
-    land in `factors`; the part the bounded search cannot split is returned
-    unsplit as `remainder`.
+    The factors are irreducible and sorted by degree, then by their
+    canonical strings.  A piece whose search stops at a work bound is
+    returned unsplit, to its multiplicity, in `remainder`; it is None when
+    every piece was searched to the end.
     """
     if p.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
@@ -1145,37 +1103,25 @@ def factor_univariate(p: MPoly, var: str) -> FactorizationResult:
     unit = Fraction(1, scale)
     x = MPoly.variable(p.vars, var)
     (xe,) = x.terms
-    # split off var^k first, so the squarefree split runs no gcd per power of var
+    # split off var^k first, so the squarefree split runs no gcd per power of
+    # var and every piece has a nonzero constant term
     exps, work = strip_monomials(p * scale)
     k = exps[p.vars.index(var)]
     factors = [(x, k)] if k else []
     if work.is_constant():
         return FactorizationResult(unit, factors, None)
     remainder = None
-    # squarefree split first so roots/Kronecker run on squarefree pieces; the
-    # pieces are primitive with a positive lead (Gauss's lemma), and so is
-    # every quotient the root and Kronecker splits leave
+
+    def poly(coeffs):
+        return MPoly(p.vars, {tuple(d * i for i in xe): c for d, c in enumerate(coeffs)})
+
+    # the pieces are primitive with a positive lead (Gauss's lemma)
     for piece, mult in squarefree_decomposition(work, var):
-        roots, rest, roots_complete = _rational_roots(_uni_coeff_ints(piece, var)[1])
-        for root in roots:
-            factors.append((x * root.denominator - root.numerator, mult))
-        stack = [rest]
-        while stack:
-            cur = stack.pop()
-            deg = len(cur) - 1
-            if deg <= 0:
-                continue
-            poly = MPoly(p.vars, {tuple(d * i for i in xe): c for d, c in enumerate(cur)})
-            if deg <= 3 and roots_complete:
-                # no rational root was missed, so degree 2 or 3 here is irreducible
-                factors.append((poly, mult))
-                continue
-            split = _kronecker_split(cur) if deg >= 4 else None
-            if split is None:
-                rem_piece = poly**mult
-                remainder = rem_piece if remainder is None else remainder * rem_piece
-            else:
-                stack.extend(split)
+        found, rest = _split_factors(_uni_coeff_ints(piece, var)[1])
+        factors.extend((poly(h), mult) for h in found)
+        if len(rest) > 1:
+            rem_piece = poly(rest) ** mult
+            remainder = rem_piece if remainder is None else remainder * rem_piece
     factors.sort(key=lambda fm: (fm[0].total_degree(), fm[0].canonical_str()))
     return FactorizationResult(unit, factors, remainder)
 

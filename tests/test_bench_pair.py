@@ -128,3 +128,42 @@ def test_runs_do_not_inherit_the_peak_rss_of_bench_pair(tmp_path):
         del held
     # started from this process, the run would report at least the 80 MB held
     assert row["peak_rss_mb"] < 60
+
+
+def test_traced_pair_takes_the_median_of_alternating_runs(monkeypatch):
+    # stubbed runs: each side reports exact.self_s in its own order, and
+    # layer.calls on the parent side only
+    seen = []
+    reported = {"parent": [0.30, 0.10, 0.20], "change": [0.05, 0.25, 0.15]}
+
+    def run_once(pool, tree, workload, seed, seconds, trace=0):
+        assert (workload, seed, trace) == ("curve", 1, 1)
+        seen.append(tree)
+        value = reported[tree][sum(t == tree for t in seen) - 1]
+        metrics = {"exact.self_s": {"value": value}}
+        if tree == "parent":
+            metrics["layer.calls"] = {"value": 63}
+        return {"pass_s": [value]}, {"metrics": metrics}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    per_layer = [
+        {"name": "exact.self_s", "unit": "s"},
+        {"name": "layer.calls", "unit": "count"},
+    ]
+    trees = {"parent": "parent", "change": "change"}
+    shas = {"parent": "p0", "change": "c0"}
+    out = bench_pair.traced_pair(None, trees, shas, "curve", 1, 20, per_layer)
+    assert seen == ["parent", "change", "change", "parent", "parent", "change"]
+    assert out["layers"] == {
+        "exact.self_s": {"unit": "s", "parent": 0.20, "change": 0.15},
+        "layer.calls": {"unit": "count", "parent": 63, "change": None},
+    }
+    # every run keeps its row, with its side, run number and commit
+    assert [(r["side"], r["run"], r["first"]) for r in out["rows"]] == [
+        ("parent", 0, True), ("change", 0, False), ("change", 1, True),
+        ("parent", 1, False), ("parent", 2, True), ("change", 2, False),
+    ]
+    assert [r["row"]["commit"] for r in out["rows"]] == ["p0", "c0", "c0", "p0", "p0", "c0"]
+    assert [r["result"]["metrics"]["exact.self_s"]["value"] for r in out["rows"]] == [
+        0.30, 0.05, 0.25, 0.10, 0.20, 0.15,
+    ]

@@ -7,11 +7,11 @@ fraction-free Bareiss determinant of the MPoly Sylvester matrix written out
 below as the reference, with pinned pairs for the steps of its subresultant
 PRS: a remainder that drops two or more degrees, equal input degrees, a
 first degree below the second with both odd, and Fraction coefficients.
-The integer interpolation of the Kronecker split is checked against the
+The integer interpolation of the Kronecker search is checked against the
 Fraction Vandermonde solve it replaced (`solve_linear` below, a reference
 built on rref), and the integer rank against the rank rref reports.  The
-heuristic gcd is checked against the PRS it falls back to, and the integer
-rational-root test against the Fraction evaluation it replaced.
+heuristic gcd is checked against the PRS it falls back to, and the roots the
+factor search finds against planted roots and a Fraction evaluation.
 """
 
 import math
@@ -249,7 +249,7 @@ def test_factor_univariate_matches_sympy():
     (ts,) = sympy.symbols("t", seq=True)
     t = MPoly.variable(T, "t")
     rng = random.Random(6004)
-    complete = 0
+    inputs = []
     for _ in range(60):
         p = MPoly.const(T, Fraction(rng.choice((1, -2, 3, 5)), rng.choice((1, 2, 7))))
         for _ in range(rng.randint(1, 3)):
@@ -258,6 +258,12 @@ def test_factor_univariate_matches_sympy():
                 p = p * f ** rng.randint(1, 2)
         if p.degree("t") < 1:
             p = p * (t**4 + 1)
+        inputs.append(p)
+    # irreducible, yet reducible modulo every prime; and two quartics
+    # without rational roots
+    inputs += [t**4 - 10 * t**2 + 1, (t**4 + 3 * t + 7) * (t**4 - 5 * t**2 + 11)]
+    complete = 0
+    for p in inputs:
         res = factor_univariate(p, "t")
         rebuilt = MPoly.const(T, res.unit)
         for f, m in res.factors:
@@ -267,12 +273,14 @@ def test_factor_univariate_matches_sympy():
         assert rebuilt == p
         if res.complete:
             complete += 1
-            for f, _ in res.factors:
-                assert sympy.Poly(_to_sympy(f, (ts,)), ts).is_irreducible
-    assert complete > 30
+            coeff, theirs = sympy.factor_list(_to_sympy(p, (ts,)))
+            theirs = [(_from_sympy(f, T, (ts,)), m) for f, m in theirs]
+            assert res.unit == Fraction(int(coeff.p), int(coeff.q))
+            assert sorted(res.factors, key=str) == sorted(theirs, key=str)
+    assert complete == len(inputs)
 
 
-def test_rational_roots_integer_test_matches_fraction_reference(monkeypatch):
+def test_split_factors_finds_each_planted_root_once():
     rng = random.Random(6019)
     cases, planted = [], []
     for _ in range(40):
@@ -289,22 +297,19 @@ def test_rational_roots_integer_test_matches_fraction_reference(monkeypatch):
         content = math.gcd(*coeffs)
         cases.append([c // content for c in coeffs])
         planted.append(roots)
-    for coeffs in cases:
-        n = len(coeffs) - 1
-        for _ in range(5):
-            p, q = rng.randint(-50, 50), rng.randint(1, 50)
-            assert exact._eval_hom(coeffs, p, q) == q**n * exact._eval_int(coeffs, Fraction(p, q))
-    got = [exact._rational_roots(c) for c in cases]
-    for (roots, quotient, complete), want, coeffs in zip(got, planted, cases):
-        assert complete and want <= set(roots) and len(roots) == len(set(roots))
-        # each root found is divided out once
-        for r in roots:
-            quotient = _mul_trunc(quotient, [-r.numerator, r.denominator], len(quotient))
-        assert quotient == coeffs
-    monkeypatch.setattr(
-        exact, "_eval_hom", lambda coeffs, p, q: exact._eval_int(coeffs, Fraction(p, q))
-    )
-    assert [exact._rational_roots(c) for c in cases] == got
+    for coeffs, want in zip(cases, planted):
+        factors, rest = exact._split_factors(coeffs)
+        # the inputs are not squarefree: the degree-1 pass divides a repeated
+        # root out once, and its other powers stay in the pieces left
+        linear = [h for h in factors if len(h) == 2]
+        for r in want:
+            assert [-r.numerator, r.denominator] in linear
+        for h in linear:
+            assert exact._eval_int(coeffs, Fraction(-h[0], h[1])) == 0
+        rebuilt = rest
+        for h in factors:
+            rebuilt = _mul_trunc(rebuilt, h, len(rebuilt) + len(h) - 2)
+        assert rebuilt == coeffs
 
 
 # ---- the resultant against the fraction-free reference --------------------------
@@ -607,8 +612,7 @@ def test_newton_int_matches_vandermonde_reference():
     integral = 0
     for _ in range(600):
         deg = rng.randint(0, 5)
-        x0 = rng.randint(-4, 2)
-        xs = list(range(x0, x0 + deg + 1))
+        xs = list(range(deg + 1))
         if rng.random() < 0.5:
             ys = [rng.randint(-60, 60) for _ in xs]
         else:
@@ -616,7 +620,7 @@ def test_newton_int_matches_vandermonde_reference():
             ys = [sum(c * x**k for k, c in enumerate(coeffs)) for x in xs]
         want = _ref_interp_int(xs, ys, deg)
         integral += want is not None
-        assert _newton_int(ys, x0) == want
+        assert _newton_int(ys) == want
     assert 300 < integral < 600
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -295,8 +296,8 @@ def test_factor_univariate_splits_off_the_variable_power_first(monkeypatch):
     res = factor_univariate(t**15 * (t + 1), "t")
     assert (res.unit, res.factors, res.remainder) == (1, [(t, 15), (t + 1, 1)], None)
     assert seen == [t + 1]
-    # so the root 0 needs no root pass, which stops at its pair cap:
-    # lcm(1..40) has 55,296 divisors, too many pairs for the other roots
+    # so the root 0 needs no factor search, which stops at its candidate
+    # cap: lcm(1..40) has 36,864 divisors, too many candidate roots
     L = math.lcm(*range(1, 41))
     rest = L * t**2 + t + L
     for k in (1, 3):
@@ -322,6 +323,42 @@ def test_factor_univariate_kronecker_quartic():
         "t^2 + 2",
         "t^2 + t + 1",
     ]
+
+
+def test_factor_univariate_proves_irreducibility():
+    # no rational root, and no factor of degree 2 or 3 either
+    X = ("t",)
+    t = MPoly.variable(X, "t")
+    for p in (t**4 - 10 * t**2 + 1, t**4 + 1, t**4 + t**3 + t**2 + t + 1, t**5 - t - 1, t**6 + t + 1):
+        res = factor_univariate(p, "t")
+        assert (res.unit, res.factors, res.remainder) == (1, [(p, 1)], None)
+    a, b = t**4 + 3 * t + 7, t**4 - 5 * t**2 + 11
+    res = factor_univariate(a * b, "t")
+    assert (res.unit, res.factors, res.remainder) == (1, [(a, 1), (b, 1)], None)
+
+
+def test_factor_search_stops_at_its_candidate_cap():
+    # degrees 8 and 9, no rational root: the degree-g candidates grow with
+    # the divisors of g values until one degree has more than _MAX_CANDIDATES
+    X = ("t",)
+    t = MPoly.variable(X, "t")
+    p = (t**8 + 3 * t + 1) * (t**9 - t**2 + 5)
+    start = time.perf_counter()
+    res = factor_univariate(p, "t")
+    assert time.perf_counter() - start < 2
+    assert (res.unit, res.factors, res.remainder) == (1, [], p)
+
+
+def test_divisors():
+    assert exact._divisors(0) is None
+    assert exact._divisors(1) == [1]
+    assert exact._divisors(-12) == [1, 2, 3, 4, 6, 12]
+    # lcm(1..40) has 36,864 divisors, lcm(1..50) 442,368, past _MAX_DIVISORS
+    assert len(exact._divisors(math.lcm(*range(1, 41)))) == 36864
+    assert exact._divisors(math.lcm(*range(1, 51))) is None
+    # two primes above _TRIAL_DIVISION_BOUND: trial division cannot split it
+    assert exact._divisors((10**6 + 3) * (10**6 + 33)) is None
+    assert exact._divisors(2 * (10**6 + 3)) == [1, 2, 10**6 + 3, 2 * (10**6 + 3)]
 
 
 # ---- rational functions ----------------------------------------------------------

@@ -323,8 +323,8 @@ def test_singular_points_irreducible_residual():
 
 
 def test_singular_points_root_search_is_bounded():
-    # lcm(1..40) has 55,296 divisors, so L*t^2 + t + L has about 3e9
-    # candidate roots p/q, past the pair cap: no root is sought
+    # lcm(1..40) has 36,864 divisors, so L*t^2 + t + L has about 3e9
+    # candidate roots p/q, past the candidate cap: no root is sought
     L = math.lcm(*range(1, 41))
     ode = _ode("ode-var: t\n0 : 1\n1 : %d*t^2 + t + %d\n" % (L, L))
     start = time.perf_counter()

@@ -30,10 +30,12 @@ the speed probe returns a pass too short to sample every part unscaled
 rescaled seconds.  It also gives the line count of src/**/*.py on each side,
 as src_lines, so the net change of src/ can be read off it.
 
-Each --traced WORKLOAD:SEED entry adds one `perfbench/run.py --trace 1` run
-per side, and the output keeps its rows and, for each per-layer metric of
-BENCHMARK.json, the parent and change values side by side, so a gain can be
-traced to the layers it came from.
+Each --traced WORKLOAD:SEED entry adds three `perfbench/run.py --trace 1`
+runs per side, alternating which side goes first, and the output keeps every
+run's rows and, for each per-layer metric of BENCHMARK.json, the median of
+each side's runs side by side, so a gain can be traced to the layers it came
+from.  The traced metrics are raw seconds, so a single run per side would
+carry the whole run-to-run spread of a shared machine.
 
 Every run is started by a one-process pool spawned before any rows are
 held, because Linux carries the peak RSS of a process into the children it
@@ -209,20 +211,32 @@ def unscaled_frac(rows):
     return out
 
 
+TRACED_RUNS = 3
+
+
 def traced_pair(pool, trees, shas, workload, seed, seconds, per_layer):
-    """One --trace 1 run per side; the rows and each per-layer metric side by side."""
-    rows, values = [], {}
-    for side in ("parent", "change"):
-        row, result = run_once(pool, trees[side], workload, seed, seconds, trace=1)
-        row["commit"] = shas[side]
-        rows.append({"side": side, "row": row, "result": result})
-        values[side] = result["metrics"]
-        print("%s seed %d traced %s: done" % (workload, seed, side), file=sys.stderr)
+    """TRACED_RUNS --trace 1 runs per side, alternating which side goes first;
+    every run's rows and the median of each per-layer metric side by side."""
+    rows, values = [], {"parent": [], "change": []}
+    for run in range(TRACED_RUNS):
+        order = ("parent", "change") if run % 2 == 0 else ("change", "parent")
+        for side in order:
+            row, result = run_once(pool, trees[side], workload, seed, seconds, trace=1)
+            row["commit"] = shas[side]
+            rows.append({"side": side, "run": run, "first": side == order[0],
+                         "row": row, "result": result})
+            values[side].append(result["metrics"])
+            print("%s seed %d traced run %d %s: done" % (workload, seed, run, side), file=sys.stderr)
+
+    def median(side, name):
+        found = [m[name]["value"] for m in values[side] if name in m]
+        return statistics.median(found) if found else None
+
     layers = {
         m["name"]: {
             "unit": m["unit"],
-            "parent": values["parent"].get(m["name"], {}).get("value"),
-            "change": values["change"].get(m["name"], {}).get("value"),
+            "parent": median("parent", m["name"]),
+            "change": median("change", m["name"]),
         }
         for m in per_layer
     }
