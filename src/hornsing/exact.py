@@ -1028,9 +1028,11 @@ def _split_factors(coeffs):
     lead a has a dividing the lead of f and h(x) dividing f(x) at x = 0..g-1,
     which are nonzero (f(0) is the constant term, and f has no integer root
     once g = 1 is done); h is a*x^g plus the interpolant of h(x) - a*x^g.
-    Each candidate is tested once, against the quotient left by the factors
-    found so far, and divided out on a hit; one whose a no longer divides
-    the quotient's lead, or that is not primitive, is skipped.  A factor
+    Each candidate is tested once, against the quotient q left by the
+    factors found so far, and divided out on a hit; one whose a no longer
+    divides the quotient's lead, or that is not primitive, is skipped, and
+    so is one with q(g) nonzero and h(g) zero or not dividing q(g), since a
+    factor's value divides q's at every integer.  A factor
     found at degree g is irreducible, as every factor of lower degree is
     gone, and so is the quotient left once every g is done: it joins the
     factors and rest is [1].  When _divisors refuses a value or one degree
@@ -1046,6 +1048,7 @@ def _split_factors(coeffs):
         if len(leads) * math.prod(2 * len(ds) for ds in values) > _MAX_CANDIDATES:
             return factors, coeffs
         signed = [[s * d for d in ds for s in (1, -1)] for ds in values]
+        at_g = _eval_int(coeffs, g)
         for a in leads:
             for ys in _iproduct(*signed):
                 if coeffs[-1] % a or 2 * g >= len(coeffs):
@@ -1054,10 +1057,15 @@ def _split_factors(coeffs):
                 if h is None or math.gcd(a, *h) != 1:
                     continue
                 h.append(a)
+                if at_g:
+                    h_g = _eval_int(h, g)
+                    if not h_g or at_g % h_g:
+                        continue
                 quo = _poly_divmod_int(coeffs, h)
                 if quo is not None:
                     factors.append(h)
                     coeffs = quo
+                    at_g = _eval_int(coeffs, g)
         g += 1
     if len(coeffs) > 1:
         factors.append(coeffs)
@@ -1198,8 +1206,8 @@ class RatFun:
         if num.is_zero():
             den = MPoly.const(num.vars, 1)
         else:
-            g = den if den.is_constant() else poly_gcd(num, den)
-            if not g.is_constant():
+            g = _cross_gcd(num, den)
+            if g is not None:
                 num = divexact(num, g)
                 den = divexact(den, g)
             num, den = _unit_den(num, den)
@@ -1300,6 +1308,13 @@ class RatFun:
         An image n/d enters as n^k * d^(D-k), D the larger degree of num and
         den in its variable, so the factor d^D common to both composed
         polynomials cancels and the constructor's gcd is the only one.
+
+        The tables hold integer coefficients: each image's n and d are
+        scaled alike by the lcm of the coefficient denominators of n (d is
+        primitive).  That multiplies both composed polynomials by one
+        nonzero constant, which leaves the function unchanged, and the
+        constructor's gcd and _unit_den give the same canonical num and den
+        as unscaled composition would.
         """
         tvars = next(iter(mapping.values())).vars
         tables = []
@@ -1310,7 +1325,9 @@ class RatFun:
             elif mapping.get(v) is None:
                 raise ValueError("unmapped variable %r" % v)
             else:
-                ns, ds = _powers(mapping[v].num, D), _powers(mapping[v].den, D)
+                image = mapping[v]
+                l = math.lcm(*(c.denominator for c in image.num.terms.values()))
+                ns, ds = _powers(image.num * l, D), _powers(image.den * l, D)
                 tables.append([n * d for n, d in zip(ns, reversed(ds))])
         den = _compose(self.den, tables, tvars)
         if den.is_zero():

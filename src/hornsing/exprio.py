@@ -332,7 +332,14 @@ def _as_integer(value, what, cap=None):
     return int(value)
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def _divide(a, b):
+    """a / b, where two polynomials make the RatFun a/b: one gcd, as for any quotient."""
+    if isinstance(a, MPoly) and isinstance(b, MPoly):
+        return RatFun(a, b)
+    return a / b
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
 def _fold(node, leaf, check=lambda op, a, b: None):
@@ -426,22 +433,35 @@ def expr_to_ratfun(node, vars, consts=None):
     name in vars folds to a constant through eval_expr under consts, so
     combinatorial atoms are allowed only when their arguments involve none
     of vars.
+
+    The fold keeps a subtree an MPoly up to its first /: the leaves are
+    polynomials, + - * ^ on two of them are MPoly operations, the quotient
+    of two is one RatFun, and an MPoly meets a RatFun through RatFun's
+    (reflected) operators.  So a rational function is normalized only where
+    a true division happens.  Lowest terms with a primitive denominator of
+    positive lead are unique, so the result is the RatFun a fold over
+    RatFun at every node would give.
     """
     consts = consts or {}
     vset = set(vars)
 
     def leaf(node):
         if node[0] == "var" and node[1] in vset:
-            return RatFun.from_poly(MPoly.variable(vars, node[1]))
+            return MPoly.variable(vars, node[1])
         if free_vars(node) & vset:
             raise EvaluationError(
                 "combinatorial atom with a symbolic argument is not a"
                 " rational function"
             )
-        return RatFun.const(vars, eval_expr(node, consts))
+        return MPoly.const(vars, eval_expr(node, consts))
 
     budget = [_MAX_COUNT]
-    return _fold(node, leaf, lambda op, a, b: _check_size(op, a, b, budget))
+    r = _fold(node, leaf, lambda op, a, b: _check_size(op, a, b, budget))
+    return r if isinstance(r, RatFun) else RatFun.from_poly(r)
+
+
+# The denominator _check_size reads for an MPoly operand: only its one term counts.
+_ONE = MPoly.const((), 1)
 
 
 def _check_size(op, a, b, budget):
@@ -449,19 +469,24 @@ def _check_size(op, a, b, budget):
     pairs left in one conversion, and raise EvaluationError past it; op is
     the tag of a + - * / or ^ node, and for op "^", b is the int exponent.
 
-    A monomial factor only shifts exponents, so a product with one is not
-    charged.  A power q^k runs k products with q: for q of n terms, q^j has
-    at most C(n+j-1, j) terms, and at most the monomials of its total degree
-    or lower in the variables q involves, so each step is charged n times
-    the smaller bound.
+    An MPoly operand p is read as the fraction p/1, so a conversion is
+    charged the pairs, refused and messaged exactly as if every node were a
+    RatFun, whichever type the fold keeps it in.  A monomial factor only
+    shifts exponents, so a product with one is not charged.  A power q^k
+    runs k products with q: for q of n terms, q^j has at most C(n+j-1, j)
+    terms, and at most the monomials of its total degree or lower in the
+    variables q involves, so each step is charged n times the smaller bound.
     """
+    an, ad = (a.num, a.den) if isinstance(a, RatFun) else (a, _ONE)
     if op == "^":
-        k, products = b, [(a.num,), (a.den,)]
-    elif op == "*":
-        k, products = 1, [(a.num, b.num), (a.den, b.den)]
+        k, products = b, [(an,), (ad,)]
     else:
-        # a / b forms these two products; a + b and a - b also a.den * b.den
-        k, products = 1, [(a.num, b.den), (a.den, b.num)] + [(a.den, b.den)] * (op != "/")
+        bn, bd = (b.num, b.den) if isinstance(b, RatFun) else (b, _ONE)
+        if op == "*":
+            k, products = 1, [(an, bn), (ad, bd)]
+        else:
+            # a / b forms these two products; a + b and a - b also a.den * b.den
+            k, products = 1, [(an, bd), (ad, bn)] + [(ad, bd)] * (op != "/")
     for factors in products:
         sizes = [len(p.terms) for p in factors if len(p.terms) > 1]
         if len(sizes) == 2:
@@ -480,11 +505,15 @@ def _check_size(op, a, b, budget):
 
 
 def expr_to_mpoly(node, vars, consts=None):
-    """Convert node to a polynomial over vars; reject true denominators."""
+    """Convert node to a polynomial over vars; reject true denominators.
+
+    A constant denominator of a RatFun is 1, so the polynomial is the num;
+    without a / it is the very polynomial the fold built.
+    """
     r = expr_to_ratfun(node, vars, consts)
-    if not r.den.is_constant():
+    if not r.is_poly():
         raise EvaluationError("expression has a nonconstant denominator")
-    return r.num * (Fraction(1) / r.den.constant_value())
+    return r.num
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .curves import Curve
-from .exact import MPoly, RatFun, resultant, strip_monomials
+from .exact import MPoly, RatFun, _clear, resultant, strip_monomials
 
 XYT = ("x", "y", "t")
 
@@ -75,9 +75,15 @@ def horn_limit_maps(s):
 
 
 def _graph_poly(r, coord):
-    """coord * den(t) - num(t) over (x, y, t)."""
-    c = MPoly.variable(XYT, coord)
-    return c * r.den.with_vars(XYT) - r.num.with_vars(XYT)
+    """coord * den(t) - num(t) over (x, y, t), times the lcm of the
+    coefficient denominators of num, so its coefficients are integers.
+
+    The den of a RatFun is already integral.  The constant scale only
+    scales the resultant of two graph polynomials, so the subresultant PRS
+    runs on integers and Curve's squarefree primitive part is unchanged.
+    """
+    p = MPoly.variable(XYT, coord) * r.den.with_vars(XYT) - r.num.with_vars(XYT)
+    return p * _clear(p.terms.values())[0]
 
 
 def _value_at_infinity(r):

@@ -215,7 +215,7 @@ def _mod_echelon(rows, ncols, p, block=0):
             c += 1
             continue
         packed[rank], packed[piv] = packed[piv], packed[rank]
-        inv = pow(v, p - 2, p)
+        inv = pow(v, -1, p)
         raw = packed[rank].to_bytes(nb * (ncols - c), "little")
         prow = [
             int.from_bytes(raw[j : j + nb], "little") * inv % p
@@ -273,7 +273,7 @@ def _fit_mod_p(rows, order, degree, p):
     while len(vecs) > 1:
         top = vecs.pop()
         last = len(top) - 1
-        inv = pow(top[last], p - 2, p)
+        inv = pow(top[last], -1, p)
         for k, v in enumerate(vecs):
             if len(v) == len(top):
                 g = v[last] * inv % p
@@ -281,11 +281,13 @@ def _fit_mod_p(rows, order, degree, p):
         vecs.sort(key=len)
     vec = vecs[0]
     f = len(vec) - 1
-    inv = pow(vec[f], p - 2, p)
+    inv = pow(vec[f], -1, p)
     return r_star, f, [x * inv % p for x in vec]
 
 
 def _crt(r1, m1, r2, m2):
+    # Fermat's inverse, which gives 0 rather than an error when m2 divides m1,
+    # as a prime stream that repeats a prime makes it
     t = (r2 - r1) * pow(m1 % m2, m2 - 2, m2) % m2
     return r1 + m1 * t
 

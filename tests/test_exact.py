@@ -349,6 +349,40 @@ def test_factor_search_stops_at_its_candidate_cap():
     assert (res.unit, res.factors, res.remainder) == (1, [], p)
 
 
+def test_factor_search_checks_a_value_before_dividing(monkeypatch):
+    # a product of irreducibles of degrees 3, 3, 4 and 5: each candidate h
+    # whose h(g) does not divide the quotient's value at g is refused
+    # without a division, and the factors are still found
+    sympy = pytest.importorskip("sympy")
+    (ts,) = sympy.symbols("t", seq=True)
+    T = ("t",)
+    rng = random.Random(1)
+    p = MPoly.const(T, 1)
+    for degree in (3, 3, 4, 5):
+        while True:
+            coeffs = [rng.randint(-5, 5) for _ in range(degree)] + [rng.randint(1, 3)]
+            if coeffs[0] and sympy.Poly(coeffs[::-1], ts).is_irreducible:
+                break
+        p = p * MPoly(T, {(i,): c for i, c in enumerate(coeffs)})
+    divisions = []
+    divide = exact._poly_divmod_int
+
+    def spy(a, b):
+        divisions.append(b)
+        return divide(a, b)
+
+    monkeypatch.setattr(exact, "_poly_divmod_int", spy)
+    res = factor_univariate(p, "t")
+    coeff, theirs = sympy.factor_list(sympy.Poly(p.coeff_list("t")[::-1], ts).as_expr())
+    theirs = [(MPoly(T, {(i,): int(c) for i, c in enumerate(sympy.Poly(f, ts).all_coeffs()[::-1])}), m)
+              for f, m in theirs]
+    assert res.complete and res.unit == int(coeff)
+    assert sorted(res.factors, key=str) == sorted(theirs, key=str)
+    assert [f.degree("t") for f, _ in res.factors] == [3, 3, 4, 5]
+    # 861 divisions; without the value check the search runs 14,436
+    assert len(divisions) < 1000
+
+
 def test_divisors():
     assert exact._divisors(0) is None
     assert exact._divisors(1) == [1]
@@ -665,6 +699,14 @@ def test_property_substitute_ratfun_matches_reference():
         assert got == _outcome(_compose_reference, f, mapping)
         uneven += any(f.num.degree(v) != f.den.degree(v) for v in XY)
     assert uneven > 60
+    # images with rational coefficients upstairs over a polynomial drawn with
+    # rational coefficients too, which substitute_ratfun clears before composing
+    cleared = sum(
+        any(type(c) is Fraction for c in image.num.terms.values()) and not image.den.is_constant()
+        for _, mapping in cases
+        for image in mapping.values()
+    )
+    assert cleared > 20
     outcomes = [_outcome(RatFun.substitute_ratfun, f, m) for f, m in _compose_edge_cases()]
     assert outcomes[0] == (ZeroDivisionError, "division by zero rational function")
     assert outcomes[1] == (ZeroDivisionError, "division by zero rational function")

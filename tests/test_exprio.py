@@ -327,6 +327,72 @@ def test_ratfun_agrees_with_eval_random():
     assert checked > 300
 
 
+def _ratfun_per_node(node, vars, consts=None):
+    """expr_to_ratfun as a fold over RatFun at every node (reference)."""
+    consts = consts or {}
+
+    def leaf(node):
+        if node[0] == "var" and node[1] in vars:
+            return RatFun.from_poly(MPoly.variable(vars, node[1]))
+        if exprio.free_vars(node) & set(vars):
+            raise EvaluationError(
+                "combinatorial atom with a symbolic argument is not a rational function"
+            )
+        return RatFun.const(vars, eval_expr(node, consts))
+
+    budget = [exprio._MAX_COUNT]
+    return exprio._fold(node, leaf, lambda op, a, b: exprio._check_size(op, a, b, budget))
+
+
+_ATOMS = ("a", "fact(3)", "binom(a,2)", "poch(1/2,2)", "sum(k,0,2,k*a)")
+
+
+def _random_atom_expr(rng, depth):
+    """_random_expr with a constant name, atoms, and rarely an atom that cannot convert."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.03:
+            return rng.choice(("fact(a)", "binom(x,2)"))
+        return rng.choice(("x", "y", str(rng.randrange(0, 4))) + _ATOMS)
+    op = rng.choice("+-*/^~")
+    if op == "^":
+        return "(%s)^%d" % (_random_atom_expr(rng, depth - 1), rng.randrange(0, 4))
+    if op == "~":
+        return "-(%s)" % _random_atom_expr(rng, depth - 1)
+    left = _random_atom_expr(rng, depth - 1)
+    return "(%s)%s(%s)" % (left, op, _random_atom_expr(rng, depth - 1))
+
+
+def _outcome(convert, node, vars, consts=None):
+    """The num and den terms, each coefficient with its stored type, or the exception."""
+    try:
+        r = convert(node, vars, consts)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(p.vars, sorted((e, type(c), c) for e, c in p.terms.items())) for p in (r.num, r.den)]
+
+
+def test_polynomial_fold_matches_the_per_node_ratfun_fold():
+    # the fold keeps a subtree an MPoly up to its first /, yet gives the
+    # terms, charges, refusals and messages of a RatFun at every node
+    rng = random.Random(3131)
+    consts = {"a": Fraction(3, 2)}
+    names = ("a",) + XY
+    kinds = set()
+    for _ in range(300):
+        node = parse_expr(_random_atom_expr(rng, 5), names)
+        want = _outcome(_ratfun_per_node, node, XY, consts)
+        assert _outcome(expr_to_ratfun, node, XY, consts) == want
+        kinds.add(want[0] if isinstance(want, tuple) else "value")
+    assert kinds == {"value", EvaluationError}
+    for text in ("(x+y+z)^48", "(x+y+z)^24", "1/(x+y+z)^20 + 1/(x+y-z)^20",
+                 "(x+y+z)^24 - (x+y-z)^24", "(x^2-y^2)/(x-y)", "1/(3*x)"):
+        node = parse_expr(text, XYZ)
+        assert _outcome(expr_to_ratfun, node, XYZ) == _outcome(_ratfun_per_node, node, XYZ)
+    assert _outcome(expr_to_ratfun, parse_expr("(x+y+z)^48", XYZ), XYZ)[0] is EvaluationError
+    assert _outcome(expr_to_ratfun, parse_expr("1/(x+y+z)^20 + 1/(x+y-z)^20", XYZ), XYZ)[0] is EvaluationError
+    assert not expr_to_ratfun(parse_expr("(x+y+z)^24", XYZ), XYZ).is_zero()
+
+
 def test_expr_to_mpoly():
     p = expr_to_mpoly(parse_expr("(x+y)^2 - (x-y)^2", XY), XY)
     x = MPoly.variable(XY, "x")

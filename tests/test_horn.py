@@ -5,7 +5,7 @@ import pytest
 from hornsing.curves import Curve, Param, verify_parametrization
 from hornsing.exact import MPoly, squarefree_primitive
 from hornsing.exprio import expr_to_mpoly, expr_to_ratfun, parse_expr, parse_spec_text
-from hornsing.horn import Confluent, HornMaps, eliminate, horn_curve, horn_limit_maps
+from hornsing.horn import XYT, Confluent, HornMaps, _graph_poly, eliminate, horn_curve, horn_limit_maps
 from hornsing.series import HyperSpec, expand_from_formula, expand_from_ratios, hyper_from_spec
 
 XY = ("x", "y")
@@ -128,6 +128,23 @@ def test_confluent_detected():
 def test_eliminate_h2_cubic():
     res = eliminate(horn_limit_maps(H2))
     assert res.main_curve == CAND
+
+
+def test_graph_polynomials_have_integer_coefficients():
+    # the h2 maps carry 1/27, cleared in the graph polynomials, so the
+    # resultant runs on integers
+    x, y, t = (MPoly.variable(XYT, v) for v in XYT)
+    h = horn_limit_maps(H2)
+    assert _graph_poly(h.X, "x") == 27 * x * (t + 1) ** 3 - t**3
+    assert _graph_poly(h.Y, "y") == 27 * y * (t + 1) ** 3 - 1
+    # kdf with rational parameters: integer graph polynomials, and the curve
+    # of the same ratios with every parameter dropped
+    rational = kdf(3, "1/3", "1/5", "2/7", "1")
+    free = ratio_spec("kdf_free", "n^3*(n+m)/((n+m)^3*(n+1))", "m^3*(n+m)/((n+m)^3*(m+1))")
+    h = horn_limit_maps(rational)
+    for r, coord in ((h.X, "x"), (h.Y, "y")):
+        assert all(type(c) is int for c in _graph_poly(r, coord).terms.values())
+    assert horn_curve(rational).main_curve == horn_curve(free).main_curve == FERMAT[3]
 
 
 def test_eliminate_bat16_quadratic():
