@@ -481,7 +481,7 @@ def _list_primitive(coeffs):
 
 def _list_degree(coeffs):
     d = len(coeffs) - 1
-    while d >= 0 and coeffs[d].is_zero():
+    while d >= 0 and not coeffs[d]:
         d -= 1
     return d
 
@@ -489,9 +489,11 @@ def _list_degree(coeffs):
 def _pseudo_rem(A, B):
     """prem(A, B): the remainder of lc(B)^(deg A - deg B + 1) * A on division by B.
 
-    A and B are coefficient lists (univariate view, same vars) with
-    deg A >= deg B >= 0.  A step whose top coefficient is already zero
-    defers its factor lc(B) to one power at the end.
+    A and B are coefficient lists with deg A >= deg B >= 0, either of
+    integers or of MPolys over one vars tuple (the univariate view); zero
+    is tested by truthiness, so both kinds run the same steps.  A step
+    whose top coefficient is already zero defers its factor lc(B) to one
+    power at the end.
     """
     dA, dB = _list_degree(A), _list_degree(B)
     lb = B[dB]
@@ -499,7 +501,7 @@ def _pseudo_rem(A, B):
     deferred = 0
     for k in range(dA, dB - 1, -1):
         lr = R.pop()
-        if lr.is_zero():
+        if not lr:
             deferred += 1
             continue
         R = [c * lb for c in R]
@@ -508,7 +510,7 @@ def _pseudo_rem(A, B):
     if deferred:
         f = lb**deferred
         R = [c * f for c in R]
-    return R[: max(_list_degree(R) + 1, 1)] or [MPoly.zero(lb.vars)]
+    return R[: max(_list_degree(R) + 1, 1)] or [lb * 0]
 
 
 _HEU_TRIES = 6
@@ -638,46 +640,94 @@ def gcd_list(polys):
 
 
 def resultant(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Sylvester resultant in var, by the subresultant PRS.
+    """Sylvester resultant in var, by one subresultant PRS over Z.
 
     The result is the determinant of the formal Sylvester matrix of size
     m + n, m = deg_var a and n = deg_var b, whose n rows built from a come
-    first; both degrees must be positive.  On the coefficient lists in var,
-    with A of degree >= B's, each step sets R = prem(A, B), A, B = B,
-    R / (g*h^delta) and then g = lc(A), h = g^delta / h^(delta-1), where
-    delta is the degree drop of the step and g = h = 1 at the start; once B
-    is a constant the result is lc(B)^deg A / h^(deg A - 1), up to the
-    sign of the swaps (W. S. Brown, J. ACM 18, 1971; H. Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 3.3.7).  Every division
-    is a divexact, so a step that is not exact raises.
+    first; both degrees must be positive.
+
+    a and b are cleared to integer polynomials A = la*a and B = lb*b, and
+    Res(a, b) = Res(A, B) / (la^n lb^m).  Res(A, B) is taken in integers by
+    Kronecker substitution, the slot map GCDHEU uses in poly_gcd (J. von zur
+    Gathen and J. Gerhard, Modern Computer Algebra, ch. 6):
+    - Bound.  Res(A, B) is the Sylvester determinant, with n rows from A and
+      m from B, so |Res|_1 <= |A|_1^n |B|_1^m, |.|_1 the sum of the
+      coefficient magnitudes, and its degree in the variable of slot j is
+      at most D_j = n*deg_j A + m*deg_j B.
+    - Map.  With xi = 2 |A|_1^n |B|_1^m + 1, each other slot k with D_k > 0
+      is set to xi^(w_k), w_k the product of D_j + 1 over the earlier such
+      slots j.  The monomials of that degree box go to distinct powers of
+      xi with coefficients below xi/2 in magnitude, so the balanced digits
+      in base xi^(w_k), read the last slot first, give Res back.
+    - Leading coefficients.  lc_var(A) and lc_var(B) lie in the same box
+      with coefficients below xi/2, so their images are nonzero: the integer
+      coefficient lists keep degrees m and n, and their Sylvester
+      determinant is the image of Res.
+
+    The PRS runs on those lists, with the one of larger degree first: each
+    step sets R = prem(A, B), A, B = B, R / (g*h^delta) and then g = lc(A),
+    h = g^delta / h^(delta-1), where delta is the degree drop of the step
+    and g = h = 1 at the start; once B is a constant the result is
+    lc(B)^deg A / h^(deg A - 1), up to the sign of the swaps (W. S. Brown,
+    J. ACM 18, 1971; H. Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 3.3.7).  Every division is exact, and one that is not
+    raises.  The images have about prod_k (D_k + 1) * log2(xi) bits, so
+    they grow quickly with the number of other variables; the callers here
+    have at most two.
     """
     a._check(b)
+    if var not in a.vars:
+        raise ValueError("unknown variable %r" % var)
     m = a.degree(var)
     n = b.degree(var)
     if m <= 0 or n <= 0:
         raise DegreeZero("resultant needs positive degree in %r" % var)
-    A, B = a.as_univar(var), b.as_univar(var)
+    la, ta, da = a.int_form()
+    lb, tb, db = b.int_form()
+    xi = 2 * sum(map(abs, ta.values())) ** n * sum(map(abs, tb.values())) ** m + 1
+    v = a.vars.index(var)
+    slots, w = [], 1
+    for k in range(len(a.vars)):
+        D = n * da[k] + m * db[k]
+        if k != v and D:
+            z = xi**w
+            ta, tb = _eval_slot(ta, k, z), _eval_slot(tb, k, z)
+            slots.append((k, z))
+            w *= D + 1
+    A, B = [0] * (m + 1), [0] * (n + 1)
+    for cs, t in ((A, ta), (B, tb)):
+        for e, c in t.items():
+            cs[e[v]] = c
     sign = -1 if m % 2 and n % 2 and m < n else 1
     if m < n:
         A, B = B, A
-    g = h = None  # None stands for the starting value 1
+    g = h = 1
     while (dB := _list_degree(B)) > 0:
         dA = len(A) - 1
         delta = dA - dB
         if dA % 2 and dB % 2:
             sign = -sign
-        R = _pseudo_rem(A, B)
-        if g is not None:
-            d = g * h**delta if h is not None else g
-            R = [divexact(c, d) for c in R]
-        A, B = B, R
+        d = g * h**delta
+        A, B = B, [_exact_quo(c, d) for c in _pseudo_rem(A, B)]
         g = A[-1]
         if delta:
-            h = g**delta if h is None else divexact(g**delta, h ** (delta - 1))
-    out = B[0] ** (len(A) - 1)  # zero when the PRS ends in a zero remainder
-    if h is not None and len(A) > 2:
-        out = divexact(out, h ** (len(A) - 2))
-    return out if sign > 0 else -out
+            h = _exact_quo(g**delta, h ** (delta - 1))
+    res = B[0] ** (len(A) - 1)  # zero when the PRS ends in a zero remainder
+    if len(A) > 2:
+        res = _exact_quo(res, h ** (len(A) - 2))
+    out = {(0,) * len(a.vars): sign * res} if res else {}
+    for k, z in reversed(slots):
+        out = _lift_slot(out, k, z)
+    scale = la**n * lb**m
+    return MPoly._trusted(a.vars, {e: _quo(c, scale) for e, c in out.items()})
+
+
+def _exact_quo(a, b):
+    """a // b for integers b | a; ValueError when the division is not exact."""
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("inexact integer division")
+    return q
 
 
 def _int_terms(p):
@@ -776,6 +826,8 @@ def discriminant(a: MPoly, var: str) -> MPoly:
 
     The sign factor makes deg-2 inputs come out as b^2 - 4ac.
     """
+    if var not in a.vars:
+        raise ValueError("unknown variable %r" % var)
     d = a.degree(var)
     if d < 2:
         raise DegreeTooLow("discriminant needs degree >= 2 in %r" % var)

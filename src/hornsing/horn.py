@@ -34,7 +34,10 @@ class HornResult(namedtuple("HornResult", "main_curve monomial_components axis_v
 
     monomial_components holds the exponents (a, b) of the x^a y^b factor
     removed from the raw eliminant; axis_values holds X(t->infinity) and
-    Y(t=0) when finite, None otherwise.
+    Y(t=0) when finite, None otherwise.  These are candidate singular
+    lines x = X(infinity), y = Y(0), not certified ones: bat16's 1/16 lines
+    are singular, but h2's 1/27 occurs in no head of the operators guessed
+    from its restrictions to y = k*x (k = 2, 3, -2, 7, 1/3, 11/5).
     """
 
     __slots__ = ()
@@ -79,8 +82,8 @@ def _graph_poly(r, coord):
     coefficient denominators of num, so its coefficients are integers.
 
     The den of a RatFun is already integral.  The constant scale only
-    scales the resultant of two graph polynomials, so the subresultant PRS
-    runs on integers and Curve's squarefree primitive part is unchanged.
+    scales the resultant of two graph polynomials, so Curve's squarefree
+    primitive part is unchanged, and the resultant needs no rescaling.
     """
     p = MPoly.variable(XYT, coord) * r.den.with_vars(XYT) - r.num.with_vars(XYT)
     return p * _clear(p.terms.values())[0]

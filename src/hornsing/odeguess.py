@@ -286,9 +286,8 @@ def _fit_mod_p(rows, order, degree, p):
 
 
 def _crt(r1, m1, r2, m2):
-    # Fermat's inverse, which gives 0 rather than an error when m2 divides m1,
-    # as a prime stream that repeats a prime makes it
-    t = (r2 - r1) * pow(m1 % m2, m2 - 2, m2) % m2
+    """The residue mod m1*m2 of r1 mod m1 and r2 mod m2, for coprime m1 and m2."""
+    t = (r2 - r1) * pow(m1, -1, m2) % m2
     return r1 + m1 * t
 
 
@@ -347,8 +346,9 @@ def guess_ode(s, max_order, max_degree):
     and _fit_mod_p reads the first free a-major column f of the order-r*
     columns and the null vector mod p off its pivot rows.  Rank mod p never
     exceeds rank over Q on a column prefix, so an unlucky prime only lowers
-    the key (r*, f).  Residues of the largest key are combined by CRT,
-    reconstructed and verified against the exact (r*, d*) rows; after
+    the key (r*, f).  Residues of the largest key are combined by CRT (a
+    prime drawn again while it divides the modulus is listed in `primes`
+    but not fitted), reconstructed and verified against the exact (r*, d*) rows; after
     _MAX_PRIMES primes the exact nullspace of those rows decides, and if it
     is empty the RuntimeError carries the primes drawn as `primes`.
     """
@@ -370,6 +370,9 @@ def guess_ode(s, max_order, max_degree):
     best = None
     for p in islice(_prime_stream(), _MAX_PRIMES):
         primes.append(p)
+        if best is not None and modulus % p == 0:
+            # a prime already in the modulus repeats its fit: the same key, no new digits
+            continue
         # weights[i][max_degree + k] is k^i * c_k mod p, zero-padded in front
         weight = [c % p for c in ints]
         weights = [pad + weight]

@@ -79,6 +79,19 @@ def test_unscaled_frac_counts_passes_returned_raw_per_side():
     assert bench_pair.unscaled_frac(rows[:2]) == {"parent": 1 / 3, "change": 0.0}
 
 
+def test_scaled_median_leaves_out_passes_returned_raw():
+    def row(side, raw, ref):
+        return {"side": side, "row": {"pass_s": raw, "pass_ref_s": ref}}
+
+    rows = [
+        row("parent", [0.12, 0.11, 0.13], [0.06, 0.05, 0.07]),
+        # a raw pass far below the rescaled ones does not pull the median down
+        row("parent", [0.04, 0.03], [0.04, 0.03]),
+        row("change", [0.03, 0.04], [0.03, 0.04]),
+    ]
+    assert bench_pair.scaled_median(rows) == {"parent": 0.06, "change": None}
+
+
 def test_src_lines_counts_python_files_under_src(tmp_path):
     pkg = tmp_path / "src" / "pkg" / "sub"
     pkg.mkdir(parents=True)

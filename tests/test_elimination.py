@@ -475,6 +475,28 @@ def test_resultant_trivariate_matches_reference():
             (x * t + y, t**3 + x * y * t - 1),
             (t**3 - x * t + y, y * t**5 + x * t**2 - 1),
             (half * x * t**2 + third * y * t - Fraction(1, 5), Fraction(3, 4) * t**3 + x * t - Fraction(1, 7) * y),
+            # Fractions with negative leading coefficients in t
+            (-half * x * t**2 + y * t - third, -Fraction(5, 7) * y * t**3 + third * x * t + 1),
+        ],
+        "t",
+    )
+    # four variables with t between the others: the lift reads three slots back
+    V = ("x", "t", "y", "z")
+    x, t, y, z = (MPoly.variable(V, v) for v in V)
+    _assert_prs_edge_cases(
+        [
+            (x * t**2 + y * t - z, z * t**2 + x * y * t + 1),
+            (x * y * z * t**3 - (x + y) * t + z**2, (x - z) * t**2 + y * t - x),
+            # the top degree in each other variable sits on the leading coefficient
+            ((x**2 * y - z) * t**2 + x * z * t + y**2, (y * z**2 + 1) * t + x - 3),
+            # m < n with both odd, and a drop of two degrees in the PRS
+            (x * t + y * z, t**3 + x * z * t - y),
+            (x * t**5 + y * t**2 - z, (y + z) * t**4 - x * t + 2),
+            (
+                -half * x * y * t**2 + third * z * t - Fraction(1, 5),
+                -Fraction(3, 4) * z * t**3 + x * t - Fraction(1, 7) * y,
+            ),
+            (-Fraction(2, 9) * (x - y) * t**3 + z * t - half, -third * t**2 + Fraction(7, 2) * x * z),
         ],
         "t",
     )
@@ -487,6 +509,14 @@ def test_resultant_degree_zero_message():
             resultant(a, b, "x")
         assert str(err.value) == "resultant needs positive degree in 'x'"
         assert _outcome(resultant, a, b, "x") == _outcome(_sylvester_bareiss, a, b, "x")
+
+
+def test_unknown_variable_message():
+    x, y = MPoly.variable(XY, "x"), MPoly.variable(XY, "y")
+    for call in (lambda: resultant(x + y, x * y - 1, "z"), lambda: discriminant(x**2 + y, "z")):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "unknown variable 'z'"
 
 
 # ---- poly_gcd ------------------------------------------------------------------

@@ -758,7 +758,33 @@ def test_guess_ode_prime_retries_are_bounded(monkeypatch):
     assert info.value.primes == [p] * odeguess._MAX_PRIMES
 
 
+
 P61 = 2**61 - 1
+
+
+def test_guess_ode_skips_a_prime_already_in_the_modulus(monkeypatch):
+    # The h2 restriction to y = 4x needs two 61-bit primes.  A stream that
+    # draws P61 twice must not fit it again: reconstruction sees P61, then
+    # P61 times the next prime, and the operator is the one the default
+    # stream gives.
+    b = expand_from_ratios(hyper_from_spec(H2), 90)
+    s = restrict(b, rf_t("t"), rf_t("4*t"), 90)
+    moduli = []
+    recon = odeguess._rat_recon
+
+    def spy(u, modulus):
+        if not moduli or moduli[-1] != modulus:
+            moduli.append(modulus)
+        return recon(u, modulus)
+
+    monkeypatch.setattr(odeguess, "_rat_recon", spy)
+    want = guess_ode(s, 6, 8)
+    p2 = next(itertools.islice(odeguess._prime_stream(), 1, None))
+    assert moduli == [P61, P61 * p2]
+    moduli.clear()
+    monkeypatch.setattr(odeguess, "_prime_stream", _guarded_stream([P61, P61, p2], 3))
+    assert guess_ode(s, 6, 8) == want
+    assert moduli == [P61, P61 * p2]
 
 
 def _fraction_fit(s, max_order, max_degree):

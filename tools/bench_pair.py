@@ -23,11 +23,13 @@ of the pairs, the medians differ by more than the parent's interquartile
 range, and the change's share of failed jobs is no larger than the
 parent's).  After the runs it prints one line per workload, seed and
 end-to-end metric to stderr with the two medians, the relative change, the
-pairs won and the three checks.  Per workload and seed it also gives each side's unscaled_frac,
-the share of passes whose reference-speed time is their raw time, because
-the speed probe returns a pass too short to sample every part unscaled
-(perfbench/speed.py); medians of sides that differ there mix raw and
-rescaled seconds.  It also gives the line count of src/**/*.py on each side,
+pairs won and the three checks.  Per workload and seed it also gives each
+side's unscaled_frac, the share of passes whose reference-speed time is
+their raw time, because the speed probe returns a pass too short to sample
+every part unscaled (perfbench/speed.py); medians of sides that differ there
+mix raw and rescaled seconds.  So next to it, as scaled_median_s, it gives
+each side's median pass_ref_s over its rescaled passes alone (None when
+there are none).  It also gives the line count of src/**/*.py on each side,
 as src_lines, so the net change of src/ can be read off it.
 
 Each --traced WORKLOAD:SEED entry adds three `perfbench/run.py --trace 1`
@@ -198,16 +200,31 @@ def summary_lines(summary):
     ]
 
 
+def _passes(rows, side):
+    """(pass_s, pass_ref_s) of every pass in the rows of side."""
+    return [
+        (raw, ref)
+        for r in rows if r["side"] == side
+        for raw, ref in zip(r["row"]["pass_s"], r["row"]["pass_ref_s"])
+    ]
+
+
 def unscaled_frac(rows):
     """Per side, the share of its passes whose pass_ref_s equals its pass_s."""
     out = {}
     for side in ("parent", "change"):
-        passes = [
-            (raw, ref)
-            for r in rows if r["side"] == side
-            for raw, ref in zip(r["row"]["pass_s"], r["row"]["pass_ref_s"])
-        ]
+        passes = _passes(rows, side)
         out[side] = sum(raw == ref for raw, ref in passes) / len(passes) if passes else 0.0
+    return out
+
+
+def scaled_median(rows):
+    """Per side, the median pass_ref_s of the rescaled passes alone (those whose
+    pass_ref_s differs from pass_s), or None when no pass was rescaled."""
+    out = {}
+    for side in ("parent", "change"):
+        scaled = [ref for raw, ref in _passes(rows, side) if raw != ref]
+        out[side] = statistics.median(scaled) if scaled else None
     return out
 
 
@@ -249,7 +266,7 @@ def main():
     seconds = bench["run_seconds"]
     rows = []
     summary = {}
-    unscaled = {}
+    unscaled, scaled = {}, {}
     with launcher() as pool, tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees, shas = {}, {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -273,6 +290,7 @@ def main():
             rows.extend(group)
             summary["%s@%d" % (workload, seed)] = summarize(group, bench["end_to_end"])
             unscaled["%s@%d" % (workload, seed)] = unscaled_frac(group)
+            scaled["%s@%d" % (workload, seed)] = scaled_median(group)
         traced = {
             "%s@%d" % (workload, seed): traced_pair(
                 pool, trees, shas, workload, seed, seconds, bench["per_layer"])
@@ -286,6 +304,7 @@ def main():
         "src_lines": src_counts,
         "summary": summary,
         "unscaled_frac": unscaled,
+        "scaled_median_s": scaled,
         "rows": rows,
         "traced": traced,
     }
