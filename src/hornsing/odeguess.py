@@ -346,9 +346,9 @@ def guess_ode(s, max_order, max_degree):
     and _fit_mod_p reads the first free a-major column f of the order-r*
     columns and the null vector mod p off its pivot rows.  Rank mod p never
     exceeds rank over Q on a column prefix, so an unlucky prime only lowers
-    the key (r*, f).  Residues of the largest key are combined by CRT (a
-    prime drawn again while it divides the modulus is listed in `primes`
-    but not fitted), reconstructed and verified against the exact (r*, d*) rows; after
+    the key (r*, f).  Residues of the largest key are combined by CRT,
+    reconstructed and verified against the exact (r*, d*) rows; a prime
+    drawn again while it divides the modulus is not fitted.  After
     _MAX_PRIMES primes the exact nullspace of those rows decides, and if it
     is empty the RuntimeError carries the primes drawn as `primes`.
     """

@@ -758,7 +758,6 @@ def test_guess_ode_prime_retries_are_bounded(monkeypatch):
     assert info.value.primes == [p] * odeguess._MAX_PRIMES
 
 
-
 P61 = 2**61 - 1
 
 
