@@ -10,7 +10,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .curves import Curve
-from .exact import MPoly, RatFun, _clear, resultant, strip_monomials
+from .exact import MPoly, RatFun, resultant, strip_monomials
 
 XYT = ("x", "y", "t")
 
@@ -78,15 +78,12 @@ def horn_limit_maps(s):
 
 
 def _graph_poly(r, coord):
-    """coord * den(t) - num(t) over (x, y, t), times the lcm of the
-    coefficient denominators of num, so its coefficients are integers.
+    """coord * den(t) - num(t) over (x, y, t).
 
-    The den of a RatFun is already integral.  The constant scale only
-    scales the resultant of two graph polynomials, so Curve's squarefree
-    primitive part is unchanged, and the resultant needs no rescaling.
+    Its coefficients may be rationals: resultant clears its inputs to
+    integers itself, and Curve keeps the squarefree primitive part.
     """
-    p = MPoly.variable(XYT, coord) * r.den.with_vars(XYT) - r.num.with_vars(XYT)
-    return p * _clear(p.terms.values())[0]
+    return MPoly.variable(XYT, coord) * r.den.with_vars(XYT) - r.num.with_vars(XYT)
 
 
 def _value_at_infinity(r):

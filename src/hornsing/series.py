@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RatFun, _clear, _coefficient, _eval_int, _poly_add
+from .exact import RatFun, _clear, _coefficient, _eval_int
 from .exprio import eval_expr, expr_to_ratfun
 
 NM = ("n", "m")
@@ -275,8 +275,11 @@ def expand_spec(spec, order):
     return expand_from_formula(spec.coeff, order, spec.params, spec.vars)
 
 
-def ratfun_series(r, order):
-    """Taylor coefficients of a univariate rational function at the origin."""
+def _map_lists(r):
+    """Rational coefficient lists (num, den) of a univariate rational function.
+
+    Raises NonzeroAtOrigin when den vanishes at 0, a pole at the origin.
+    """
     if len(r.num.vars) != 1:
         raise ValueError("need a univariate rational function")
     var = r.num.vars[0]
@@ -284,6 +287,12 @@ def ratfun_series(r, order):
     den = r.den.coeff_list(var)
     if den[0] == 0:
         raise NonzeroAtOrigin("map has a pole at the origin")
+    return num, den
+
+
+def ratfun_series(r, order):
+    """Taylor coefficients of a univariate rational function at the origin."""
+    num, den = _map_lists(r)
     num += [Fraction(0)] * (order + 1 - len(num))
     out = [Fraction(0)] * (order + 1)
     for k in range(order + 1):
@@ -294,14 +303,15 @@ def ratfun_series(r, order):
     return out
 
 
-def _pairs_mul(pairs, b, order):
-    """Product of (degree <= order, value) pairs and a list through t^order."""
-    out = [0] * (order + 1)
-    for i, a in pairs:
-        for j, bj in enumerate(b[: order + 1 - i]):
-            if bj:
-                out[i + j] += a * bj
-    return out
+def _pairs_mul(a, b, order):
+    """Product of two (degree, value) pair lists, sorted by degree, through t^order."""
+    out = {}
+    for i, u in a:
+        for j, v in b:
+            if i + j > order:
+                break
+            out[i + j] = out.get(i + j, 0) + u * v
+    return sorted((k, v) for k, v in out.items() if v)
 
 
 def restrict(b, xp, yp, order):
@@ -312,26 +322,42 @@ def restrict(b, xp, yp, order):
     contribute: b.order >= ceil(order / min valuation), never silently
     truncated.
 
-    The sum is taken in integers: each map's series is cleared to integers
-    over a denominator L, so its power k is an integer list over L^k, stored
-    as its nonzero (degree, value) pairs.  Row n of b is already integers
-    w_{n,m} over one denominator L_n (b.rows, built once per series), so
-    sum_m c_{n,m} yp^m is an integer list over L_n L_y^M, M the largest m
-    in the row with w_{n,m} != 0; adding w_{n,m} yp^m touches only those
-    pairs.  One Fraction is built per t-coefficient.
+    The sum is taken in integers, by Horner's rule in yp = N/D (N and D
+    integer polynomials, d0 = D(0) != 0, N(0) = 0):
+
+        S = P_0 + yp (P_1 + yp (P_2 + ...)),   P_m = sum_n c_{n,m} xp^n.
+
+    First t = d0*s.  Then yp = N'(s)/D'(s) with N'(s) = N(d0 s)/d0 and
+    D'(s) = D(d0 s)/d0, whose coefficients N_i d0^(i-1), D_i d0^(i-1) are
+    integers and D'(0) = 1, so dividing an integer series by D' is the
+    recurrence q_k = p_k - sum_{i>=1} D'_i q_{k-i}, exact in integers.
+    A series f(t) becomes f_k d0^k in s, so coefficient k of the result is
+    read back over d0^k.  The series of xp is cleared to integers over lx
+    and its powers are kept as (degree, value) pairs in s, each the product
+    of the previous power and xp's pairs; row n of b is integers w_{n,m}
+    over L_n (b.rows), so each P_m is an integer series over the one
+    denominator Q = lcm_n(L_n lx^n).  Each Horner step multiplies the
+    accumulator by the terms of N', divides by D' and adds P_m; with v the
+    valuation of yp, P_m and the accumulator are needed only through
+    s^(order - m v).  The cost is O(N M |xp^n|) products for the P_m plus
+    O(M order (terms of N + D)) for the Horner steps, for N, M the largest
+    n, m that contribute.  One Fraction is built per t-coefficient.
     """
     maps = []
     for r in (xp, yp):
-        coeffs = ratfun_series(r, order)
-        if coeffs[0] != 0:
+        num, den = _map_lists(r)
+        if num[0]:
             raise NonzeroAtOrigin("substitution map does not vanish at t = 0")
-        maps.append(coeffs)
+        maps.append((num, den))
     if xp.num.vars != yp.num.vars:
         raise ValueError(
             "maps in different variables: %r and %r" % (xp.num.vars, yp.num.vars)
         )
-    vals = [next((k for k, c in enumerate(coeffs) if c), None) for coeffs in maps]
-    live = [v for v in vals if v is not None]
+    xs = ratfun_series(xp, order)
+    ynum, yden = maps[1]
+    u = next((k for k, c in enumerate(xs) if c), None)
+    v = next((k for k, c in enumerate(ynum[: order + 1]) if c), None)
+    live = [w for w in (u, v) if w is not None]
     if live:
         needed = -(-order // min(live))
         if b.order < needed:
@@ -341,35 +367,49 @@ def restrict(b, xp, yp, order):
                 needed=needed,
                 have=b.order,
             )
-    tables, scales = [], []
-    for coeffs, val in zip(maps, vals):
-        scale, ints = _clear(coeffs)
-        table = [[(0, 1)]]
-        while val is not None and len(table) * val <= order:
-            power = _pairs_mul(table[-1], ints, order)
-            table.append([(k, v) for k, v in enumerate(power) if v])
-        tables.append(table)
-        scales.append(scale)
-    (xpow, ypow), (lx, ly) = tables, scales
-    parts = []
-    for n, (den, ws) in enumerate(b.rows[: len(xpow)]):
-        top = min(len(ws), len(ypow)) - 1
-        while top >= 0 and not ws[top]:
-            top -= 1
-        if top < 0:
-            continue
-        row = [0] * (order + 1)
-        for m in range(top + 1):
-            if ws[m]:
-                f = ws[m] * ly ** (top - m)
-                for k, v in ypow[m]:
-                    row[k] += f * v
-        parts.append((_pairs_mul(xpow[n], row, order), lx**n * ly**top * den))
-    common = math.lcm(*(d for _, d in parts))
-    total = [0] * (order + 1)
-    for part, d in parts:
-        _poly_add(total, part, common // d)
-    return UniSeries(order, [Fraction(v, common) for v in total])
+    d0, npairs, dpairs = 1, [], []
+    if v is None:
+        v = order + 1  # yp vanishes through t^order
+    else:
+        _, ints = _clear(ynum + yden)
+        big_n, big_d = ints[: len(ynum)], ints[len(ynum) :]
+        d0 = big_d[0]
+        npairs = [(i, c * d0 ** (i - 1)) for i, c in enumerate(big_n[: order + 1]) if c]
+        dpairs = [(i, c * d0 ** (i - 1)) for i, c in enumerate(big_d[1 : order + 1], 1) if c]
+    mmax = order // v
+    lx, ints = _clear(xs)
+    xpairs = [(k, c * d0**k) for k, c in enumerate(ints) if c]
+    xpow = [[(0, 1)]]
+    while u is not None and len(xpow) * u <= order:
+        xpow.append(_pairs_mul(xpow[-1], xpairs, order))
+    q_den = math.lcm(*(b.rows[n][0] * lx**n for n in range(len(xpow))))
+    # cols[k][m] is coefficient k of P_m, for k <= order - m v
+    cols = [[0] * ((order - k) // v + 1) for k in range(order + 1)]
+    for n, powers in enumerate(xpow):
+        den, ws = b.rows[n]
+        f = q_den // (den * lx**n)
+        for k, value in powers:
+            col, value = cols[k], value * f
+            col[: len(ws)] = [c + value * w for c, w in zip(col, ws)]
+    acc = [col[mmax] for col in cols[: order - mmax * v + 1]]
+    for m in range(mmax - 1, -1, -1):
+        size = order - m * v + 1
+        q = [0] * size
+        for i, c in npairs:
+            if i >= size:
+                break
+            q[i:] = [e + c * a for e, a in zip(q[i:], acc)]
+        for k in range(v + 1, size):
+            for i, c in dpairs:
+                if i > k:
+                    break
+                q[k] -= c * q[k - i]
+        acc = [col[m] + e for col, e in zip(cols, q)]
+    out, scale = [], q_den
+    for a in acc:
+        out.append(Fraction(a, scale))
+        scale *= d0
+    return UniSeries(order, out)
 
 
 def uniseries_from_entries(entries):

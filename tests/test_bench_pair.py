@@ -64,6 +64,17 @@ def test_summary_lines_give_medians_change_wins_and_checks():
     assert bench_pair.summary_lines({}) == []
 
 
+def test_side_lines_give_unscaled_frac_scaled_median_and_src_lines():
+    unscaled = {"guess@1": {"parent": 0.0, "change": 0.25}, "ising@1": {"parent": 1.0, "change": 1.0}}
+    scaled = {"guess@1": {"parent": 0.1277, "change": 0.11512}, "ising@1": {"parent": None, "change": None}}
+    assert bench_pair.side_lines(unscaled, scaled, {"parent": 4390, "change": 4371}) == [
+        "guess@1 unscaled_frac parent 0.000 change 0.250, scaled_median_s parent 0.1277 s change 0.1151 s",
+        "ising@1 unscaled_frac parent 1.000 change 1.000, scaled_median_s parent None change None",
+        "src_lines parent 4390 change 4371 (-19)",
+    ]
+    assert bench_pair.side_lines({}, {}, {"parent": 7, "change": 9}) == ["src_lines parent 7 change 9 (+2)"]
+
+
 def test_unscaled_frac_counts_passes_returned_raw_per_side():
     def row(side, raw, ref):
         return {"side": side, "row": {"pass_s": raw, "pass_ref_s": ref}}

@@ -414,22 +414,35 @@ def _rand_biseries(rng, order, density=0.7):
 def test_restrict_matches_fraction_reference_random():
     rng = random.Random(7001)
     maps = [rf_t(text) for text in ODD_MAPS]
-    for _ in range(400):
-        b = _rand_biseries(rng, rng.randrange(0, 12), rng.choice((0.0, 0.3, 0.9)))
-        xp, yp = rng.choice(maps), rng.choice(maps)
-        order = rng.randrange(0, 13)
-        want = _outcome(_ref_restrict, b, xp, yp, order)
-        assert _outcome(restrict, b, xp, yp, order) == want
+    # shallow cases, then deeper ones: series through total degree 20..30 and
+    # t-orders up to 30, where the read-back over d0^k of the maps with
+    # den(0) = 3 and 2 carries large powers
+    for count, b_orders, t_orders in ((400, (0, 12), (0, 13)), (40, (20, 31), (13, 31))):
+        for _ in range(count):
+            b = _rand_biseries(rng, rng.randrange(*b_orders), rng.choice((0.0, 0.3, 0.9)))
+            xp, yp = rng.choice(maps), rng.choice(maps)
+            order = rng.randrange(*t_orders)
+            want = _outcome(_ref_restrict, b, xp, yp, order)
+            assert _outcome(restrict, b, xp, yp, order) == want
 
 
 def test_restrict_matches_fraction_reference_on_rational_maps():
-    b = expand_from_ratios(hyper_from_spec(KDF3), 21)
+    b = expand_from_ratios(hyper_from_spec(KDF3), 40)
     for x_text in ODD_MAPS[:9]:
         for y_text in ODD_MAPS[:9]:
             xp, yp = rf_t(x_text), rf_t(y_text)
             for order in (0, 1, 7, 20):
                 want = _outcome(_ref_restrict, b, xp, yp, order)
                 assert _outcome(restrict, b, xp, yp, order) == want
+    # t-order 40: den(0) = 3 and 2 against each other, and dense against dense
+    for x_text, y_text in (
+        ("(2*t)/(3-5*t)", "t^3/(1+t/2)"),
+        ("t^3/(1+t/2)", "(2*t)/(3-5*t)"),
+        ("-t^2/(1-t)^2", "-t/(1-8*t)"),
+        ("-t/(1-8*t)", "-t^2/(1-t)^2"),
+    ):
+        xp, yp = rf_t(x_text), rf_t(y_text)
+        assert restrict(b, xp, yp, 40) == _ref_restrict(b, xp, yp, 40)
 
 
 KDF3 = parse_spec_text(

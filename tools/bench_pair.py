@@ -21,9 +21,7 @@ regression from the spread, and not every change run beats every parent
 run), and whether the gain rule holds (the change wins at least nine tenths
 of the pairs, the medians differ by more than the parent's interquartile
 range, and the change's share of failed jobs is no larger than the
-parent's).  After the runs it prints one line per workload, seed and
-end-to-end metric to stderr with the two medians, the relative change, the
-pairs won and the three checks.  Per workload and seed it also gives each
+parent's).  Per workload and seed it also gives each
 side's unscaled_frac, the share of passes whose reference-speed time is
 their raw time, because the speed probe returns a pass too short to sample
 every part unscaled (perfbench/speed.py); medians of sides that differ there
@@ -31,6 +29,11 @@ mix raw and rescaled seconds.  So next to it, as scaled_median_s, it gives
 each side's median pass_ref_s over its rescaled passes alone (None when
 there are none).  It also gives the line count of src/**/*.py on each side,
 as src_lines, so the net change of src/ can be read off it.
+
+After the runs it prints to stderr one line per workload, seed and
+end-to-end metric with the two medians, the relative change, the pairs won
+and the three checks; one line per workload and seed with each side's
+unscaled_frac and scaled_median_s; and one line with each side's src_lines.
 
 Each --traced WORKLOAD:SEED entry adds three `perfbench/run.py --trace 1`
 runs per side, alternating which side goes first, and the output keeps every
@@ -200,6 +203,26 @@ def summary_lines(summary):
     ]
 
 
+def side_lines(unscaled, scaled, src_counts):
+    """One line per workload@seed with each side's unscaled_frac and
+    scaled_median_s, then one line with each side's src_lines."""
+    def seconds(v):
+        return "None" if v is None else "%.4g s" % v
+
+    lines = [
+        "%s unscaled_frac parent %.3f change %.3f, scaled_median_s parent %s change %s" % (
+            key, frac["parent"], frac["change"],
+            seconds(scaled[key]["parent"]), seconds(scaled[key]["change"]),
+        )
+        for key, frac in unscaled.items()
+    ]
+    lines.append("src_lines parent %d change %d (%+d)" % (
+        src_counts["parent"], src_counts["change"],
+        src_counts["change"] - src_counts["parent"],
+    ))
+    return lines
+
+
 def _passes(rows, side):
     """(pass_s, pass_ref_s) of every pass in the rows of side."""
     return [
@@ -309,7 +332,7 @@ def main():
         "traced": traced,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    for line in summary_lines(summary):
+    for line in summary_lines(summary) + side_lines(unscaled, scaled, src_counts):
         print(line, file=sys.stderr)
 
 
