@@ -339,9 +339,10 @@ def restrict(b, xp, yp, order):
     denominator Q = lcm_n(L_n lx^n).  Each Horner step multiplies the
     accumulator by the terms of N', divides by D' and adds P_m; with v the
     valuation of yp, P_m and the accumulator are needed only through
-    s^(order - m v).  The cost is O(N M |xp^n|) products for the P_m plus
-    O(M order (terms of N + D)) for the Horner steps, for N, M the largest
-    n, m that contribute.  One Fraction is built per t-coefficient.
+    s^(order - m v).  The cost is O(n_max m_max |xp^n|) products for the
+    P_m plus O(m_max order (terms of N + D)) for the Horner steps, n_max
+    and m_max the largest n and m that contribute.  One Fraction is built
+    per t-coefficient.
     """
     maps = []
     for r in (xp, yp):
