@@ -1038,7 +1038,7 @@ def _eval_int(coeffs, x):
 
 
 def _mul_trunc(a, b, order):
-    """Product of two coefficient lists (Fractions or ints) through t^order."""
+    """Product of two integer coefficient lists through t^order."""
     out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if i > order:

@@ -86,14 +86,15 @@ class UniODE:
         return format_ode_text(self.var, list(self.coeffs))
 
     def coeff_lists(self):
-        """Fraction coefficient lists of p_0..p_r, lowest degree first."""
-        return [p.coeff_list(self.var) for p in self.coeffs]
+        """Integer coefficient lists of p_0..p_r, lowest degree first."""
+        return [[p.terms.get((k,), 0) for k in range(max(p.degree(self.var), 0) + 1)]
+                for p in self.coeffs]
 
     def apply(self, s):
         """Exact image of a truncated series; the order drops by the ODE order.
 
-        Each p_j * D^j term is an integer list product on the series cleared
-        once; one Fraction is built per output coefficient.
+        Each p_j * D^j term is an integer list product on the series' integer
+        row, and the image is a row over the same denominator.
         """
         r = self.order
         if s.order < r:
@@ -103,12 +104,11 @@ class UniODE:
                 have=s.order,
             )
         out_ord = s.order - r
-        den, ints = _clear(s.coeffs)
         out = [0] * (out_ord + 1)
         for j, pj in enumerate(self.coeff_lists()):
-            der = [ints[m + j] * math.perm(m + j, j) for m in range(out_ord + 1)]
-            _poly_add(out, _mul_trunc([int(c) for c in pj], der, out_ord), 1)
-        return UniSeries(out_ord, [Fraction(v, den) for v in out])
+            der = [s.ints[m + j] * math.perm(m + j, j) for m in range(out_ord + 1)]
+            _poly_add(out, _mul_trunc(pj, der, out_ord), 1)
+        return UniSeries._from_ints(out_ord, s.den, out)
 
     def __eq__(self, other):
         if not isinstance(other, UniODE):
@@ -364,7 +364,7 @@ def guess_ode(s, max_order, max_degree):
         )
     nrows = s.order + 1
     # A common scale leaves the null space unchanged.
-    _, ints = _clear(s.coeffs)
+    ints = s.ints
     pad = [0] * max_degree
     primes = []
     best = None
@@ -437,7 +437,7 @@ def annihilates_series(ode, s):
         raise InsufficientOrder(
             "series order %d, need %d" % (s.order, need), needed=need, have=s.order
         )
-    return not any(ode.apply(s).coeffs)
+    return not any(ode.apply(s).ints)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,7 @@ def _square_order(ode, pairs):
     r = ode.order
     if r < 2:
         raise ValueError("need an operator of order at least 2")
-    p = [[int(c) for c in lst] for lst in ode.coeff_lists()]
+    p = ode.coeff_lists()
     coords = [(a, b) for a in range(r) for b in range(a + pairs, r)]
     index = {c: i for i, c in enumerate(coords)}
     n = len(coords)

@@ -44,25 +44,54 @@ class InsufficientOrder(Exception):
         self.dims = dims
 
 
-class UniSeries:
-    """Coefficients a_0..a_N of a series known exactly through t^N."""
+def _reduced(den, ints):
+    """(den, ints) divided by gcd(den, *ints): a row in lowest terms."""
+    g = math.gcd(den, *ints)
+    return (den // g, [w // g for w in ints]) if g > 1 else (den, ints)
 
-    __slots__ = ("order", "coeffs")
+
+class UniSeries:
+    """Coefficients a_0..a_N of a series known exactly through t^N.
+
+    The series is stored as one integer row in the form of a BiSeries.rows
+    entry: a_k = ints[k] / den, den positive and gcd(den, ints[0], ...) = 1,
+    so equal series have equal rows.  `coeffs`, the list of the a_k as
+    Fractions, is a view of the row, built on first read and cached.
+    """
+
+    __slots__ = ("order", "den", "ints", "_coeffs")
 
     def __init__(self, order, coeffs):
-        coeffs = [Fraction(_coefficient(c)) for c in coeffs]
+        coeffs = [_coefficient(c) for c in coeffs]
         if order < 0 or len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
         self.order = order
-        self.coeffs = coeffs
+        self.den, self.ints = _clear(coeffs)
+        self._coeffs = None
+
+    @classmethod
+    def _from_ints(cls, order, den, ints):
+        """The series with a_k = ints[k] / den, den a positive int and ints
+        order + 1 ints; reduced by their gcd here, so the caller need not."""
+        self = object.__new__(cls)
+        self.order = order
+        self.den, self.ints = _reduced(den, ints)
+        self._coeffs = None
+        return self
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = [Fraction(w, self.den) for w in self.ints]
+        return self._coeffs
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.den, self.ints) == (other.order, other.den, other.ints)
 
     def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
+        return hash((self.order, self.den, tuple(self.ints)))
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -94,16 +123,10 @@ class BiSeries:
             if value:
                 clean[(n, m)] = value
         self.order = order
-        self.rows = [(1, [0] * (order - n + 1)) for n in range(order + 1)]
-        by_row = {}
-        for (n, m), value in clean.items():
-            by_row.setdefault(n, []).append((m, value))
-        for n, entries in by_row.items():
-            den, ws = _clear(value for _, value in entries)
-            row = self.rows[n][1]
-            for (m, _), w in zip(entries, ws):
-                row[m] = w
-            self.rows[n] = (den, row)
+        self.rows = [
+            _clear([clean.get((n, m), 0) for m in range(order - n + 1)])
+            for n in range(order + 1)
+        ]
         self._coeffs = clean
 
     @classmethod
@@ -116,10 +139,7 @@ class BiSeries:
         """
         self = object.__new__(cls)
         self.order = order
-        self.rows = []
-        for den, ws in rows:
-            g = math.gcd(den, *ws)
-            self.rows.append((den // g, [w // g for w in ws]) if g > 1 else (den, ws))
+        self.rows = [_reduced(den, ws) for den, ws in rows]
         self._coeffs = None
         return self
 
@@ -275,34 +295,6 @@ def expand_spec(spec, order):
     return expand_from_formula(spec.coeff, order, spec.params, spec.vars)
 
 
-def _map_lists(r):
-    """Rational coefficient lists (num, den) of a univariate rational function.
-
-    Raises NonzeroAtOrigin when den vanishes at 0, a pole at the origin.
-    """
-    if len(r.num.vars) != 1:
-        raise ValueError("need a univariate rational function")
-    var = r.num.vars[0]
-    num = r.num.coeff_list(var)
-    den = r.den.coeff_list(var)
-    if den[0] == 0:
-        raise NonzeroAtOrigin("map has a pole at the origin")
-    return num, den
-
-
-def ratfun_series(r, order):
-    """Taylor coefficients of a univariate rational function at the origin."""
-    num, den = _map_lists(r)
-    num += [Fraction(0)] * (order + 1 - len(num))
-    out = [Fraction(0)] * (order + 1)
-    for k in range(order + 1):
-        acc = num[k]
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[i] * out[k - i]
-        out[k] = acc / den[0]
-    return out
-
-
 def _pairs_mul(a, b, order):
     """Product of two (degree, value) pair lists, sorted by degree, through t^order."""
     out = {}
@@ -314,6 +306,16 @@ def _pairs_mul(a, b, order):
     return sorted((k, v) for k, v in out.items() if v)
 
 
+def _div_unit(q, dpairs):
+    """Divide the integer series q in place by 1 + sum c s^i, (i, c) in dpairs sorted by i."""
+    for k in range(1, len(q)):
+        for i, c in dpairs:
+            if i > k:
+                break
+            q[k] -= c * q[k - i]
+    return q
+
+
 def restrict(b, xp, yp, order):
     """Coefficients of sum c_{n,m} xp(t)^n yp(t)^m through t^order.
 
@@ -322,42 +324,45 @@ def restrict(b, xp, yp, order):
     contribute: b.order >= ceil(order / min valuation), never silently
     truncated.
 
-    The sum is taken in integers, by Horner's rule in yp = N/D (N and D
-    integer polynomials, d0 = D(0) != 0, N(0) = 0):
+    The sum is taken in integers, by Horner's rule in yp:
 
         S = P_0 + yp (P_1 + yp (P_2 + ...)),   P_m = sum_n c_{n,m} xp^n.
 
-    First t = d0*s.  Then yp = N'(s)/D'(s) with N'(s) = N(d0 s)/d0 and
-    D'(s) = D(d0 s)/d0, whose coefficients N_i d0^(i-1), D_i d0^(i-1) are
-    integers and D'(0) = 1, so dividing an integer series by D' is the
-    recurrence q_k = p_k - sum_{i>=1} D'_i q_{k-i}, exact in integers.
-    A series f(t) becomes f_k d0^k in s, so coefficient k of the result is
-    read back over d0^k.  The series of xp is cleared to integers over lx
-    and its powers are kept as (degree, value) pairs in s, each the product
-    of the previous power and xp's pairs; row n of b is integers w_{n,m}
-    over L_n (b.rows), so each P_m is an integer series over the one
-    denominator Q = lcm_n(L_n lx^n).  Each Horner step multiplies the
-    accumulator by the terms of N', divides by D' and adds P_m; with v the
-    valuation of yp, P_m and the accumulator are needed only through
-    s^(order - m v).  The cost is O(n_max m_max |xp^n|) products for the
-    P_m plus O(m_max order (terms of N + D)) for the Horner steps, n_max
-    and m_max the largest n and m that contribute.  One Fraction is built
-    per t-coefficient.
+    Each map is cleared to integer polynomials N/D, with N(0) = 0 and
+    d = D(0) != 0, and t = e*s, e the lcm of the two D(0).  Then the map is
+    N'(s)/D'(s) with N'(s) = N(e s)/d and D'(s) = D(e s)/d, whose
+    coefficients N_i e^i/d and D_i e^i/d are integers for i >= 1 and
+    D'(0) = 1, so dividing an integer series by D' is the recurrence
+    q_k = p_k - sum_{i>=1} D'_i q_{k-i} of _div_unit, exact in integers.
+    It gives xp's series in s, whose powers are kept as (degree, value)
+    pairs, each the product of the previous power and xp's pairs; row n of
+    b is integers w_{n,m} over L_n (b.rows), so each P_m is an integer
+    series over the one denominator Q = lcm_n L_n.  Each Horner step
+    multiplies the accumulator by the terms of yp's N', divides by its D'
+    with the same recurrence and adds P_m; with v the valuation of yp, P_m
+    and the accumulator are needed only through s^(order - m v).  A series
+    f(t) is f_k e^k in s, so the result is the row acc_k e^(order - k) over
+    Q e^order.  The cost is O(n_max m_max |xp^n|) products for the P_m plus
+    O(m_max order (terms of N + D)) for the Horner steps, n_max and m_max
+    the largest n and m that contribute.  No Fraction is built.
     """
     maps = []
     for r in (xp, yp):
-        num, den = _map_lists(r)
+        if len(r.num.vars) != 1:
+            raise ValueError("need a univariate rational function")
+        var = r.num.vars[0]
+        num, den = r.num.coeff_list(var), r.den.coeff_list(var)
+        if den[0] == 0:
+            raise NonzeroAtOrigin("map has a pole at the origin")
         if num[0]:
             raise NonzeroAtOrigin("substitution map does not vanish at t = 0")
-        maps.append((num, den))
+        _, ints = _clear(num + den)
+        maps.append((ints[: len(num)], ints[len(num) :]))
     if xp.num.vars != yp.num.vars:
         raise ValueError(
             "maps in different variables: %r and %r" % (xp.num.vars, yp.num.vars)
         )
-    xs = ratfun_series(xp, order)
-    ynum, yden = maps[1]
-    u = next((k for k, c in enumerate(xs) if c), None)
-    v = next((k for k, c in enumerate(ynum[: order + 1]) if c), None)
+    u, v = (next((k for k, c in enumerate(num[: order + 1]) if c), None) for num, _ in maps)
     live = [w for w in (u, v) if w is not None]
     if live:
         needed = -(-order // min(live))
@@ -368,27 +373,28 @@ def restrict(b, xp, yp, order):
                 needed=needed,
                 have=b.order,
             )
-    d0, npairs, dpairs = 1, [], []
-    if v is None:
-        v = order + 1  # yp vanishes through t^order
-    else:
-        _, ints = _clear(ynum + yden)
-        big_n, big_d = ints[: len(ynum)], ints[len(ynum) :]
-        d0 = big_d[0]
-        npairs = [(i, c * d0 ** (i - 1)) for i, c in enumerate(big_n[: order + 1]) if c]
-        dpairs = [(i, c * d0 ** (i - 1)) for i, c in enumerate(big_d[1 : order + 1], 1) if c]
-    mmax = order // v
-    lx, ints = _clear(xs)
-    xpairs = [(k, c * d0**k) for k, c in enumerate(ints) if c]
+    e = math.lcm(maps[0][1][0], maps[1][1][0])
+    # the (i, c) pairs, i >= 1, of N' and D' for each map
+    (xnum, xden), (npairs, dpairs) = (
+        [[(i, c * e**i // den[0]) for i, c in enumerate(p[: order + 1]) if i and c]
+         for p in (num, den)]
+        for num, den in maps
+    )
+    xnum = dict(xnum)
+    xs = [xnum.get(k, 0) for k in range(order + 1)]
+    xpairs = [(k, c) for k, c in enumerate(_div_unit(xs, xden)) if c]
     xpow = [[(0, 1)]]
     while u is not None and len(xpow) * u <= order:
         xpow.append(_pairs_mul(xpow[-1], xpairs, order))
-    q_den = math.lcm(*(b.rows[n][0] * lx**n for n in range(len(xpow))))
+    q_den = math.lcm(*(b.rows[n][0] for n in range(len(xpow))))
+    if v is None:
+        v = order + 1  # yp vanishes through t^order
+    mmax = order // v
     # cols[k][m] is coefficient k of P_m, for k <= order - m v
     cols = [[0] * ((order - k) // v + 1) for k in range(order + 1)]
     for n, powers in enumerate(xpow):
         den, ws = b.rows[n]
-        f = q_den // (den * lx**n)
+        f = q_den // den
         for k, value in powers:
             col, value = cols[k], value * f
             col[: len(ws)] = [c + value * w for c, w in zip(col, ws)]
@@ -399,18 +405,10 @@ def restrict(b, xp, yp, order):
         for i, c in npairs:
             if i >= size:
                 break
-            q[i:] = [e + c * a for e, a in zip(q[i:], acc)]
-        for k in range(v + 1, size):
-            for i, c in dpairs:
-                if i > k:
-                    break
-                q[k] -= c * q[k - i]
-        acc = [col[m] + e for col, e in zip(cols, q)]
-    out, scale = [], q_den
-    for a in acc:
-        out.append(Fraction(a, scale))
-        scale *= d0
-    return UniSeries(order, out)
+            q[i:] = [x + c * a for x, a in zip(q[i:], acc)]
+        acc = [col[m] + x for col, x in zip(cols, _div_unit(q, dpairs))]
+    ints = [a * e ** (order - k) for k, a in enumerate(acc)]
+    return UniSeries._from_ints(order, q_den * e**order, ints)
 
 
 def uniseries_from_entries(entries):

@@ -102,7 +102,7 @@ class LogSeries(namedtuple("LogSeries", "order parts")):
 def _series_is_zero(s):
     if isinstance(s, BiSeries):
         return not any(any(ws) for _, ws in s.rows)
-    return all(c == 0 for c in s.coeffs)
+    return not any(s.ints)
 
 
 def _int_value(q, env):
@@ -135,7 +135,7 @@ def apply(op, s):
     # powers[k][j] = k**j, the j-th power of theta at lattice coordinate k
     powers = [[k**j for j in range(top + 1)] for k in range(out_order + 1)]
     if len(op.vars) == 1:
-        den, ints = _clear(s.coeffs)
+        ints = s.ints
         common = lcm(*(l for _, (l, _, _) in forms))
         out = [0] * (out_order + 1)
         for (a,), (l, t, _) in forms:
@@ -143,7 +143,7 @@ def apply(op, s):
             for n in range(out_order - a + 1):
                 if ints[n]:
                     out[n + a] += f * _term_sum(t, (powers[n],)) * ints[n]
-        return UniSeries(out_order, [Fraction(v, common * den) for v in out])
+        return UniSeries._from_ints(out_order, common * s.den, out)
     rows = []
     for p in range(out_order + 1):
         feeds = [(a, b, l, t, s.rows[p - a]) for (a, b), (l, t, _) in forms if a <= p]
@@ -338,9 +338,9 @@ def log_basis(sys, order, max_log):
     column per unknown in canonical order, its entries the coefficients, is
     already in reduced row echelon form, with the free parameters as its
     pivot columns; no further elimination is needed.  Each row is cleared
-    over its denominators and divided by its content, which leaves a
-    positive pivot entry, and the basis is read off it over that entry: as
-    BiSeries rows, or as one Fraction per entry of a univariate part.
+    over the lcm of its denominators, its pivot entry positive, and each
+    part of the basis is built from it as integer rows over that lcm:
+    BiSeries rows, or the one row of a UniSeries, which reduce themselves.
     """
     if max_log < 0:
         raise ValueError("max_log must be nonnegative")
@@ -440,19 +440,16 @@ def log_basis(sys, order, max_log):
         keys = holders[pid]
         row_den = lcm(*[coeffs[key][1] for key in keys])
         row = {key: coeffs[key][0][pid] * (row_den // coeffs[key][1]) for key in keys}
-        g = gcd(*row.values())
-        row = {key: c // g for key, c in row.items()}
-        den = row_den // g
         built = {}
         for li in li_order:
             if width == 2:
                 built[li] = BiSeries._from_rows(order, [
-                    (den, [row.get((li, (n, m)), 0) for m in range(order - n + 1)])
+                    (row_den, [row.get((li, (n, m)), 0) for m in range(order - n + 1)])
                     for n in range(order + 1)
                 ])
             else:
-                built[li] = UniSeries(
-                    order, [Fraction(row.get((li, (k,)), 0), den) for k in range(order + 1)]
+                built[li] = UniSeries._from_ints(
+                    order, row_den, [row.get((li, (k,)), 0) for k in range(order + 1)]
                 )
         parts = {li: s for li, s in built.items() if not _series_is_zero(s)}
         basis.append(LogSeries(order, parts))

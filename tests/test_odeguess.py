@@ -33,10 +33,11 @@ from hornsing.series import (
     expand_from_formula,
     expand_from_ratios,
     hyper_from_spec,
-    ratfun_series,
     restrict,
 )
 from hornsing.theta import ThetaOp, theta_from_dform
+
+from series_ref import ratfun_series
 
 T = ("t",)
 XY = ("x", "y")
@@ -863,7 +864,7 @@ def _apply_fraction_loop(ode, s):
     """UniODE.apply as a Fraction loop over the operator's coefficient lists."""
     out_ord = s.order - ode.order
     out = [Fraction(0)] * (out_ord + 1)
-    for j, pj in enumerate(ode.coeff_lists()):
+    for j, pj in enumerate(p.coeff_list(ode.var) for p in ode.coeffs):
         der = [s.coeffs[m + j] * math.perm(m + j, j) for m in range(out_ord + 1)]
         for i, ci in enumerate(pj):
             if not ci:
@@ -890,6 +891,9 @@ def test_apply_matches_fraction_loop_on_large_denominators():
         if coeffs[-1].is_zero():
             coeffs[-1] = MPoly.const(T, 1)
         ode = UniODE("t", coeffs)
+        lists = ode.coeff_lists()
+        assert lists == [p.coeff_list("t") for p in ode.coeffs]
+        assert all(type(c) is int for lst in lists for c in lst)
         n = rng.randint(ode.order, 30)
         s = UniSeries(
             n,

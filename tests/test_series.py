@@ -19,10 +19,11 @@ from hornsing.series import (
     expand_from_ratios,
     expand_spec,
     hyper_from_spec,
-    ratfun_series,
     restrict,
     uniseries_from_entries,
 )
+
+from series_ref import ratfun_series
 
 NM = ("n", "m")
 T = ("t",)
@@ -244,7 +245,16 @@ def test_series_coefficients_refuse_a_float_as_mpoly_does():
         with pytest.raises(TypeError, match=message):
             build()
     a = UniSeries(1, [2, Fraction(2, 2)])
+    assert (a.den, a.ints) == (1, [2, 1])
     assert a.coeffs == [2, 1] and all(type(c) is Fraction for c in a.coeffs)
+    # a row handed in unreduced is stored reduced, as BiSeries._from_rows does
+    u = UniSeries(2, [Fraction(1, 2), Fraction(-2, 3), 0])
+    v = UniSeries._from_ints(2, 12, [6, -8, 0])
+    assert (u.den, u.ints) == (v.den, v.ints) == (6, [3, -4, 0])
+    assert u == v and hash(u) == hash(v)
+    assert v.coeffs == [Fraction(1, 2), Fraction(-2, 3), 0]
+    assert all(type(c) is Fraction for c in v.coeffs)
+    assert UniSeries._from_ints(1, 5, [0, 0]).den == 1
     b = BiSeries(1, {(0, 0): 3, (1, 0): Fraction(1, 2)})
     assert b.rows == [(1, [3, 0]), (2, [1])]
     assert all(type(c) is Fraction for c in b.coeffs.values())
@@ -397,6 +407,9 @@ ODD_MAPS = (
     "2/9*t^3 + t^4",
     "t",
     "-t/(1-8*t)",
+    # den(0) = 4 and -6: the lcm 12 is not their product
+    "t/(4+t)",
+    "t^2/(6-t)",
     "1+t",
     "1/t",
 )
@@ -434,12 +447,15 @@ def test_restrict_matches_fraction_reference_on_rational_maps():
             for order in (0, 1, 7, 20):
                 want = _outcome(_ref_restrict, b, xp, yp, order)
                 assert _outcome(restrict, b, xp, yp, order) == want
-    # t-order 40: den(0) = 3 and 2 against each other, and dense against dense
+    # t-order 40: den(0) = 3 and 2 against each other, dense against dense,
+    # and den(0) = 4 against -6, whose lcm is not their product
     for x_text, y_text in (
         ("(2*t)/(3-5*t)", "t^3/(1+t/2)"),
         ("t^3/(1+t/2)", "(2*t)/(3-5*t)"),
         ("-t^2/(1-t)^2", "-t/(1-8*t)"),
         ("-t/(1-8*t)", "-t^2/(1-t)^2"),
+        ("t/(4+t)", "t^2/(6-t)"),
+        ("t^2/(6-t)", "t/(4+t)"),
     ):
         xp, yp = rf_t(x_text), rf_t(y_text)
         assert restrict(b, xp, yp, 40) == _ref_restrict(b, xp, yp, 40)
