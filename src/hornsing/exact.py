@@ -439,7 +439,13 @@ def _compose(p, tables, tvars):
 
 
 def divexact(a: MPoly, b: MPoly) -> MPoly:
-    """Exact polynomial quotient a/b; raises if b does not divide a."""
+    """Exact polynomial quotient a/b; raises ValueError if b does not divide a.
+
+    With a = A/la and b = cb*B/lb, A and B integer polynomials and B
+    primitive, a/b = lb/(la*cb) * A/B.  By Gauss's lemma a primitive B that
+    divides A over Q divides it over Z, so the integer kernel _int_quo
+    gives A/B, and its None means b does not divide a.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
@@ -447,23 +453,13 @@ def divexact(a: MPoly, b: MPoly) -> MPoly:
     a._check(b)
     if b.is_constant():
         return a * Fraction(1, b.constant_value())
-    rem = dict(a.terms)
-    q = {}
-    lb = b.leading_exps()
-    cb = b.terms[lb]
-    # the leading term of b cancels the leading term of rem exactly
-    tail = [(e, c) for e, c in b.terms.items() if e != lb]
-    while rem:
-        la = max(rem, key=_glex_key)
-        diff = tuple(x - y for x, y in zip(la, lb))
-        if any(d < 0 for d in diff):
-            raise ValueError("inexact polynomial division")
-        c = _quo(rem.pop(la), cb)
-        q[diff] = c
-        for e, v in tail:
-            _add_term(rem, tuple(map(_add, diff, e)), -c * v)
-    # each step lowers the leading term in graded lex, so the keys of q are distinct
-    return MPoly._trusted(a.vars, q)
+    la, A = _int_terms(a)
+    lb, B = _int_terms(b)
+    cb = math.gcd(*B.values())
+    q = _int_quo(A, {e: c // cb for e, c in B.items()})
+    if q is None:
+        raise ValueError("inexact polynomial division")
+    return MPoly._trusted(a.vars, q) * _quo(lb, la * cb)
 
 
 def _list_primitive(coeffs):
@@ -529,9 +525,9 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     For xi > 2*min(|a|, |b|) + 1, a G that divides both a and b is their
     gcd (B. W. Char, K. O. Geddes and G. H. Gonnet, J. Symbolic Comput. 7,
     1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
-    sec. 7.7), so exact integer trial division certifies it.  A candidate
-    that fails grows xi to 73794*xi*floor(xi^(1/4)) // 27011; after
-    _HEU_TRIES failures at any level the primitive PRS in x decides.
+    sec. 7.7), so exact integer trial division by _int_quo certifies it.  A
+    candidate that fails grows xi to 73794*xi*floor(xi^(1/4)) // 27011;
+    after _HEU_TRIES failures at any level the primitive PRS in x decides.
     """
     if a.is_zero() and b.is_zero():
         return a
@@ -587,7 +583,7 @@ def _heu_gcd(a, b):
             g = _lift_slot(h, z, xi)
             k = math.gcd(*g.values())
             g = {e: c // k for e, c in g.items()}
-            if _int_divides(g, a) and _int_divides(g, b):
+            if _int_quo(a, g) is not None and _int_quo(b, g) is not None:
                 return {e: c * cont for e, c in g.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -609,24 +605,32 @@ def _lift_slot(h, z, xi):
     return out
 
 
-def _int_divides(g, a):
-    """Whether the {exponents: int} polynomial g divides a over Z, by trial division."""
+def _int_quo(a, g):
+    """a/g for two nonzero {exponents: int} polynomials when g divides a over
+    Z, else None; a itself when g is the unit 1.
+
+    Long division on the lex-leading term, one divmod per step.  A quotient
+    term x^e has 0 <= e_k <= deg_k a - lg_k, lg the leading exponents of g,
+    so a step outside that degree box ends the division at once.
+    """
     lg = max(g)
     cg = g[lg]
-    if not any(lg):
-        return all(c % cg == 0 for c in a.values())
+    if cg == 1 and not any(lg):
+        return a
     tail = [(e, c) for e, c in g.items() if e != lg]
     top = [max(e[k] for e in a) - lg[k] for k in range(len(lg))]
     rem = dict(a)
+    q = {}
     while rem:
         la = max(rem)
         diff = tuple(x - y for x, y in zip(la, lg))
-        q, r = divmod(rem.pop(la), cg)
+        c, r = divmod(rem.pop(la), cg)
         if r or any(d < 0 or d > t for d, t in zip(diff, top)):
-            return False
-        for e, c in tail:
-            _add_term(rem, tuple(map(_add, diff, e)), -q * c)
-    return True
+            return None
+        q[diff] = c
+        for e, v in tail:
+            _add_term(rem, tuple(map(_add, diff, e)), -c * v)
+    return q
 
 
 def gcd_list(polys):
@@ -1113,10 +1117,10 @@ def _split_factors(coeffs):
                     h_g = _eval_int(h, g)
                     if not h_g or at_g % h_g:
                         continue
-                quo = _poly_divmod_int(coeffs, h)
+                quo = _int_quo(_uni_terms(coeffs), _uni_terms(h))
                 if quo is not None:
                     factors.append(h)
-                    coeffs = quo
+                    coeffs = [quo.get((k,), 0) for k in range(len(coeffs) - g)]
                     at_g = _eval_int(coeffs, g)
         g += 1
     if len(coeffs) > 1:
@@ -1125,24 +1129,9 @@ def _split_factors(coeffs):
     return factors, coeffs
 
 
-def _poly_divmod_int(a, b):
-    """Quotient of integer coefficient lists if division is exact, else None."""
-    a = list(a)
-    db = len(b) - 1
-    da = len(a) - 1
-    if da < db:
-        return None
-    out = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        lead = a[k + db]
-        if lead % b[db]:
-            return None
-        out[k] = lead // b[db]
-        for j in range(db + 1):
-            a[k + j] -= out[k] * b[j]
-    if any(a):
-        return None
-    return out
+def _uni_terms(coeffs):
+    """An integer coefficient list, lowest degree first, as an {exponents: int} dict."""
+    return {(k,): c for k, c in enumerate(coeffs) if c}
 
 
 def factor_univariate(p: MPoly, var: str) -> FactorizationResult:

@@ -56,7 +56,7 @@ class UniSeries:
     The series is stored as one integer row in the form of a BiSeries.rows
     entry: a_k = ints[k] / den, den positive and gcd(den, ints[0], ...) = 1,
     so equal series have equal rows.  `coeffs`, the list of the a_k as
-    Fractions, is a view of the row, built on first read and cached.
+    Fractions, is a copy of a view of the row built on first read and cached.
     """
 
     __slots__ = ("order", "den", "ints", "_coeffs")
@@ -83,7 +83,7 @@ class UniSeries:
     def coeffs(self):
         if self._coeffs is None:
             self._coeffs = [Fraction(w, self.den) for w in self.ints]
-        return self._coeffs
+        return list(self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
@@ -105,9 +105,9 @@ class BiSeries:
     The series is stored as integer rows: rows[n] is (L_n, [w_{n,0}, ...,
     w_{n,order-n}]), L_n the lcm of the reduced denominators in row n and
     c_{n,m} = w_{n,m} / L_n, so gcd(L_n, w_{n,0}, ...) = 1 and equal series
-    have equal rows.  `coeffs`, the dict of nonzero coefficients, is a view
-    of the rows, built on first read and cached; a series built from the
-    dict keeps it as that view.
+    have equal rows.  `coeffs`, the dict of nonzero coefficients, is a copy
+    of a view of the rows built on first read and cached; a series built
+    from the dict keeps it as that view.
     """
 
     __slots__ = ("order", "rows", "_coeffs")
@@ -152,7 +152,7 @@ class BiSeries:
                 for m, w in enumerate(ws)
                 if w
             }
-        return self._coeffs
+        return dict(self._coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

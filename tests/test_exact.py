@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -365,13 +366,15 @@ def test_factor_search_checks_a_value_before_dividing(monkeypatch):
                 break
         p = p * MPoly(T, {(i,): c for i, c in enumerate(coeffs)})
     divisions = []
-    divide = exact._poly_divmod_int
+    divide = exact._int_quo
 
-    def spy(a, b):
-        divisions.append(b)
-        return divide(a, b)
+    def spy(a, g):
+        # the factor search's divisions, not the gcd checks of the squarefree split
+        if sys._getframe(1).f_code is exact._split_factors.__code__:
+            divisions.append(g)
+        return divide(a, g)
 
-    monkeypatch.setattr(exact, "_poly_divmod_int", spy)
+    monkeypatch.setattr(exact, "_int_quo", spy)
     res = factor_univariate(p, "t")
     coeff, theirs = sympy.factor_list(sympy.Poly(p.coeff_list("t")[::-1], ts).as_expr())
     theirs = [(MPoly(T, {(i,): int(c) for i, c in enumerate(sympy.Poly(f, ts).all_coeffs()[::-1])}), m)
@@ -381,6 +384,83 @@ def test_factor_search_checks_a_value_before_dividing(monkeypatch):
     assert [f.degree("t") for f, _ in res.factors] == [3, 3, 4, 5]
     # 861 divisions; without the value check the search runs 14,436
     assert len(divisions) < 1000
+
+
+def _random_int_terms(rng, nvars, deg, count):
+    """A random nonzero {exponents: int} dict with exponents up to deg."""
+    while True:
+        t = {tuple(rng.randint(0, deg) for _ in range(nvars)): rng.randint(-4, 4) for _ in range(count)}
+        t = {e: c for e, c in t.items() if c}
+        if t:
+            return t
+
+
+def test_int_quo_matches_sympy_over_z():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyerrors import ExactQuotientFailed
+
+    def sympy_quo(a, g, gens):
+        def poly(t):
+            return sympy.Poly(sum(c * sympy.Mul(*(v**k for v, k in zip(gens, e))) for e, c in t.items()),
+                              *gens, domain="ZZ")
+        try:
+            q = poly(a).exquo(poly(g), auto=False)
+        except ExactQuotientFailed:
+            return None
+        return {tuple(map(int, e)): int(c) for e, c in q.terms()}
+
+    rng = random.Random(20261022)
+    inexact = 0
+    for _ in range(120):
+        nvars = rng.randint(1, 3)
+        V = ("x", "y", "z")[:nvars]
+        gens = sympy.symbols(" ".join(V), seq=True)
+        one = (0,) * nvars
+        g = MPoly(V, _random_int_terms(rng, nvars, 2, 3))
+        q = MPoly(V, _random_int_terms(rng, nvars, 2, 4))
+        if g.is_constant():
+            continue
+        # g*q gives q back
+        a = (g * q).terms
+        assert exact._int_quo(a, g.terms) == q.terms == sympy_quo(a, g.terms, gens)
+        # g*q + r with r != 0: None exactly when sympy finds no quotient over Z
+        a = (g * q + MPoly(V, _random_int_terms(rng, nvars, 3, 2))).terms
+        if a:
+            want = sympy_quo(a, g.terms, gens)
+            assert exact._int_quo(a, g.terms) == want
+            inexact += want is None
+        # a divisor of content 2 does not divide a primitive dividend over Z
+        g, q = g.primitive_positive(), q.primitive_positive()
+        a = (g * q).terms
+        assert exact._int_quo(a, {e: 2 * c for e, c in g.terms.items()}) is None
+        assert sympy_quo(a, {e: 2 * c for e, c in g.terms.items()}, gens) is None
+        # constant divisors: the unit hands back its dividend, 3 divides 3a and not 3a + 1
+        assert exact._int_quo(a, {one: 1}) is a
+        a3 = {e: 3 * c for e, c in a.items()}
+        assert exact._int_quo(a3, {one: 3}) == a == sympy_quo(a3, {one: 3}, gens)
+        a3[one] = a3.get(one, 0) + 1
+        assert exact._int_quo(a3, {one: 3}) is None
+        assert exact._int_quo(a, {one: -1}) == {e: -c for e, c in a.items()}
+    assert inexact > 50
+
+
+def test_int_quo_stops_at_the_degree_box(monkeypatch):
+    # x - y - 1 into x^60 + 2: the first quotient term x^59 leaves x^59*y,
+    # whose quotient term would have degree 1 in y, outside the box
+    # deg_y(x^60 + 2) = 0, so the division ends after one step; without the
+    # box it would run on through (y + 1)^60, about 3,600 term updates
+    updates = []
+    add = exact._add_term
+
+    def spy(t, e, c):
+        updates.append(e)
+        return add(t, e, c)
+
+    monkeypatch.setattr(exact, "_add_term", spy)
+    a = {(60, 0): 1, (0, 0): 2}
+    g = {(1, 0): 1, (0, 1): -1, (0, 0): -1}
+    assert exact._int_quo(a, g) is None
+    assert len(updates) == 2
 
 
 def test_divisors():
@@ -908,6 +988,10 @@ def test_integral_coefficients_are_stored_as_int():
         (divexact(6 * x - 4, MPoly.const(XY, Fraction(2, 3))), {(1, 0): 9, (0, 0): -6}),
         (divexact((3 * y + 2) * (2 * x + 1), 3 * y + 2), {(1, 0): 2, (0, 0): 1}),
         (divexact(x + 1, 2 * x + 2), {(0, 0): half}),
+        # a Fraction divisor of content 2/3 with a negative lead: the quotient
+        # is scaled by lb/(la*cb) = 3/(6*2), an int term and a Fraction term
+        (divexact((x * Fraction(3, 4) + 2 * y) * (x * Fraction(-4, 3) + Fraction(2, 3)),
+                  x * Fraction(-4, 3) + Fraction(2, 3)), {(1, 0): Fraction(3, 4), (0, 1): 2}),
         ((x * Fraction(2, 3) + Fraction(4, 3)).primitive_positive(), {(1, 0): 1, (0, 0): 2}),
         ((-x * Fraction(5, 2) + 5).primitive_positive(), {(1, 0): 1, (0, 0): -2}),
     ]

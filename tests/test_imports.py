@@ -56,6 +56,39 @@ def test_importing_hornsing_builds_no_dataclass():
     assert "dataclasses" not in loaded
 
 
+def broken_scripts(text):
+    """(name, target) of each [project.scripts] entry of the pyproject.toml
+    text whose module does not import or whose object is not callable."""
+    tomllib = pytest.importorskip("tomllib")
+    out = []
+    for name, target in tomllib.loads(text).get("project", {}).get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            obj = None
+        if not callable(obj):
+            out.append((name, target))
+    return out
+
+
+def test_broken_scripts_detects_a_missing_module_and_a_non_callable():
+    text = (
+        '[project.scripts]\na = "hornsing.cli:main"\nb = "hornsing.exact:_HEU_TRIES"\n'
+        'c = "hornsing.exact:MPoly.zero"\nd = "hornsing.exact:no_such"\n'
+    )
+    assert broken_scripts(text) == [
+        ("a", "hornsing.cli:main"), ("b", "hornsing.exact:_HEU_TRIES"), ("d", "hornsing.exact:no_such"),
+    ]
+
+
+def test_declared_scripts_resolve():
+    # an installed command whose target does not import fails on start
+    assert broken_scripts((ROOT / "pyproject.toml").read_text()) == []
+
+
 def _names_read(node):
     """Names and attribute names read under node, and names it imports from."""
     for n in ast.walk(node):

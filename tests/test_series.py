@@ -260,6 +260,24 @@ def test_series_coefficients_refuse_a_float_as_mpoly_does():
     assert all(type(c) is Fraction for c in b.coeffs.values())
 
 
+def test_writing_into_coeffs_changes_no_series():
+    # coeffs hands out a copy of its cache, so later reads, equality and
+    # hashing all see the stored row
+    s, twin = UniSeries(1, [1, 2]), UniSeries(1, [1, 2])
+    s.coeffs[0] = 5
+    s.coeffs.append(7)
+    assert s.coeffs == [1, 2] and (s.den, s.ints) == (1, [1, 2])
+    assert s == twin and hash(s) == hash(twin) and s != UniSeries(1, [5, 2])
+    for b in (BiSeries(1, {(0, 0): 3, (1, 0): Fraction(1, 2)}),
+              BiSeries._from_rows(1, [(1, [3, 0]), (2, [1])])):
+        b.coeffs[(0, 0)] = 5
+        b.coeffs.pop((1, 0))
+        assert b.coeffs == {(0, 0): 3, (1, 0): Fraction(1, 2)}
+        assert b.rows == [(1, [3, 0]), (2, [1])]
+        assert b == BiSeries(1, {(0, 0): 3, (1, 0): Fraction(1, 2)})
+        assert b != BiSeries(1, {(0, 0): 5})
+
+
 def test_restrict_diagonal_matches_sums_random():
     rng = random.Random(4242)
     t_map = rf_t("t")
